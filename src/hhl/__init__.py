@@ -27,6 +27,7 @@ from .hausdorff import (
     apply_complex,
     apply_real,
     boundary_identity_check,
+    lp_lower_bound_sweep,
     norm_lower_bound_sweep,
     norm_upper_bound,
 )
@@ -35,7 +36,6 @@ from .hilbert import (
     commutation_check,
     hilbert,
     hilbert_with_tails,
-    lp_lower_bound_sweep,
     project_minus,
     project_plus,
 )

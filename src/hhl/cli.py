@@ -31,9 +31,9 @@ import numpy as np
 from . import hardy_bmo
 from .adjoint import duality_residual, sa_moment, _sa_values
 from .halfplane import CayleyPower, InverseSquare
-from .hausdorff import (SweepConfig, boundary_identity_check,
+from .hausdorff import (SweepConfig, boundary_identity_check, lp_lower_bound_sweep,
                         norm_lower_bound_sweep, transform_values)
-from .hilbert import commutation_check, lp_lower_bound_sweep
+from .hilbert import commutation_check
 from .kernels import (Kernel, adjoint_kernel, cesaro, gen_cesaro, hardy_type,
                       kernel_from_config, moment)
 from .realline import SampledLine, eval_at

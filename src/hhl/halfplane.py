@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .quadrature import integrate_batched, integrate_halfline, geometric_panels
-from .realline import SampledLine, lp_norm, _tail_integral
+from .quadrature import integrate_halfline, geometric_panels
+from .realline import SampledLine, lp_norm, lp_norm_function
 from .report import CheckRow, VerificationReport
 
 __all__ = [
@@ -282,23 +282,8 @@ def slice_norm(f: HoloFunction, y: float, p: float, L: float,
         vals = np.abs(fn(np.concatenate([probe, -probe, np.array([0.0])])))
         return float(np.max(vals))
 
-    scale = max(f.feature_scale, 1e-12)
-    win_pos = integrate_batched(lambda xs: np.abs(fn(xs)) ** p,
-                                geometric_panels(scale, L), tol=tol)
-    total = float(win_pos.value)
-    if f.even_slice_modulus:
-        total *= 2.0
-    else:
-        win_neg = integrate_batched(lambda xs: np.abs(fn(-xs)) ** p,
-                                    geometric_panels(scale, L), tol=tol)
-        total += float(win_neg.value)
-    tp = f.tail_power
-    if tp is not None:
-        if p * tp <= 1.0:
-            return math.inf
-        total += _tail_integral(fn, p, L, tp, +1, tol)
-        total += _tail_integral(fn, p, L, tp, -1, tol)
-    return total ** (1.0 / p)
+    return lp_norm_function(fn, p, L, max(f.feature_scale, 1e-12), f.tail_power,
+                            tol, f.even_slice_modulus)
 
 
 def hardy_norm(f: HoloFunction, p: float, y_grid=(1.0, 0.5, 0.1, 0.05, 0.01),

@@ -24,7 +24,7 @@ from scipy.signal import fftconvolve
 from .halfplane import _poisson_grid_values
 from .hausdorff import SweepResult, transform_values
 from .kernels import Kernel, moment, truncate_below
-from .realline import SampledLine, lp_norm
+from .realline import SampledLine, lp_norm, lp_norm_function
 from .report import CheckRow, VerificationReport
 
 __all__ = [
@@ -379,24 +379,13 @@ def h1_lowerbound_check(k: Kernel, epsilons, delta: float = 0.1,
         def diff(xs):
             return transform_values(kd, f_star, xs, tol=tol) - f_star(xs) * mass
 
-        num = _even_l1(diff, L, s, tol)
-        den = _even_l1(f_star, L, s, tol)
+        num = lp_norm_function(diff, 1.0, L, 1e-6, s, tol, even_modulus=True)
+        den = lp_norm_function(f_star, 1.0, L, 1e-6, s, tol, even_modulus=True)
         # normalized by the kernel mass: invariant under kernel scaling
         residuals.append(num / (den * mass))
     return SweepResult(p=1.0, epsilons=eps_list, quotients=tuple(residuals),
                        moment=mass, best=max(residuals),
                        family=f"h1-residual(delta={delta:g})")
-
-
-def _even_l1(fn, L: float, tail_power: float, tol: float) -> float:
-    """L1 norm over the line of a function with even modulus and a power
-    tail; window by graded panels, tail by the measured remainder."""
-    from .quadrature import geometric_panels, integrate_batched
-    from .realline import _tail_integral
-    win = integrate_batched(lambda xs: np.abs(fn(xs)),
-                            geometric_panels(1e-6, L), tol=tol)
-    tail = _tail_integral(fn, 1.0, L, tail_power, +1, tol)
-    return 2.0 * (float(win.value) + tail)
 
 
 def bmo_bound_check(k: Kernel, corpus=None, L: float = 64.0, N: int = 1 << 12,

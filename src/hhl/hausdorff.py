@@ -7,21 +7,23 @@ acts on SampledLine; applied to holomorphic functions it keeps the
 argument in the upper half-plane (Im(z/t) = y/t > 0).  Its operator norm
 on the p-scale is exactly the kernel moment integral of t^(1/p-1) phi(t);
 the machinery here witnesses that constant from below with a Rayleigh
-sweep over the extremizer family (z + i*sigma)^(-1/p-eps) and verifies
-the boundary-value identity (T f)* = T(f*).
+sweep over the extremizer family (z + i*sigma)^(-1/p-eps), and on the
+line with the power families |x|^(-1/p+-eps), and verifies the
+boundary-value identity (T f)* = T(f*).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .halfplane import CayleyPower, HoloFunction, InverseSquare, hardy_norm
-from .kernels import Kernel, eval_kernel, moment
-from .quadrature import DivergenceError, integrate_halfline
-from .realline import SampledLine, eval_at
+from .halfplane import CayleyPower, HoloFunction, InverseSquare, hardy_norm, slice_norm
+from .kernels import Kernel, cumulative_moment, eval_kernel, moment
+from .quadrature import (DivergenceError, doubling_panels, geometric_panels,
+                         integrate_batched, integrate_halfline)
+from .realline import _TAIL_UMAX, SampledLine, _tail_integral, eval_at
 from .report import CheckRow, VerificationReport
 
 __all__ = [
@@ -34,6 +36,7 @@ __all__ = [
     "SweepConfig",
     "WindowTooSmallError",
     "norm_lower_bound_sweep",
+    "lp_lower_bound_sweep",
     "boundary_identity_check",
 ]
 
@@ -239,12 +242,101 @@ def _check_window(k: Kernel, p: float, eps: float, L: float):
     relative.  If that exceeds 1% the sweep would silently lose norm:
     ask for a larger window instead.
     """
-    from .realline import _TAIL_UMAX
     leftover = math.exp(-p * eps * _TAIL_UMAX)
     if leftover > 0.01:
         raise WindowTooSmallError(
             f"window L={L:g} cannot close the |x|^(-1-p*eps) tail at "
             f"eps={eps:g} (leftover {leftover:.2%}); increase L or eps")
+
+
+# ---------------------------------------------------------------------------
+# Power test functions on the line
+
+
+def _power_quotient(k: Kernel, p: float, eps: float, side: str,
+                    L: float = 1e4, tol: float = 1e-10) -> float:
+    """Rayleigh quotient of the transform on one power test function.
+
+    side "large": |x|^(-1/p-eps) outside the unit interval, which the
+    kernel sees through its mass at t < |x|.  side "small": the
+    complementary |x|^(-1/p+eps) inside, seeing mass at t > |x|.  Both
+    transforms collapse to cumulative kernel moments, and all heavy
+    power tails are closed with measured remainders.
+    """
+    if side == "large":
+        s = 1.0 / p + eps
+
+        def num_p(xv):
+            w = cumulative_moment(k, s, xv, upper=False, tol=tol)
+            return np.power(xv, -p * s) * np.power(w, p)
+
+        def den_p(xv):
+            return np.where(xv > 1.0, np.power(np.abs(xv), -(1.0 + p * eps)), 0.0)
+
+        # the transform plateaus below the kernel's support floor (it sees
+        # only mass at t < x), so the integrand is bounded toward 0 and a
+        # 1e-6 floor loses O(1e-8) relative mass
+        a0 = max(k.support[0], 1e-6)
+        num_mass = float(integrate_batched(num_p, doubling_panels(a0, L), tol=tol).value)
+        num_mass += _tail_integral(num_p, 1.0, L, 1.0 + p * eps, +1, tol)
+        den_mass = float(integrate_batched(den_p, doubling_panels(1.0, L), tol=tol).value)
+        den_mass += _tail_integral(den_p, 1.0, L, 1.0 + p * eps, +1, tol)
+        return (num_mass / den_mass) ** (1.0 / p)
+
+    # side == "small": mass piles up at every scale below 1, so work in
+    # v = 1/x where it becomes an ordinary power tail
+    s = 1.0 / p - eps
+
+    def num_p_v(vv):
+        w = cumulative_moment(k, s, 1.0 / vv, upper=True, tol=tol)
+        return np.power(vv, p * s - 2.0) * np.power(w, p)
+
+    def den_p_v(vv):
+        return np.power(vv, -(1.0 + p * eps))
+
+    num_mass = float(integrate_batched(num_p_v, doubling_panels(1.0, L), tol=tol).value)
+    num_mass += _tail_integral(num_p_v, 1.0, L, 1.0 + p * eps, +1, tol)
+
+    if k.support[1] > 1.0:
+        # kernel mass beyond t = 1 makes the transform live on x > 1 too
+        def num_p_direct(xv):
+            w = cumulative_moment(k, s, xv, upper=True, tol=tol)
+            return np.power(xv, -p * s) * np.power(w, p)
+
+        num_mass += float(integrate_batched(num_p_direct, doubling_panels(1.0, L),
+                                            tol=tol).value)
+        ei = k.inf_exponent if k.inf_exponent is not None else -1.0
+        num_mass += _tail_integral(num_p_direct, 1.0, L, -p * ei, +1, tol)
+    den_mass = float(integrate_batched(den_p_v, doubling_panels(1.0, L), tol=tol).value)
+    den_mass += _tail_integral(den_p_v, 1.0, L, 1.0 + p * eps, +1, tol)
+    return (num_mass / den_mass) ** (1.0 / p)
+
+
+def lp_lower_bound_sweep(k: Kernel, p: float, epsilons, L: float = 1e4,
+                         tol: float = 1e-10):
+    """Both power-family sweeps witnessing the sharp line constant.
+
+    Returns (large_scale, small_scale) SweepResults: the first family
+    witnesses the kernel mass at t > 1, the second the mass at t < 1;
+    together they exhaust the moment.  Every quotient sits under the
+    moment.
+    """
+    if not (1.0 < p < math.inf):
+        raise ValueError("line sweep requires p in (1, inf)")
+    eps_list = tuple(float(e) for e in epsilons)
+    if any(not 0 < e < 1 for e in eps_list):
+        raise ValueError("epsilons must lie in (0, 1)")
+    m = moment(k, p)
+    if not m.finite:
+        raise ValueError("sweep requires a finite moment")
+    large = tuple(_power_quotient(k, p, e, "large", L=L, tol=tol) for e in eps_list)
+    small = tuple(_power_quotient(k, p, e, "small", L=L, tol=tol) for e in eps_list)
+    return (
+        SweepResult(p=p, epsilons=eps_list, quotients=large, moment=m.value,
+                    best=max(large), family="large-scale-power"),
+        SweepResult(p=p, epsilons=eps_list, quotients=small, moment=m.value,
+                    best=max(small), family="small-scale-power"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +366,6 @@ def boundary_identity_check(k: Kernel, f: HoloFunction, p: float, y_seq,
         raise ValueError("y_seq must be strictly decreasing and positive")
     if not f.boundary_ok:
         raise ValueError("boundary identity needs a boundary-continuous form")
-    from .halfplane import slice_norm
-    from .quadrature import geometric_panels, integrate_batched
     denom = slice_norm(f, 0.0, p, L, tol=tol)
 
     def boundary_of(xs):

@@ -16,18 +16,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .kernels import Kernel, moment
-from .quadrature import integrate, integrate_batched, integrate_halfline
+from .quadrature import integrate, integrate_halfline
 from .realline import SampledLine, eval_at, lp_norm
 from .report import CheckRow, VerificationReport
 
 __all__ = [
-    "HilbertMethod",
     "EdgeDecayWarning",
     "hilbert",
     "hilbert_with_tails",
@@ -35,8 +33,6 @@ __all__ = [
     "project_plus",
     "project_minus",
     "commutation_check",
-    "lp_lower_bound_sweep",
-    "cumulative_moment",
 ]
 
 METHODS = ("fft", "pv")
@@ -44,15 +40,6 @@ METHODS = ("fft", "pv")
 
 class EdgeDecayWarning(UserWarning):
     """Input does not decay at the window edges; the spectral method wraps."""
-
-
-@dataclass(frozen=True)
-class HilbertMethod:
-    kind: str = "fft"
-
-    def __post_init__(self):
-        if self.kind not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
 
 
 def _hilbert_fft(f: SampledLine) -> SampledLine:
@@ -102,7 +89,12 @@ def _hilbert_pv(f: SampledLine, tol: float = 1e-9) -> SampledLine:
     return SampledLine.from_values(vals, f.L, label=f"H[{f.label}]" if f.label else "")
 
 
-def hilbert(f: SampledLine, method: str | HilbertMethod = "fft",
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}")
+
+
+def hilbert(f: SampledLine, method: str = "fft",
             tol: float = 1e-9) -> SampledLine:
     """Hilbert transform of sampled data on its own grid.
 
@@ -111,10 +103,8 @@ def hilbert(f: SampledLine, method: str | HilbertMethod = "fft",
     input fails to decay at the window edges (magnitude above 1e-6 of the
     peak), since periodization then pollutes the result.
     """
-    kind = method.kind if isinstance(method, HilbertMethod) else method
-    if kind not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}")
-    if kind == "fft":
+    _check_method(method)
+    if method == "fft":
         amax = float(np.max(np.abs(f.values))) or 1.0
         edge = max(abs(f.values[0]), abs(f.values[-1]))
         if edge > 1e-6 * amax:
@@ -323,6 +313,7 @@ def hilbert_with_tails(g: SampledLine, method: str = "fft", a: float = 2.0,
     quadrature.  ``origin`` locates dilation-induced features (log points)
     when the data lives on a shifted coordinate.
     """
+    _check_method(method)
     if np.max(np.abs(g.values.imag)) > 1e-13 * max(float(np.max(np.abs(g.values))), 1e-300):
         raise ValueError("tail-aware transform expects real-valued input")
     xs = g.grid()
@@ -453,11 +444,8 @@ def hilbert_with_tails(g: SampledLine, method: str = "fft", a: float = 2.0,
     phys_mass = abs(float(np.sum(g.values.real)) * g.h)
     mass_floor = max(1e-9, 2.5 * g.h) * scale
     tp = 1.0 if (abs(cP) + phys_mass / math.pi) > mass_floor else 2.0
-    out = SampledLine.from_values(out_vals, g.L,
-                                  label=f"H[{g.label}]" if g.label else "")
-    object.__setattr__(out, "form", form)
-    object.__setattr__(out, "tail_power", tp)
-    return out
+    return SampledLine(L=g.L, values=out_vals, form=form, tail_power=tp,
+                       label=f"H[{g.label}]" if g.label else "")
 
 
 def commutation_check(k: Kernel, f: SampledLine, p: float = 2.0,
@@ -530,156 +518,3 @@ def commutation_check(k: Kernel, f: SampledLine, p: float = 2.0,
         suite="commute", rows=[row],
         environment={"kernel": k.label, "p": p, "method": method,
                      "window_factor": window_factor, "L": f.L, "N": f.N})
-
-
-# ---------------------------------------------------------------------------
-# Power test functions on the line
-
-
-def cumulative_moment(k: Kernel, s: float, xs: np.ndarray,
-                      upper: bool = False, tol: float = 1e-11) -> np.ndarray:
-    """integral of t^(s-1) phi(t) over (0, x] (or [x, inf) when upper).
-
-    ``xs`` may be unsorted; segments between consecutive sorted abscissas
-    are integrated once and accumulated, so a batch costs one sweep.
-    """
-    xs = np.asarray(xs, dtype=float)
-    order = np.argsort(xs)
-    sx = xs[order]
-    lo, hi = k.support
-
-    def seg(a, b):
-        a2, b2 = max(a, lo), min(b, hi)
-        if not a2 < b2:
-            return 0.0
-        if a2 <= 0 or (b2 / a2 > 1e3) or math.isinf(b2):
-            res = integrate_halfline(
-                lambda ts: k(ts) * np.power(ts, s - 1.0), tol=tol,
-                support=(a2, b2))
-            if res.diverges:
-                raise ValueError("cumulative moment diverges")
-            return float(res.value)
-        return float(integrate(lambda ts: k(ts) * np.power(ts, s - 1.0),
-                               a2, b2, tol=tol).value)
-
-    pieces = np.empty(sx.size)
-    pieces[0] = seg(0.0, sx[0])
-    for i in range(1, sx.size):
-        pieces[i] = seg(sx[i - 1], sx[i])
-    cums = np.cumsum(pieces)
-    if upper:
-        top = seg(sx[-1], math.inf)
-        cums = (cums[-1] - cums) + top
-    out = np.empty_like(cums)
-    out[order] = cums
-    return out
-
-
-def _tail_mass(fn_p, L: float, decay: float, tol: float) -> float:
-    """integral of fn_p over (L, inf) given fn_p ~ C x^-decay, decay > 1."""
-    if decay <= 1.0:
-        return math.inf
-    U = min(600.0, max(6.0, 30.0 / (decay - 1.0)))
-
-    def integrand(us):
-        xv = L * np.exp(us)
-        return np.asarray(fn_p(xv)) * xv
-
-    res = integrate(integrand, 0.0, U, tol=tol)
-    xU = L * math.exp(U)
-    rem = float(np.asarray(fn_p(np.array([xU])))[0]) * xU / (decay - 1.0)
-    return float(res.value) + rem
-
-
-def _panels_from(a: float, L: float):
-    pts = [a]
-    while pts[-1] < L:
-        pts.append(min(pts[-1] * 2.0, L))
-    return pts
-
-
-def _power_quotient(k: Kernel, p: float, eps: float, side: str,
-                    L: float = 1e4, tol: float = 1e-10) -> float:
-    """Rayleigh quotient of the transform on one power test function.
-
-    side "large": |x|^(-1/p-eps) outside the unit interval, which the
-    kernel sees through its mass at t < |x|.  side "small": the
-    complementary |x|^(-1/p+eps) inside, seeing mass at t > |x|.  Both
-    transforms collapse to cumulative kernel moments, and all heavy
-    power tails are closed with measured remainders.
-    """
-    if side == "large":
-        s = 1.0 / p + eps
-
-        def num_p(xv):
-            w = cumulative_moment(k, s, xv, upper=False, tol=tol)
-            return np.power(xv, -p * s) * np.power(w, p)
-
-        def den_p(xv):
-            return np.where(xv > 1.0, np.power(np.abs(xv), -(1.0 + p * eps)), 0.0)
-
-        # the transform plateaus below the kernel's support floor (it sees
-        # only mass at t < x), so the integrand is bounded toward 0 and a
-        # 1e-6 floor loses O(1e-8) relative mass
-        a0 = max(k.support[0], 1e-6)
-        num_mass = float(integrate_batched(num_p, _panels_from(a0, L), tol=tol).value)
-        num_mass += _tail_mass(num_p, L, 1.0 + p * eps, tol)
-        den_mass = float(integrate_batched(den_p, _panels_from(1.0, L), tol=tol).value)
-        den_mass += _tail_mass(den_p, L, 1.0 + p * eps, tol)
-        return (num_mass / den_mass) ** (1.0 / p)
-
-    # side == "small": mass piles up at every scale below 1, so work in
-    # v = 1/x where it becomes an ordinary power tail
-    s = 1.0 / p - eps
-
-    def num_p_v(vv):
-        w = cumulative_moment(k, s, 1.0 / vv, upper=True, tol=tol)
-        return np.power(vv, p * s - 2.0) * np.power(w, p)
-
-    def den_p_v(vv):
-        return np.power(vv, -(1.0 + p * eps))
-
-    num_mass = float(integrate_batched(num_p_v, _panels_from(1.0, L), tol=tol).value)
-    num_mass += _tail_mass(num_p_v, L, 1.0 + p * eps, tol)
-
-    if k.support[1] > 1.0:
-        # kernel mass beyond t = 1 makes the transform live on x > 1 too
-        def num_p_direct(xv):
-            w = cumulative_moment(k, s, xv, upper=True, tol=tol)
-            return np.power(xv, -p * s) * np.power(w, p)
-
-        num_mass += float(integrate_batched(num_p_direct, _panels_from(1.0, L),
-                                            tol=tol).value)
-        ei = k.inf_exponent if k.inf_exponent is not None else -1.0
-        num_mass += _tail_mass(num_p_direct, L, -p * ei, tol)
-    den_mass = float(integrate_batched(den_p_v, _panels_from(1.0, L), tol=tol).value)
-    den_mass += _tail_mass(den_p_v, L, 1.0 + p * eps, tol)
-    return (num_mass / den_mass) ** (1.0 / p)
-
-
-def lp_lower_bound_sweep(k: Kernel, p: float, epsilons, L: float = 1e4,
-                         tol: float = 1e-10):
-    """Both power-family sweeps witnessing the sharp line constant.
-
-    Returns (large_scale, small_scale) SweepResults: the first family
-    witnesses the kernel mass at t > 1, the second the mass at t < 1;
-    together they exhaust the moment.  Every quotient sits under the
-    moment.
-    """
-    from .hausdorff import SweepResult
-    if not (1.0 < p < math.inf):
-        raise ValueError("line sweep requires p in (1, inf)")
-    eps_list = tuple(float(e) for e in epsilons)
-    if any(not 0 < e < 1 for e in eps_list):
-        raise ValueError("epsilons must lie in (0, 1)")
-    m = moment(k, p)
-    if not m.finite:
-        raise ValueError("sweep requires a finite moment")
-    large = tuple(_power_quotient(k, p, e, "large", L=L, tol=tol) for e in eps_list)
-    small = tuple(_power_quotient(k, p, e, "small", L=L, tol=tol) for e in eps_list)
-    return (
-        SweepResult(p=p, epsilons=eps_list, quotients=large, moment=m.value,
-                    best=max(large), family="large-scale-power"),
-        SweepResult(p=p, epsilons=eps_list, quotients=small, moment=m.value,
-                    best=max(small), family="small-scale-power"),
-    )

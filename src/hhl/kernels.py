@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .quadrature import QuadResult, integrate_halfline
+from .quadrature import QuadResult, integrate, integrate_halfline
 
 __all__ = [
     "Kernel",
@@ -29,6 +29,7 @@ __all__ = [
     "eval_kernel",
     "moment",
     "moment_exponent",
+    "cumulative_moment",
     "truncate_below",
     "dilate_truncate",
     "adjoint_kernel",
@@ -228,6 +229,45 @@ def moment(k: Kernel, p: float, tol: float = DEFAULT_MOMENT_TOL) -> MomentValue:
         raise ValueError("p must lie in [1, inf]")
     s = 0.0 if math.isinf(p) else 1.0 / p
     return moment_exponent(k, s, tol=tol)
+
+
+def cumulative_moment(k: Kernel, s: float, xs: np.ndarray,
+                      upper: bool = False, tol: float = 1e-11) -> np.ndarray:
+    """integral of t^(s-1) phi(t) over (0, x] (or [x, inf) when upper).
+
+    ``xs`` may be unsorted; segments between consecutive sorted abscissas
+    are integrated once and accumulated, so a batch costs one sweep.
+    """
+    xs = np.asarray(xs, dtype=float)
+    order = np.argsort(xs)
+    sx = xs[order]
+    lo, hi = k.support
+
+    def seg(a, b):
+        a2, b2 = max(a, lo), min(b, hi)
+        if not a2 < b2:
+            return 0.0
+        if a2 <= 0 or (b2 / a2 > 1e3) or math.isinf(b2):
+            res = integrate_halfline(
+                lambda ts: k(ts) * np.power(ts, s - 1.0), tol=tol,
+                support=(a2, b2))
+            if res.diverges:
+                raise ValueError("cumulative moment diverges")
+            return float(res.value)
+        return float(integrate(lambda ts: k(ts) * np.power(ts, s - 1.0),
+                               a2, b2, tol=tol).value)
+
+    pieces = np.empty(sx.size)
+    pieces[0] = seg(0.0, sx[0])
+    for i in range(1, sx.size):
+        pieces[i] = seg(sx[i - 1], sx[i])
+    cums = np.cumsum(pieces)
+    if upper:
+        top = seg(sx[-1], math.inf)
+        cums = (cums[-1] - cums) + top
+    out = np.empty_like(cums)
+    out[order] = cums
+    return out
 
 
 def truncate_below(k: Kernel, delta: float) -> Kernel:

@@ -33,6 +33,7 @@ __all__ = [
     "integrate_pv",
     "integrate_batched",
     "geometric_panels",
+    "doubling_panels",
 ]
 
 DEFAULT_BUDGET = 1_000_000
@@ -320,6 +321,9 @@ def integrate_pv(g, x0: float, a: float, b: float, tol: float = 1e-9,
     s0 = min(x0 - a, b - x0)
 
     def sym(ss):
+        # offsets exactly representable at x0, so x0 + s and x0 - s pair
+        # up without rounding drift (which reads as a non-decaying shell)
+        ss = (x0 + ss) - x0
         return np.asarray(g(x0 + ss)) + np.asarray(g(x0 - ss))
 
     vals = []
@@ -368,6 +372,17 @@ def integrate_pv(g, x0: float, a: float, b: float, tol: float = 1e-9,
     return QuadResult(total, err, evals)
 
 
+def doubling_panels(start: float, outer: float):
+    """Breakpoints start, 2 start, 4 start, ... closed at ``outer``."""
+    pts = []
+    s = start
+    while s < outer:
+        pts.append(s)
+        s *= 2.0
+    pts.append(outer)
+    return pts
+
+
 def geometric_panels(scale: float, outer: float, inner: float = 1e-12):
     """Breakpoints 0, s, 2s, 4s, ... toward ``outer`` for graded panels.
 
@@ -377,13 +392,23 @@ def geometric_panels(scale: float, outer: float, inner: float = 1e-12):
     """
     if outer <= 0:
         raise ValueError("outer must be positive")
-    s = max(inner, min(scale, outer) / 64.0)
-    pts = [0.0]
-    while s < outer:
-        pts.append(s)
-        s *= 2.0
-    pts.append(outer)
-    return pts
+    return [0.0] + doubling_panels(max(inner, min(scale, outer) / 64.0), outer)
+
+
+def _panel_batch(g_batch, pending):
+    """Embedded-rule (value, error) of every panel in ``pending`` from one
+    call of ``g_batch``; also returns the abscissa count."""
+    mids = np.array([0.5 * (a + b) for a, b in pending])
+    halfs = np.array([0.5 * (b - a) for a, b in pending])
+    xs = (mids[:, None] + halfs[:, None] * _NODES[None, :]).ravel()
+    vals = np.asarray(g_batch(xs))
+    vals = vals.reshape(len(pending), _EVALS_PER_PANEL, *vals.shape[1:])
+    out = []
+    for v, half in zip(vals, halfs):
+        lo = np.tensordot(_W_LO, v[:10], axes=(0, 0)) * half
+        hi = np.tensordot(_W_HI, v[10:], axes=(0, 0)) * half
+        out.append((hi, _abs_max(hi - lo)))
+    return out, xs.size
 
 
 def integrate_batched(g_batch, panels, tol: float = 1e-9,
@@ -414,40 +439,24 @@ def integrate_batched(g_batch, panels, tol: float = 1e-9,
             raise BudgetError("batched quadrature budget exhausted",
                               QuadResult(_collect(segs) if segs else 0.0,
                                          err, evals))
-        mids = np.array([0.5 * (a + b) for a, b in pending])
-        halfs = np.array([0.5 * (b - a) for a, b in pending])
-        xs = (mids[:, None] + halfs[:, None] * _NODES[None, :]).ravel()
-        vals = np.asarray(g_batch(xs))
-        evals += xs.size
-        vals = vals.reshape(len(pending), _EVALS_PER_PANEL, *vals.shape[1:])
-        new_settled = []
+        estimates, n = _panel_batch(g_batch, pending)
+        evals += n
         new_pending = []
-        for i, (a, b) in enumerate(pending):
-            v = vals[i]
-            lo = np.tensordot(_W_LO, v[:10], axes=(0, 0)) * halfs[i]
-            hi = np.tensordot(_W_HI, v[10:], axes=(0, 0)) * halfs[i]
-            e = _abs_max(hi - lo)
+        for (a, b), (hi, e) in zip(pending, estimates):
             tiny = 8 * np.finfo(float).eps * max(abs(a), abs(b), 1.0)
             if e <= tol / max(len(intervals), 8) or (b - a) <= tiny:
-                new_settled.append((a, b, hi, e))
+                settled.append((a, b, hi, e))
             else:
                 m = 0.5 * (a + b)
                 new_pending.extend([(a, m), (m, b)])
-        settled.extend(new_settled)
         pending = new_pending
     else:
         # rounds exhausted: keep best estimates for what is left
-        mids = np.array([0.5 * (a + b) for a, b in pending])
-        halfs = np.array([0.5 * (b - a) for a, b in pending])
-        xs = (mids[:, None] + halfs[:, None] * _NODES[None, :]).ravel()
-        vals = np.asarray(g_batch(xs)).reshape(len(pending), _EVALS_PER_PANEL, -1) \
-            if pending else np.zeros((0, _EVALS_PER_PANEL))
-        evals += xs.size if pending else 0
-        for i, (a, b) in enumerate(pending):
-            v = vals[i]
-            lo = np.tensordot(_W_LO, v[:10], axes=(0, 0)) * halfs[i]
-            hi = np.tensordot(_W_HI, v[10:], axes=(0, 0)) * halfs[i]
-            settled.append((a, b, np.squeeze(hi), _abs_max(hi - lo)))
+        if pending:
+            estimates, n = _panel_batch(g_batch, pending)
+            evals += n
+            settled.extend((a, b, hi, e)
+                           for (a, b), (hi, e) in zip(pending, estimates))
 
     segs = [(a, b, v) for a, b, v, _ in settled]
     err = float(sum(e for *_, e in settled))

@@ -10,7 +10,7 @@ integrated out to the representable range instead of being cut at L).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -77,9 +77,6 @@ class SampledLine:
                     label: str = "") -> "SampledLine":
         return cls(L=L, values=np.asarray(values, dtype=complex),
                    tail_power=tail_power, label=label)
-
-    def untagged(self) -> "SampledLine":
-        return replace(self, form=None)
 
 
 def _spline_of(f: SampledLine):

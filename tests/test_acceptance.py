@@ -13,9 +13,10 @@ import numpy as np
 
 from hhl.cli import RunConfig, run_suites
 from hhl.halfplane import CayleyPower, InverseSquare
-from hhl.hausdorff import SweepConfig, boundary_identity_check, norm_lower_bound_sweep
+from hhl.hausdorff import (SweepConfig, boundary_identity_check, lp_lower_bound_sweep,
+                           norm_lower_bound_sweep)
 from hhl.hardy_bmo import bmo_bound_check, h1_lowerbound_check, h1_report, RATIO_CORRIDOR
-from hhl.hilbert import commutation_check, hilbert, lp_lower_bound_sweep
+from hhl.hilbert import commutation_check, hilbert
 from hhl.kernels import (adjoint_kernel, cesaro, gen_cesaro, hardy_type,
                          moment)
 from hhl.adjoint import duality_residual, _sa_values

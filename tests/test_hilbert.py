@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import dawsn
 
-from hhl.hilbert import (EdgeDecayWarning, HilbertMethod, analytic_completion,
-                         commutation_check, cumulative_moment, hilbert,
-                         hilbert_with_tails, lp_lower_bound_sweep,
+from hhl.hausdorff import lp_lower_bound_sweep
+from hhl.hilbert import (EdgeDecayWarning, analytic_completion,
+                         commutation_check, hilbert, hilbert_with_tails,
                          project_minus, project_plus)
-from hhl.kernels import cesaro, hardy_type, zero_kernel
+from hhl.kernels import cesaro, cumulative_moment, hardy_type, zero_kernel
 from hhl.realline import SampledLine
 
 
@@ -35,11 +35,13 @@ def test_cos_to_sin():
 
 
 def test_method_validation():
+    g = gaussian_line()
     with pytest.raises(ValueError):
-        hilbert(gaussian_line(), "nope")
+        hilbert(g, "nope")
     with pytest.raises(ValueError):
-        HilbertMethod("nope")
-    assert HilbertMethod("pv").kind == "pv"
+        hilbert_with_tails(g, method="nope")
+    with pytest.raises(ValueError):
+        commutation_check(cesaro(), g, 2.0, method="nope")
 
 
 def test_pv_matches_dawson():

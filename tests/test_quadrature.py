@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expi
 
 from hhl.quadrature import (BudgetError, DivergenceError, geometric_panels,
                             integrate, integrate_batched, integrate_halfline,
@@ -70,6 +71,13 @@ def test_pv_non_cancelling_raises():
         integrate_pv(lambda x: 1.0 / np.abs(x - 0.5), 0.5, 0, 1)
 
 
+def test_pv_pole_on_power_of_two():
+    # x0 = 1 sits on a binade edge, where x0 + s and x0 - s round apart;
+    # oracle: PV of e^x/(x-1) over [-1, 3] is e*(Ei(2) - Ei(-2))
+    r = integrate_pv(lambda x: np.exp(x) / (x - 1.0), 1.0, -1, 3, tol=1e-11)
+    assert r.value == pytest.approx(math.e * (expi(2.0) - expi(-2.0)), abs=1e-9)
+
+
 def test_vector_integrand():
     # one schedule, many components
     coefs = np.array([1.0, 2.0, 3.0])
@@ -115,6 +123,15 @@ def test_batched_matches_plain():
     rb = integrate_batched(g, panels, tol=1e-11)
     rp = integrate(g, 0, 10, tol=1e-11)
     assert rb.value == pytest.approx(rp.value, abs=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (1,)])
+def test_batched_round_cap_keeps_value_shape(shape):
+    g = lambda x: np.multiply.outer(np.exp(-x), np.ones(shape))
+    converged = integrate_batched(g, [0.0, 1.0, 2.0], tol=1e-9)
+    capped = integrate_batched(g, [0.0, 1.0, 2.0], tol=1e-300, max_rounds=2)
+    assert np.shape(converged.value) == np.shape(capped.value) == shape
+    assert np.allclose(capped.value, 1.0 - math.exp(-2.0), atol=1e-12)
 
 
 def test_budget_env_override(monkeypatch):
