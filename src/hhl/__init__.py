@@ -22,7 +22,6 @@ from .halfplane import (
 )
 from .hausdorff import (
     KernelImage,
-    SweepConfig,
     SweepResult,
     apply_complex,
     apply_real,

@@ -31,11 +31,12 @@ import numpy as np
 from . import hardy_bmo
 from .adjoint import duality_residual, sa_moment, _sa_values
 from .halfplane import CayleyPower, InverseSquare
-from .hausdorff import (SweepConfig, boundary_identity_check, lp_lower_bound_sweep,
+from .hausdorff import (boundary_identity_check, lp_lower_bound_sweep,
                         norm_lower_bound_sweep, transform_values)
 from .hilbert import commutation_check
 from .kernels import (Kernel, adjoint_kernel, cesaro, gen_cesaro, hardy_type,
                       kernel_from_config, moment)
+from .quadrature import eval_budget
 from .realline import SampledLine, eval_at
 from .report import CheckRow, VerificationReport, emit
 
@@ -51,7 +52,6 @@ class RunConfig:
     sweep_L: float = 1e4
     epsilons: tuple = (0.2, 0.1, 0.05, 0.02)
     y_seq: tuple = (0.5, 0.1, 0.02, 2e-3, 2e-4, 2e-5)
-    deltas: tuple = (0.1, 0.25, 0.5)
     suites: tuple = ()
     seed: int = 0
     out_dir: str = "reports"
@@ -66,7 +66,19 @@ class RunConfig:
         for p in self.p_list:
             if not (p >= 1):
                 raise ValueError("p_list entries must lie in [1, inf]")
-        kernel_from_config(self.kernel)  # malformed specs fail at parse time
+        k = kernel_from_config(self.kernel)  # malformed specs fail at parse time
+        eps = self.epsilons
+        if not (_decreasing(eps) and 0 < eps[-1] and eps[0] < 1):
+            raise ValueError("epsilons must be non-empty, strictly decreasing "
+                             "and inside (0, 1)")
+        # kernels with mass beyond t = 1 use the shrinking-shift extremizers
+        for p in self.p_list:
+            if k.support[1] > 1.0 and 1 < p < math.inf and eps[0] >= 1 - 1 / p:
+                raise ValueError(f"epsilons must lie below 1 - 1/p = "
+                                 f"{1 - 1 / p:g} at p={p:g} for {k.label}")
+        if not (_decreasing(self.y_seq) and self.y_seq[-1] > 0):
+            raise ValueError("y_seq must be non-empty, strictly decreasing "
+                             "and positive")
 
     def make_kernel(self) -> Kernel:
         return kernel_from_config(self.kernel)
@@ -79,10 +91,15 @@ class RunConfig:
         bad = set(raw) - known
         if bad:
             raise ValueError(f"unknown config fields: {sorted(bad)}")
-        for key in ("p_list", "epsilons", "y_seq", "deltas", "suites"):
+        for key in ("p_list", "epsilons", "y_seq", "suites"):
             if key in raw:
                 raw[key] = tuple(raw[key])
         return cls(**raw)
+
+
+def _decreasing(seq) -> bool:
+    """Non-empty and strictly decreasing."""
+    return len(seq) > 0 and all(a > b for a, b in zip(seq, seq[1:]))
 
 
 def _row(suite, check, anchor, computed, predicted, residual, tol):
@@ -141,8 +158,7 @@ def suite_norm(config: RunConfig) -> VerificationReport:
             rows.append(_row("norm", f"p={p:g} unbounded", "unbounded-direction",
                              "inf", "inf", 0.0, 0.5))
             continue
-        sweep = norm_lower_bound_sweep(k, p, config.epsilons,
-                                       SweepConfig(L=config.sweep_L))
+        sweep = norm_lower_bound_sweep(k, p, config.epsilons, L=config.sweep_L)
         sandwich = max(q / m.value for q in sweep.quotients)
         rows.append(_row("norm", f"p={p:g} quotients under moment",
                          "sharp-norm", sandwich, 1.0, max(0.0, sandwich - 1.0),
@@ -170,8 +186,7 @@ def suite_boundary(config: RunConfig) -> VerificationReport:
     reports = []
     for k, f, p in ((cesaro(), InverseSquare(), 1.0),
                     (hardy_type(), CayleyPower(1.0, 1.0), 2.0)):
-        reports.append(boundary_identity_check(k, f, p, config.y_seq,
-                                               L=config.L, N=config.N))
+        reports.append(boundary_identity_check(k, f, p, config.y_seq, L=config.L))
     rows = []
     for rep in reports:
         label = rep.environment["kernel"]
@@ -380,6 +395,7 @@ def main(argv=None) -> int:
             overrides["seed"] = args.seed
         if overrides:
             config = replace(config, **overrides)
+        eval_budget()  # a malformed HHL_BUDGET fails here, not mid-run
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -181,23 +181,21 @@ def smooth_maximal(f: SampledLine, t_grid=None, scales: int = 64) -> SampledLine
     return SampledLine.from_values(best, f.L, label=f"M_smooth[{f.label}]")
 
 
-def poisson_maximal(f: SampledLine, t_grid=None, scales: int = 64,
-                    aperture: float = 1.0) -> SampledLine:
+def poisson_maximal(f: SampledLine, t_grid=None, scales: int = 64) -> SampledLine:
     """Nontangential sup of the harmonic extension over |y - x| < t."""
     ts = np.asarray(t_grid, dtype=float) if t_grid is not None \
         else _log_scales(f, scales)
     best = np.zeros(f.N)
     for t in ts:
         u = np.abs(_poisson_grid_values(f, float(t)))
-        radius = int(aperture * t / f.h)
+        radius = int(t / f.h)
         if radius > 0:
             u = maximum_filter1d(u, size=2 * radius + 1, mode="nearest")
         best = np.maximum(best, u)
     return SampledLine.from_values(best, f.L, label=f"M_P[{f.label}]")
 
 
-def square_function(f: SampledLine, t_grid=None, scales: int = 64,
-                    aperture: float = 1.0) -> SampledLine:
+def square_function(f: SampledLine, t_grid=None, scales: int = 64) -> SampledLine:
     """Cone aggregate of the extension gradient, discretized.
 
     u = f * P_t on log-spaced levels; gradients by central differences in
@@ -222,7 +220,7 @@ def square_function(f: SampledLine, t_grid=None, scales: int = 64,
         t_lo = ts[i - 1] if i > 0 else ts[i] / 2.0
         t_hi = ts[i + 1] if i + 1 < len(ts) else ts[i]
         dt = 0.5 * (t_hi - t_lo) if len(ts) > 1 else ts[i]
-        radius = int(aperture * t / f.h)
+        radius = int(t / f.h)
         cone = uniform_filter1d(dens, size=2 * radius + 1, mode="nearest") \
             * (2 * radius + 1) if radius > 0 else dens
         acc += cone * f.h * dt

@@ -33,7 +33,6 @@ __all__ = [
     "KernelImage",
     "norm_upper_bound",
     "SweepResult",
-    "SweepConfig",
     "WindowTooSmallError",
     "norm_lower_bound_sweep",
     "lp_lower_bound_sweep",
@@ -44,7 +43,7 @@ _CHUNK = 1 << 16
 
 
 class WindowTooSmallError(ValueError):
-    """The requested window cannot resolve the tail for this epsilon."""
+    """The tail closure cannot resolve the power tail for this epsilon."""
 
 
 def transform_values(k: Kernel, f_of, zs, tol: float = 1e-10,
@@ -149,15 +148,6 @@ def norm_upper_bound(k: Kernel, p: float):
 
 
 @dataclass(frozen=True)
-class SweepConfig:
-    """Grid geometry for the extremizer sweep."""
-
-    L: float = 1e4
-    y_factors: tuple = (0.25, 0.05)  # slice heights as multiples of sigma
-    tol: float = 1e-10
-
-
-@dataclass(frozen=True)
 class SweepResult:
     """Rayleigh quotients against the sharp constant.
 
@@ -205,13 +195,13 @@ def _extremizer(k: Kernel, p: float, eps: float):
 
 
 def norm_lower_bound_sweep(k: Kernel, p: float, epsilons,
-                           config: SweepConfig = SweepConfig()) -> SweepResult:
+                           L: float = 1e4) -> SweepResult:
     """Rayleigh quotients of the transform over the extremizer family.
 
     For each epsilon the quotient is |T f_eps| / |f_eps| in the Hardy
-    norm, slices evaluated down to the boundary (the extremizers extend
-    continuously).  Quotients approach the moment from below as epsilon
-    shrinks.
+    norm on the window [-L, L] plus closed tails, slices evaluated down to
+    the boundary (the extremizers extend continuously).  Quotients
+    approach the moment from below as epsilon shrinks.
     """
     if math.isinf(p) or p < 1:
         raise ValueError("sweep requires p in [1, inf)")
@@ -222,31 +212,31 @@ def norm_lower_bound_sweep(k: Kernel, p: float, epsilons,
     quotients = []
     family = ""
     for eps in eps_list:
+        _check_window(p, eps)
         f_eps, family = _extremizer(k, p, eps)
         sigma = getattr(f_eps, "sigma", 1.0)
-        ys = tuple(fac * sigma for fac in config.y_factors) + (0.0,)
-        image = KernelImage(kernel=k, base=f_eps, tol=config.tol)
-        num = hardy_norm(image, p, y_grid=ys, L=config.L, tol=config.tol)
-        den = hardy_norm(f_eps, p, y_grid=ys, L=config.L, tol=config.tol)
-        _check_window(k, p, eps, config.L)
+        ys = (0.25 * sigma, 0.05 * sigma, 0.0)
+        image = KernelImage(kernel=k, base=f_eps, tol=1e-10)
+        num = hardy_norm(image, p, y_grid=ys, L=L, tol=1e-10)
+        den = hardy_norm(f_eps, p, y_grid=ys, L=L, tol=1e-10)
         quotients.append(num.estimate / den.estimate)
     return SweepResult(p=p, epsilons=eps_list, quotients=tuple(quotients),
                        moment=m.value, best=max(quotients), family=family)
 
 
-def _check_window(k: Kernel, p: float, eps: float, L: float):
-    """Reject windows whose tail closure cannot resolve this epsilon.
+def _check_window(p: float, eps: float):
+    """Reject epsilons whose tail closure cannot resolve the power tail.
 
     The tail integral runs x out to L*e^U with U capped by the double
-    range; the remaining pure-power mass beyond is L^... e^(-p*eps*U)
-    relative.  If that exceeds 1% the sweep would silently lose norm:
-    ask for a larger window instead.
+    range; the pure-power mass left beyond is e^(-p*eps*U) relative,
+    whatever L is.  If that exceeds 1% the sweep would silently lose
+    norm, so it refuses to start.
     """
     leftover = math.exp(-p * eps * _TAIL_UMAX)
     if leftover > 0.01:
         raise WindowTooSmallError(
-            f"window L={L:g} cannot close the |x|^(-1-p*eps) tail at "
-            f"eps={eps:g} (leftover {leftover:.2%}); increase L or eps")
+            f"the |x|^(-1-p*eps) tail at eps={eps:g} leaves {leftover:.2%} "
+            f"of its mass beyond the tail closure; increase eps")
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +334,7 @@ def lp_lower_bound_sweep(k: Kernel, p: float, epsilons, L: float = 1e4,
 
 
 def boundary_identity_check(k: Kernel, f: HoloFunction, p: float, y_seq,
-                            L: float = 64.0, N: int = 1 << 12,
+                            L: float = 64.0,
                             tol: float = 1e-10) -> VerificationReport:
     """Checks (T f)(. + iy) -> T(f*) in L^p as y -> 0.
 
@@ -402,5 +392,5 @@ def boundary_identity_check(k: Kernel, f: HoloFunction, p: float, y_seq,
         residual=final_rel, tol=1e-3, passed=bool(final_rel < 1e-3)))
     return VerificationReport(
         suite="boundary", rows=rows,
-        environment={"kernel": k.label, "p": p, "L": L, "N": N,
+        environment={"kernel": k.label, "p": p, "L": L,
                      "heights": list(ys), "errors": [float(e) for e in errs]})

@@ -235,14 +235,14 @@ def _v_conjugate(a: float, L: float, N: int):
     return conj
 
 
-def _fit_tail_model(g: SampledLine, a: float, zone: float, origin: float = 0.0):
-    """Least-squares (c_P, c_Q, c_V) matching g on the outer window zones.
+def _fit_tail_model(g: SampledLine, a: float, origin: float = 0.0):
+    """Least-squares (c_P, c_Q, c_V) matching g where |x| >= 0.6 L.
 
     The basis spans the slow content a windowed transform can carry:
     even 1/x^2 (P), odd 1/x (Q), and even 1/|x| (V).
     """
     xs = g.grid() - origin
-    sel = np.abs(xs) >= zone * g.L
+    sel = np.abs(xs) >= 0.6 * g.L
     P, Q = _templates(a)
     V = _template_V(a)
     basis = np.stack([P(xs[sel]), Q(xs[sel]), V(xs[sel])], axis=1)
@@ -301,8 +301,7 @@ def _image_sum_2(x: np.ndarray, L: float) -> np.ndarray:
     return out
 
 
-def hilbert_with_tails(g: SampledLine, method: str = "fft", a: float = 2.0,
-                       zone: float = 0.6, tol: float = 1e-8,
+def hilbert_with_tails(g: SampledLine, method: str = "fft",
                        origin: float = 0.0) -> SampledLine:
     """Hilbert transform of real data with an honest whole-line form.
 
@@ -319,6 +318,7 @@ def hilbert_with_tails(g: SampledLine, method: str = "fft", a: float = 2.0,
     xs = g.grid()
     xc = xs - origin
     scale = max(float(np.max(np.abs(g.values))), 1e-300)
+    a = 2.0  # width of the conjugate-kernel templates
     lam = _template_log(a)
     hlam = _template_log_conj(a)
     c0, cJ = _fit_origin_model(g, a, origin)
@@ -328,7 +328,7 @@ def hilbert_with_tails(g: SampledLine, method: str = "fft", a: float = 2.0,
     cJ = 0.0 if abs(cJ) < 1e-6 * scale else cJ
     work = g.values.real - c0 * lam(xc) - cJ * hlam(xc)
 
-    cP, cQ, cV = _fit_tail_model(SampledLine.from_values(work, g.L), a, zone, origin)
+    cP, cQ, cV = _fit_tail_model(SampledLine.from_values(work, g.L), a, origin)
     P, Q = _templates(a)
     V = _template_V(a)
     if abs(cV) < 1e-11 * scale:
@@ -338,7 +338,7 @@ def hilbert_with_tails(g: SampledLine, method: str = "fft", a: float = 2.0,
     res = SampledLine.from_values(res_vals, g.L)
 
     if method == "pv":
-        hres_vals = _pv_values(res, xs, tol).real
+        hres_vals = _pv_values(res, xs, 1e-8).real
     else:
         hres_vals = _hilbert_fft(res).values.real
         # window mass and dipole of the remainder drive the image fold-in
@@ -449,12 +449,11 @@ def hilbert_with_tails(g: SampledLine, method: str = "fft", a: float = 2.0,
 
 
 def commutation_check(k: Kernel, f: SampledLine, p: float = 2.0,
-                      method: str = "fft", window_factor: int = 4,
-                      refine: int = 1, tol: float = 4e-7) -> VerificationReport:
+                      method: str = "fft", tol: float = 4e-7) -> VerificationReport:
     """Residual of T_phi(H f) = H(T_phi f) relative to |f|_p.
 
-    Both compositions run on a window enlarged by ``window_factor`` (same
-    spacing), with the slow tails of every intermediate carried by fitted
+    Both compositions run on a window four times wider (same spacing),
+    with the slow tails of every intermediate carried by fitted
     conjugate-kernel models rather than clipped; the residual norm is
     taken back on f's own window.  Passes below 1e-5.
     """
@@ -466,12 +465,10 @@ def commutation_check(k: Kernel, f: SampledLine, p: float = 2.0,
         raise ValueError("commutation corpus functions are real-valued")
 
     # internal midpoint-offset nodes: the transform of anything nonzero at
-    # the origin carries a log point at x = 0, which node grids hit
-    # exactly; ``refine`` sharpens the internal grid so the singular layer
-    # left after skimming costs less than the 1e-5 gate
-    big_L = f.L * window_factor
-    big_N = f.N * window_factor * refine
-    h = f.h / refine
+    # the origin carries a log point at x = 0, which node grids hit exactly
+    big_L = f.L * 4
+    big_N = f.N * 4
+    h = f.h
     shift = 0.5 * h
     xs_big = -big_L + h * (np.arange(big_N) + 0.5)
 
@@ -481,8 +478,8 @@ def commutation_check(k: Kernel, f: SampledLine, p: float = 2.0,
         f_eval = lambda x: eval_at(f, x)
     f_big_vals = np.asarray(f_eval(xs_big), dtype=complex)
 
-    lo = (big_N - f.N * refine) // 2
-    hi = lo + f.N * refine
+    lo = (big_N - f.N) // 2
+    hi = lo + f.N
     xs_small = xs_big[lo:hi]
 
     # shifted coordinate x' = x - h/2 puts the offset nodes on a standard
@@ -517,4 +514,4 @@ def commutation_check(k: Kernel, f: SampledLine, p: float = 2.0,
     return VerificationReport(
         suite="commute", rows=[row],
         environment={"kernel": k.label, "p": p, "method": method,
-                     "window_factor": window_factor, "L": f.L, "N": f.N})
+                     "window_factor": 4, "L": f.L, "N": f.N})

@@ -55,7 +55,13 @@ def eval_budget(default: int = DEFAULT_BUDGET) -> int:
     raw = os.environ.get("HHL_BUDGET", "").strip()
     if not raw:
         return default
-    return int(raw)
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget <= 0:
+        raise ValueError(f"HHL_BUDGET must be a positive integer, got {raw!r}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -94,19 +100,19 @@ def _abs_max(v) -> float:
     return float(a) if np.ndim(a) == 0 else float(a.max()) if a.size else 0.0
 
 
-def _panel(g, a: float, b: float):
-    """Evaluate the embedded rule pair on [a, b].
-
-    Returns (value, error, evaluations) where value is the high-order
-    estimate.  One call to ``g`` with all abscissas of both rules.
-    """
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    xs = mid + half * _NODES
-    vals = np.asarray(g(xs))
+def _embedded(vals, half):
+    """High-order value and error estimate of one panel from the values at
+    its ``_NODES`` (leading axis), for a panel of half-width ``half``."""
     lo = np.tensordot(_W_LO, vals[:10], axes=(0, 0)) * half
     hi = np.tensordot(_W_HI, vals[10:], axes=(0, 0)) * half
-    return hi, _abs_max(hi - lo), _EVALS_PER_PANEL
+    return hi, _abs_max(hi - lo)
+
+
+def _panel(g, a: float, b: float):
+    """(value, error) of the embedded rule pair on [a, b] from one call of
+    ``g`` with all abscissas of both rules."""
+    half = 0.5 * (b - a)
+    return _embedded(np.asarray(g(0.5 * (a + b) + half * _NODES)), half)
 
 
 def _collect(segments):
@@ -135,8 +141,8 @@ def integrate(g, a: float, b: float, tol: float = 1e-9,
         raise ValueError("tol must be positive")
     budget = eval_budget() if budget is None else budget
 
-    val, err, n = _panel(g, a, b)
-    evals = n
+    val, err = _panel(g, a, b)
+    evals = _EVALS_PER_PANEL
     # heap entries: (-error, seq, a, b, value); seq makes ordering total.
     seq = 0
     heap = [(-err, seq, a, b, val)]
@@ -161,9 +167,9 @@ def integrate(g, a: float, b: float, tol: float = 1e-9,
             total_err += neg_e  # removes its error from the ledger
             continue
         mid = 0.5 * (ia + ib)
-        v1, e1, n1 = _panel(g, ia, mid)
-        v2, e2, n2 = _panel(g, mid, ib)
-        evals += n1 + n2
+        v1, e1 = _panel(g, ia, mid)
+        v2, e2 = _panel(g, mid, ib)
+        evals += 2 * _EVALS_PER_PANEL
         total_err += neg_e + e1 + e2
         seq += 1
         heapq.heappush(heap, (-e1, seq, ia, mid, v1))
@@ -183,59 +189,77 @@ def integrate(g, a: float, b: float, tol: float = 1e-9,
     return QuadResult(_collect(segs), max(total_err, 0.0), evals)
 
 
-def _block_scan(h, u0: float, u_end: float, direction: int, tol: float,
-                budget_left, accumulate):
-    """Scan dyadic u-blocks from u0 toward u_end (direction +-1).
+class _BlockScan:
+    """Running sum of the blocks of one improper integral: values, summed
+    error and evaluation count, against an evaluation budget."""
 
-    ``accumulate(value, error, evals)`` folds each block into the caller's
-    running state and returns the current running max-norm.  Returns
-    (diverged, truncated_error).  Stopping: two consecutive blocks whose
-    contribution is negligible against the running value.  Divergence: the
-    running total grows by >= 1+1e-3 and block contributions fail to decay,
-    eight blocks in a row.
-    """
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.vals = []
+        self.err = 0.0
+        self.evals = 0
+
+    def add(self, res: QuadResult) -> float:
+        """Fold in one block; returns the max-norm of the running total."""
+        self.vals.append(res.value)
+        self.err += res.error
+        self.evals += res.evaluations
+        return _abs_max(self.total())
+
+    def total(self):
+        if not self.vals:
+            return 0.0
+        return np.sum(np.stack([np.asarray(v) for v in self.vals]), axis=0)
+
+    def run(self, h, blocks, tol: float):
+        """Integrate ``h`` over the (lo, hi) ``blocks`` in order until the
+        contributions die out.
+
+        Returns (diverged, live): ``live`` is the size of the last block
+        when the sequence ran out before the scan went quiet, else 0.
+        Stopping: two consecutive blocks negligible against the running
+        value.  Divergence: the running total grows by >= 1+1e-3 and block
+        contributions fail to decay, eight blocks in a row.
+        """
+        quiet = grow = 0
+        prev_total = prev_block = blk = 0.0
+        for lo, hi in blocks:
+            left = self.budget - self.evals
+            if left <= 2 * _EVALS_PER_PANEL:
+                raise BudgetError(f"block-scan budget {self.budget} exhausted",
+                                  QuadResult(self.total(), self.err, self.evals))
+            res = integrate(h, lo, hi, tol=tol / 16.0, budget=left)
+            running = self.add(res)
+            blk = _abs_max(res.value)
+
+            if prev_total > 0:
+                grew = running >= prev_total * (1.0 + 1e-3)
+                undamped = blk >= prev_block * (1.0 - 1e-3)
+                grow = grow + 1 if (grew and undamped) else 0
+                if grow >= 8:
+                    return True, 0.0
+            prev_total = running
+            prev_block = blk
+
+            if blk <= tol * max(1.0, running) / 16.0:
+                quiet += 1
+                if quiet >= 2:
+                    return False, 0.0
+            else:
+                quiet = 0
+        return False, blk
+
+
+def _dyadic_blocks(u0: float, u_end: float, direction: int):
+    """u-blocks of width 1, 2, 4, ... from u0 toward u_end (direction +-1),
+    clipped at the exponent cap; built in v = direction * u."""
+    v, end = direction * u0, min(direction * u_end, _U_CAP)
     width = 1.0
-    cur = u0
-    quiet = 0
-    grow = 0
-    prev_total = None
-    prev_block = None
-    while True:
-        nxt = cur + direction * width
-        if direction > 0:
-            nxt = min(nxt, u_end, _U_CAP)
-        else:
-            nxt = max(nxt, u_end, -_U_CAP)
-        if (nxt - cur) * direction <= 0:
-            return False, 0.0
-        lo, hi = (cur, nxt) if direction > 0 else (nxt, cur)
-        res = integrate(h, lo, hi, tol=tol / 16.0, budget=budget_left())
-        running = accumulate(res.value, res.error, res.evaluations)
-        blk = _abs_max(res.value)
-
-        if prev_total is not None and prev_total > 0:
-            grew = running >= prev_total * (1.0 + 1e-3)
-            undamped = prev_block is not None and blk >= prev_block * (1.0 - 1e-3)
-            grow = grow + 1 if (grew and undamped) else 0
-            if grow >= 8:
-                return True, 0.0
-        prev_total = running
-        prev_block = blk
-
-        if blk <= tol * max(1.0, running) / 16.0:
-            quiet += 1
-            if quiet >= 2:
-                return False, 0.0
-        else:
-            quiet = 0
-
-        cur = nxt
+    while v < end:
+        nxt = min(v + width, end)
+        yield tuple(sorted((direction * v, direction * nxt)))
+        v = nxt
         width *= 2.0
-        if (direction > 0 and cur >= min(u_end, _U_CAP)) or \
-           (direction < 0 and cur <= max(u_end, -_U_CAP)):
-            # hit the representable cap with contributions still live
-            truncated = 0.0 if abs(cur) < _U_CAP else blk
-            return False, truncated
 
 
 def integrate_halfline(g, tol: float = 1e-9, budget: int | None = None,
@@ -247,7 +271,9 @@ def integrate_halfline(g, tol: float = 1e-9, budget: int | None = None,
     truncated once contributions fall below tol relative to the running
     estimate.  A running total that keeps growing block over block is
     reported as divergent (QuadResult.diverges, value +inf) rather than
-    raising; callers decide whether divergence is an error.
+    raising; callers decide whether divergence is an error.  A scan cut
+    off at the exponent cap with contributions still live adds its last
+    block to ``error``.
     """
     lo, hi = support
     if lo < 0 or hi <= lo:
@@ -262,27 +288,7 @@ def integrate_halfline(g, tol: float = 1e-9, budget: int | None = None,
 
     u_lo = -math.inf if lo == 0.0 else math.log(lo)
     u_hi = math.inf if math.isinf(hi) else math.log(hi)
-
-    state = {"vals": [], "err": 0.0, "evals": 0}
-
-    def accumulate(v, e, n):
-        state["vals"].append(v)
-        state["err"] += e
-        state["evals"] += n
-        return _abs_max(np.sum(np.stack([np.asarray(x) for x in state["vals"]]), axis=0))
-
-    def budget_left():
-        left = budget - state["evals"]
-        if left <= 2 * _EVALS_PER_PANEL:
-            partial = QuadResult(_total(), state["err"], state["evals"])
-            raise BudgetError(
-                f"half-line budget {budget} exhausted", partial)
-        return left
-
-    def _total():
-        if not state["vals"]:
-            return 0.0
-        return np.sum(np.stack([np.asarray(x) for x in state["vals"]]), axis=0)
+    scan = _BlockScan(budget)
 
     # anchor block: a unit-scale block inside [u_lo, u_hi], near u = 0
     # when the window allows it, else hugging the nearest finite end
@@ -290,19 +296,17 @@ def integrate_halfline(g, tol: float = 1e-9, budget: int | None = None,
     b0 = min(a0 + 2.0, u_hi)
     a0 = min(max(a0, -_U_CAP), _U_CAP - 1.0)
     b0 = min(max(b0, a0 + 1e-12), _U_CAP)
-    res0 = integrate(h, a0, b0, tol=tol / 4.0, budget=budget)
-    accumulate(res0.value, res0.error, res0.evaluations)
+    scan.add(integrate(h, a0, b0, tol=tol / 4.0, budget=budget))
 
-    div_up, trunc_up = (False, 0.0)
-    if b0 < u_hi:
-        div_up, trunc_up = _block_scan(h, b0, u_hi, +1, tol, budget_left, accumulate)
-    div_dn, trunc_dn = (False, 0.0)
-    if a0 > u_lo:
-        div_dn, trunc_dn = _block_scan(h, a0, u_lo, -1, tol, budget_left, accumulate)
-
+    div_up, live_up = scan.run(h, _dyadic_blocks(b0, u_hi, +1), tol)
+    div_dn, live_dn = scan.run(h, _dyadic_blocks(a0, u_lo, -1), tol)
     if div_up or div_dn:
-        return QuadResult(math.inf, math.inf, state["evals"], diverges=True)
-    return QuadResult(_total(), state["err"] + trunc_up + trunc_dn, state["evals"])
+        return QuadResult(math.inf, math.inf, scan.evals, diverges=True)
+    # a live last block only counts as truncation at the cap; a finite
+    # support end closes the integral exactly
+    trunc_up = live_up if u_hi >= _U_CAP else 0.0
+    trunc_dn = live_dn if u_lo <= -_U_CAP else 0.0
+    return QuadResult(scan.total(), scan.err + trunc_up + trunc_dn, scan.evals)
 
 
 def integrate_pv(g, x0: float, a: float, b: float, tol: float = 1e-9,
@@ -311,9 +315,11 @@ def integrate_pv(g, x0: float, a: float, b: float, tol: float = 1e-9,
 
     The symmetric part pairs nodes x0 +- s so the pole cancels
     analytically; the leftover one-sided remainder is ordinary quadrature.
-    Dyadic shells shrinking toward the pole are accumulated until their
-    contribution is negligible; shells that refuse to decay signal a
-    non-cancelling singularity and raise DivergenceError.
+    Shells [s0 2^-(k+1), s0 2^-k] shrinking toward the pole are scanned
+    like half-line blocks; a running total that keeps growing with
+    undamped shells signals a non-cancelling singularity and raises
+    DivergenceError.  A scan that uses up its 200 shells while they are
+    still live adds the last one to ``error``.
     """
     if not (a < x0 < b):
         raise ValueError(f"x0={x0} must lie strictly inside [{a}, {b}]")
@@ -326,36 +332,16 @@ def integrate_pv(g, x0: float, a: float, b: float, tol: float = 1e-9,
         ss = (x0 + ss) - x0
         return np.asarray(g(x0 + ss)) + np.asarray(g(x0 - ss))
 
-    vals = []
-    err = 0.0
-    evals = 0
-    quiet = 0
-    nondecay = 0
-    prev_blk = None
-    hi = s0
-    for _ in range(200):
-        lo = hi * 0.5
-        res = integrate(sym, lo, hi, tol=tol / 16.0, budget=budget - evals)
-        vals.append(res.value)
-        err += res.error
-        evals += res.evaluations
-        blk = _abs_max(res.value)
-        running = _abs_max(np.sum(np.stack([np.asarray(v) for v in vals]), axis=0))
-        if prev_blk is not None:
-            nondecay = nondecay + 1 if blk >= prev_blk * (1.0 - 1e-3) and blk > tol else 0
-            if nondecay >= 8:
-                raise DivergenceError(
-                    f"principal value at x0={x0} does not cancel: shell "
-                    f"contributions near the pole are not decaying")
-        prev_blk = blk
-        if blk <= tol * max(1.0, running) / 16.0:
-            quiet += 1
-            if quiet >= 2:
-                break
-        else:
-            quiet = 0
-        hi = lo
-    total = np.sum(np.stack([np.asarray(v) for v in vals]), axis=0)
+    scan = _BlockScan(budget)
+    shells = ((math.ldexp(s0, -k - 1), math.ldexp(s0, -k)) for k in range(200))
+    diverged, live = scan.run(sym, shells, tol)
+    if diverged:
+        raise DivergenceError(
+            f"principal value at x0={x0} does not cancel: shell "
+            f"contributions near the pole are not decaying")
+    total = scan.total()
+    err = scan.err + live
+    evals = scan.evals
 
     # asymmetric remainder
     if x0 - a < b - x0:
@@ -383,16 +369,16 @@ def doubling_panels(start: float, outer: float):
     return pts
 
 
-def geometric_panels(scale: float, outer: float, inner: float = 1e-12):
+def geometric_panels(scale: float, outer: float):
     """Breakpoints 0, s, 2s, 4s, ... toward ``outer`` for graded panels.
 
     ``scale`` is the smallest feature width the integrand carries; panels
-    double from max(inner, scale/64) so power-law profiles see a bounded
+    double from max(1e-12, scale/64) so power-law profiles see a bounded
     number of nodes per octave.
     """
     if outer <= 0:
         raise ValueError("outer must be positive")
-    return [0.0] + doubling_panels(max(inner, min(scale, outer) / 64.0), outer)
+    return [0.0] + doubling_panels(max(1e-12, min(scale, outer) / 64.0), outer)
 
 
 def _panel_batch(g_batch, pending):
@@ -403,12 +389,7 @@ def _panel_batch(g_batch, pending):
     xs = (mids[:, None] + halfs[:, None] * _NODES[None, :]).ravel()
     vals = np.asarray(g_batch(xs))
     vals = vals.reshape(len(pending), _EVALS_PER_PANEL, *vals.shape[1:])
-    out = []
-    for v, half in zip(vals, halfs):
-        lo = np.tensordot(_W_LO, v[:10], axes=(0, 0)) * half
-        hi = np.tensordot(_W_HI, v[10:], axes=(0, 0)) * half
-        out.append((hi, _abs_max(hi - lo)))
-    return out, xs.size
+    return [_embedded(v, half) for v, half in zip(vals, halfs)], xs.size
 
 
 def integrate_batched(g_batch, panels, tol: float = 1e-9,

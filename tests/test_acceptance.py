@@ -13,7 +13,7 @@ import numpy as np
 
 from hhl.cli import RunConfig, run_suites
 from hhl.halfplane import CayleyPower, InverseSquare
-from hhl.hausdorff import (SweepConfig, boundary_identity_check, lp_lower_bound_sweep,
+from hhl.hausdorff import (boundary_identity_check, lp_lower_bound_sweep,
                            norm_lower_bound_sweep)
 from hhl.hardy_bmo import bmo_bound_check, h1_lowerbound_check, h1_report, RATIO_CORRIDOR
 from hhl.hilbert import commutation_check, hilbert
@@ -46,7 +46,7 @@ def test_criterion_1_sharp_norm_identity():
     for name, k, p, target in cases:
         m = moment(k, p)
         ok &= m.finite and abs(m.value - target) / target < 1e-8
-        sweep = norm_lower_bound_sweep(k, p, EPSILONS, SweepConfig(L=1e4))
+        sweep = norm_lower_bound_sweep(k, p, EPSILONS, L=1e4)
         ok &= all(q <= target * (1 + 1e-6) for q in sweep.quotients)
         ok &= sweep.best >= 0.97 * target
         details.append(f"{name}: best/target={sweep.best / target:.4f}")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -115,3 +116,38 @@ def test_main_moment_run(tmp_path, capsys):
     assert code == 0
     assert "[PASS]" in captured.out
     assert (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("fields", [
+    {"epsilons": []},
+    {"epsilons": [0.1, 0.2]},
+    {"epsilons": [1.5, 0.5]},
+    {"epsilons": [0.2, 0.0]},
+    {"kernel": {"kind": "hardy"}, "epsilons": [0.9]},
+    {"kernel": {"kind": "hardy"}, "p_list": [4], "epsilons": [0.8, 0.1]},
+    {"y_seq": []},
+    {"y_seq": [0.1, 0.5]},
+    {"y_seq": [0.5, 0.0]},
+    {"deltas": [0.1, 0.25, 0.5]},
+])
+def test_main_rejects_malformed_config(tmp_path, capsys, fields):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**fields, "suites": ["moment"]}))
+    code = main(["--config", str(bad), "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_config_accepts_shrinking_shift_epsilons():
+    # below 1 - 1/p at every finite p > 1; p = 1 sets no bound
+    RunConfig(kernel={"kind": "hardy"}, p_list=(1.0, 2.0, math.inf),
+              epsilons=(0.4, 0.1))
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5", "1.5"])
+def test_main_rejects_malformed_budget(monkeypatch, capsys, raw):
+    monkeypatch.setenv("HHL_BUDGET", raw)
+    assert main(["--suite", "moment"]) == 2
+    assert "HHL_BUDGET" in capsys.readouterr().err

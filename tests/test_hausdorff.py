@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hhl.halfplane import CayleyPower, InverseSquare
-from hhl.hausdorff import (KernelImage, SweepConfig, SweepResult,
+from hhl.hausdorff import (KernelImage, SweepResult,
                            WindowTooSmallError, apply_complex, apply_real,
                            boundary_identity_check, norm_lower_bound_sweep,
                            norm_upper_bound, transform_values)
@@ -151,8 +151,7 @@ def test_sweep_result_invariants():
 
 
 def test_sweep_quick():
-    sw = norm_lower_bound_sweep(cesaro(), 2.0, (0.2, 0.1),
-                                SweepConfig(L=1e4))
+    sw = norm_lower_bound_sweep(cesaro(), 2.0, (0.2, 0.1), L=1e4)
     assert sw.moment == pytest.approx(2.0, rel=1e-9)
     assert sw.best <= 2.0 * (1 + 1e-6)
     assert sw.best >= 1.88
@@ -166,7 +165,7 @@ def test_sweep_rejects_unbounded():
 
 def test_sweep_window_guard():
     with pytest.raises(WindowTooSmallError):
-        norm_lower_bound_sweep(cesaro(), 2.0, (0.0005,), SweepConfig(L=1e4))
+        norm_lower_bound_sweep(cesaro(), 2.0, (0.0005,), L=1e4)
 
 
 def test_boundary_identity_rejects_divergent_moment():
@@ -176,7 +175,7 @@ def test_boundary_identity_rejects_divergent_moment():
 
 def test_boundary_identity_quick():
     rep = boundary_identity_check(hardy_type(), CayleyPower(1.0, 1.0), 2.0,
-                                  (0.5, 0.1, 0.02, 2e-3, 2e-4), L=64.0, N=1 << 10)
+                                  (0.5, 0.1, 0.02, 2e-3, 2e-4), L=64.0)
     assert rep.passed
     errs = rep.environment["errors"]
     assert all(a > b for a, b in zip(errs, errs[1:]))

@@ -137,7 +137,7 @@ def test_hilbert_with_tails_whole_line():
 
 def test_commutation_zero_kernel():
     f = gaussian_line(N=1 << 10)
-    rep = commutation_check(zero_kernel(), f, 2.0, window_factor=2)
+    rep = commutation_check(zero_kernel(), f, 2.0)
     assert rep.rows[0].residual == 0.0
 
 

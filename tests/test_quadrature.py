@@ -50,6 +50,21 @@ def test_halfline_shifted_support():
     assert r.value == pytest.approx(0.1, rel=1e-9)
 
 
+def test_halfline_cap_truncation_in_error():
+    # the u-scan stops at the exponent cap with t^-1.02 still live: the
+    # missing mass 50 e^(-0.02 u_cap) must show up in the error estimate
+    r = integrate_halfline(lambda t: t ** -1.02, support=(1.0, math.inf))
+    assert not r.diverges
+    assert r.error >= 50.0 - r.value > 0.0
+
+
+def test_halfline_finite_end_is_exact():
+    # a finite support end closes the scan: nothing is truncated
+    r = integrate_halfline(lambda t: t ** -1.02, support=(1.0, math.exp(100.0)))
+    assert r.value == pytest.approx(50.0 * (1.0 - math.exp(-2.0)), abs=1e-12)
+    assert r.error < 1e-12
+
+
 def test_pv_odd():
     r = integrate_pv(lambda x: 1.0 / x, 0.0, -1, 1)
     assert abs(r.value) < 1e-10
