@@ -409,10 +409,9 @@ def hilbert_with_tails(g: SampledLine, method: str = "fft",
         far = lg >= log_hi
         with np.errstate(divide="ignore"):
             out[far] = (m0w / math.pi) / x[far] + (m1w / math.pi) / (x[far] * x[far])
-        near = ~far
-        xn = x[near]
-        scaled = np.where(xn >= 0, sides[1.0](lg[near]), sides[-1.0](lg[near]))
-        out[near] = scaled / xn
+        for sgn, side in ((1.0, x >= 0), (-1.0, x < 0)):
+            near = side & ~far
+            out[near] = sides[sgn](lg[near]) / x[near]
         return out
 
     # stitch the spline/ladder seam: residual mismatch there would plant a

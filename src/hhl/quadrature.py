@@ -41,12 +41,64 @@ DEFAULT_BUDGET = 1_000_000
 # Exponent cap for the t = e^u substitution; keeps e^u inside double range.
 _U_CAP = 690.0
 
-# Embedded Gauss-Legendre pair: the 21-point value with the 10-point rule
-# as error reference.  Nodes are generated at import so no hand-typed
-# constants enter the scheme.
-_X_LO, _W_LO = np.polynomial.legendre.leggauss(10)
-_X_HI, _W_HI = np.polynomial.legendre.leggauss(21)
-_NODES = np.concatenate([_X_LO, _X_HI])
+
+def _kronrod(n: int):
+    """Nodes and weights of the (2n+1)-point Gauss-Kronrod extension of the
+    n-point Gauss-Legendre rule on [-1, 1], ascending.
+
+    Laurie's algorithm (Math. Comp. 66 (1997) 1133) turns the Legendre
+    recurrence coefficients into the Jacobi-Kronrod matrix; its eigenvalues
+    are the nodes and its first eigenvector components give the weights.
+    """
+    k = np.arange(3 * n // 2 + 2, dtype=float)
+    beta = np.empty_like(k)
+    beta[0] = 2.0  # total mass of the Legendre weight
+    beta[1:] = k[1:] ** 2 / (4.0 * k[1:] ** 2 - 1.0)
+    a = np.zeros(2 * n + 1)  # Legendre diagonal is zero
+    b = np.zeros(2 * n + 1)
+    b[:(3 * n + 1) // 2 + 1] = beta[:(3 * n + 1) // 2 + 1]
+    s = np.zeros(n // 2 + 2)
+    t = np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        kk = np.arange((m + 1) // 2, -1, -1)
+        ll = m - kk
+        s[kk + 1] = np.cumsum((a[kk + n + 1] - a[ll]) * t[kk + 1]
+                              + b[kk + n + 1] * s[kk] - b[ll] * s[kk + 1])
+        s, t = t, s
+    s[1:n // 2 + 2] = s[:n // 2 + 1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        kk = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        ll = m - kk
+        jj = n - 1 - ll
+        s[jj + 1] = np.cumsum(-(a[kk + n + 1] - a[ll]) * t[jj + 1]
+                              - b[kk + n + 1] * s[jj + 1] + b[ll] * s[jj + 2])
+        j, k1 = jj[-1], (m + 1) // 2
+        if m % 2 == 0:
+            a[k1 + n + 1] = a[k1] + (s[j + 1] - b[k1 + n + 1] * s[j + 2]) / t[j + 2]
+        else:
+            b[k1 + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    off = np.sqrt(b[1:])
+    x, vecs = np.linalg.eigh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
+    w = b[0] * vecs[0] ** 2
+    # the Legendre weight is even: remove the eigensolver's asymmetry; then
+    # scale to the exact total mass, as leggauss does, so that no integral
+    # carries the weights' few-ulp bias
+    w = 0.5 * (w + w[::-1])
+    return 0.5 * (x - x[::-1]), w * (b[0] / w.sum())
+
+
+# Rounding floor of a reported error, per unit of summed panel magnitude
+# (QUADPACK's 50 eps); it enters ``error`` only, never the adaptive ledger.
+_ROUNDING = 50.0 * np.finfo(float).eps
+
+# Gauss-Kronrod 10/21 panel rule: the 21-point Kronrod value, with the
+# 10-point Gauss rule on its odd-indexed nodes as error reference.  Nodes
+# are generated at import so no hand-typed constants enter the scheme.
+_NODES, _W_KRONROD = _kronrod(10)
+_W_GAUSS = np.polynomial.legendre.leggauss(10)[1]
 _EVALS_PER_PANEL = _NODES.size
 
 
@@ -69,9 +121,11 @@ class QuadResult:
     """Value of an integral with an absolute error estimate.
 
     ``value`` is a float, complex, or ndarray (component-wise integrals).
-    ``error`` is the max-norm error estimate, ``evaluations`` counts
-    integrand abscissas, and ``diverges`` marks a detected divergent
-    improper integral (value is then +-inf).
+    ``error`` is the max-norm error estimate: the panel estimates, also of
+    panels too narrow to refine, plus the blocks a scan stopped on and a
+    rounding floor.  ``evaluations`` counts integrand abscissas, and
+    ``diverges`` marks a detected divergent improper integral (value is
+    then +-inf).
     """
 
     value: object
@@ -101,27 +155,30 @@ def _abs_max(v) -> float:
 
 
 def _embedded(vals, half):
-    """High-order value and error estimate of one panel from the values at
-    its ``_NODES`` (leading axis), for a panel of half-width ``half``."""
-    lo = np.tensordot(_W_LO, vals[:10], axes=(0, 0)) * half
-    hi = np.tensordot(_W_HI, vals[10:], axes=(0, 0)) * half
-    return hi, _abs_max(hi - lo)
+    """Kronrod value and error estimate |K21 - G10| of one panel from the
+    values at its ``_NODES`` (leading axis), for a panel of half-width
+    ``half``."""
+    gauss = np.tensordot(_W_GAUSS, vals[1::2], axes=(0, 0)) * half
+    kronrod = np.tensordot(_W_KRONROD, vals, axes=(0, 0)) * half
+    return kronrod, _abs_max(kronrod - gauss)
 
 
 def _panel(g, a: float, b: float):
-    """(value, error) of the embedded rule pair on [a, b] from one call of
-    ``g`` with all abscissas of both rules."""
+    """(value, error) of the Gauss-Kronrod rule on [a, b] from one call of
+    ``g`` with its 21 abscissas."""
     half = 0.5 * (b - a)
     return _embedded(np.asarray(g(0.5 * (a + b) + half * _NODES)), half)
 
 
 def _collect(segments):
-    """Sum segment values in canonical (left endpoint) order."""
+    """Sum of the segment values in canonical (left endpoint) order, and
+    the rounding floor of that sum's error."""
     segments = sorted(segments, key=lambda s: (s[0], s[1]))
     vals = [s[2] for s in segments]
+    rounding = _ROUNDING * sum(_abs_max(v) for v in vals)
     if len(vals) == 1:
-        return vals[0]
-    return np.sum(np.stack([np.asarray(v) for v in vals]), axis=0)
+        return vals[0], rounding
+    return np.sum(np.stack([np.asarray(v) for v in vals]), axis=0), rounding
 
 
 def integrate(g, a: float, b: float, tol: float = 1e-9,
@@ -148,13 +205,14 @@ def integrate(g, a: float, b: float, tol: float = 1e-9,
     heap = [(-err, seq, a, b, val)]
     done = []  # intervals too narrow to split further
     total_err = err
+    frozen_err = 0.0  # their errors: out of the ledger, still reported
     best_err = err
     stale = 0
 
     while total_err > tol and heap:
         if evals + 2 * _EVALS_PER_PANEL > budget:
-            segs = [(e[2], e[3], e[4]) for e in heap] + done
-            partial = QuadResult(_collect(segs), total_err, evals)
+            value, rounding = _collect([(e[2], e[3], e[4]) for e in heap] + done)
+            partial = QuadResult(value, total_err + frozen_err + rounding, evals)
             raise BudgetError(
                 f"quadrature budget {budget} exhausted on [{a}, {b}] "
                 f"(error estimate {total_err:.3e} > tol {tol:.3e})",
@@ -165,6 +223,7 @@ def integrate(g, a: float, b: float, tol: float = 1e-9,
             # cannot be refined at double precision; freeze it
             done.append((ia, ib, ival))
             total_err += neg_e  # removes its error from the ledger
+            frozen_err -= neg_e
             continue
         mid = 0.5 * (ia + ib)
         v1, e1 = _panel(g, ia, mid)
@@ -185,8 +244,8 @@ def integrate(g, a: float, b: float, tol: float = 1e-9,
             if stale >= 24:
                 break
 
-    segs = [(e[2], e[3], e[4]) for e in heap] + done
-    return QuadResult(_collect(segs), max(total_err, 0.0), evals)
+    value, rounding = _collect([(e[2], e[3], e[4]) for e in heap] + done)
+    return QuadResult(value, max(total_err, 0.0) + frozen_err + rounding, evals)
 
 
 class _BlockScan:
@@ -218,7 +277,8 @@ class _BlockScan:
         Returns (diverged, live): ``live`` is the size of the last block
         when the sequence ran out before the scan went quiet, else 0.
         Stopping: two consecutive blocks negligible against the running
-        value.  Divergence: the running total grows by >= 1+1e-3 and block
+        value; their sizes join ``err`` as the bound on the rest left out.
+        Divergence: the running total grows by >= 1+1e-3 and block
         contributions fail to decay, eight blocks in a row.
         """
         quiet = grow = 0
@@ -238,15 +298,16 @@ class _BlockScan:
                 grow = grow + 1 if (grew and undamped) else 0
                 if grow >= 8:
                     return True, 0.0
-            prev_total = running
-            prev_block = blk
 
             if blk <= tol * max(1.0, running) / 16.0:
                 quiet += 1
                 if quiet >= 2:
+                    self.err += prev_block + blk
                     return False, 0.0
             else:
                 quiet = 0
+            prev_total = running
+            prev_block = blk
         return False, blk
 
 
@@ -326,10 +387,13 @@ def integrate_pv(g, x0: float, a: float, b: float, tol: float = 1e-9,
     budget = eval_budget() if budget is None else budget
     s0 = min(x0 - a, b - x0)
 
+    # offsets are rounded on the side of x0 away from zero, whose binade is
+    # the coarser, so both x0 + s and x0 - s are exact and pair up without
+    # rounding drift (which reads as a non-decaying shell)
+    away = 1.0 if x0 >= 0 else -1.0
+
     def sym(ss):
-        # offsets exactly representable at x0, so x0 + s and x0 - s pair
-        # up without rounding drift (which reads as a non-decaying shell)
-        ss = (x0 + ss) - x0
+        ss = away * ((x0 + away * ss) - x0)
         return np.asarray(g(x0 + ss)) + np.asarray(g(x0 - ss))
 
     scan = _BlockScan(budget)
@@ -418,7 +482,7 @@ def integrate_batched(g_batch, panels, tol: float = 1e-9,
             segs = [(a, b, v) for a, b, v, _ in settled]
             err = sum(e for *_, e in settled) + math.inf
             raise BudgetError("batched quadrature budget exhausted",
-                              QuadResult(_collect(segs) if segs else 0.0,
+                              QuadResult(_collect(segs)[0] if segs else 0.0,
                                          err, evals))
         estimates, n = _panel_batch(g_batch, pending)
         evals += n
@@ -439,6 +503,6 @@ def integrate_batched(g_batch, panels, tol: float = 1e-9,
             settled.extend((a, b, hi, e)
                            for (a, b), (hi, e) in zip(pending, estimates))
 
-    segs = [(a, b, v) for a, b, v, _ in settled]
-    err = float(sum(e for *_, e in settled))
-    return QuadResult(_collect(segs), err, evals)
+    value, rounding = _collect([(a, b, v) for a, b, v, _ in settled])
+    err = float(sum(e for *_, e in settled)) + rounding
+    return QuadResult(value, err, evals)

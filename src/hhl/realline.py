@@ -80,11 +80,13 @@ class SampledLine:
 
 
 def _spline_of(f: SampledLine):
-    # values are immutable, so the fitted spline is cached on the instance
+    # values are immutable, so the fitted spline is cached on the instance;
+    # real data caches None for the imaginary part
     cached = getattr(f, "_spline", None)
     if cached is None:
+        imag = f.values.imag
         cached = (CubicSpline(f.grid(), f.values.real),
-                  CubicSpline(f.grid(), f.values.imag))
+                  CubicSpline(f.grid(), imag) if imag.any() else None)
         object.__setattr__(f, "_spline", cached)
     return cached
 
@@ -107,7 +109,8 @@ def eval_at(f: SampledLine, x):
     inside = (args >= -f.L) & (args <= f.L)
     if np.any(inside):
         re, im = _spline_of(f)
-        out[inside] = re(args[inside]) + 1j * im(args[inside])
+        xs = args[inside]
+        out[inside] = re(xs) if im is None else re(xs) + 1j * im(xs)
     return out if args.ndim else complex(out)
 
 

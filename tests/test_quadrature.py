@@ -158,3 +158,25 @@ def test_budget_env_override(monkeypatch):
         integrate(lambda x: 1.0 / np.sqrt(np.abs(x) + 1e-15), 0, 1, tol=1e-14)
     monkeypatch.delenv("HHL_BUDGET")
     assert eval_budget() == 1_000_000
+
+
+def test_kronrod_rule_degrees():
+    # K21 is exact through degree 3*10 + 1 = 31, its G10 subset through 19
+    from hhl.quadrature import _NODES, _W_GAUSS, _W_KRONROD
+    for k in range(32):
+        exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+        assert abs(_W_KRONROD @ _NODES ** k - exact) <= 1e-14
+        if k <= 19:
+            assert abs(_W_GAUSS @ _NODES[1::2] ** k - exact) <= 1e-14
+
+
+def test_kronrod_gauss_subset_is_leggauss():
+    from hhl.quadrature import _NODES
+    nodes, _ = np.polynomial.legendre.leggauss(10)
+    assert np.max(np.abs(_NODES[1::2] - nodes)) <= 1e-15
+
+
+def test_panel_costs_21_abscissas():
+    r = integrate(lambda x: 3.0 * x ** 5 - x ** 2 + 1.0, 0, 1)
+    assert r.evaluations == 21
+    assert r.value == pytest.approx(7.0 / 6.0, abs=1e-14)

@@ -122,3 +122,17 @@ def test_csv_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x,re,im"
     assert len(lines) == 17
+
+
+def test_interpolation_real_and_complex_data():
+    # real samples interpolate with a zero imaginary part; complex ones
+    # keep both parts
+    xs = np.linspace(-4.0, 4.0, 257)[:-1]
+    real = SampledLine.from_values(np.exp(-xs ** 2), 4.0)
+    cplx = SampledLine.from_values(np.exp(-xs ** 2) * (1.0 + 2.0j), 4.0)
+    probe = np.array([-1.3, 0.05, 2.7])
+    vr = eval_at(real, probe)
+    vc = eval_at(cplx, probe)
+    assert np.all(vr.imag == 0.0)
+    assert np.allclose(vr.real, np.exp(-probe ** 2), atol=1e-6)
+    assert np.allclose(vc, vr * (1.0 + 2.0j), atol=1e-12)
