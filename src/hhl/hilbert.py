@@ -151,8 +151,10 @@ def project_minus(f: SampledLine, method: str = "fft") -> SampledLine:
 # carries those tails nor stays clean inside the window, because the
 # periodized images of the transform fold back in.  Three exact devices
 # repair this at spectral cost:
-#   - the input's own slow tails are fitted against the conjugate pair
-#     (P_a, Q_a), whose transforms are closed forms (H P = Q, H Q = -P);
+#   - the input's slow tails and the singular layer a dilation plants at
+#     the origin are fitted against templates whose conjugates are all
+#     closed forms (P, Q, V, the log point and its jump), so the fitted
+#     content is transformed exactly on the whole line;
 #   - the image fold-in of the windowed remainder is the closed cotangent
 #     sum S1/S2 weighted by the window mass and dipole, subtracted exactly;
 #   - outside the window the remainder's transform is an ordinary
@@ -160,94 +162,48 @@ def project_minus(f: SampledLine, method: str = "fft") -> SampledLine:
 # The result carries a whole-line closed form good to ~1e-7.
 
 
-def _templates(a: float):
+def _tail_templates(a: float):
+    """(template, conjugate) pairs of the slow tails: even 1/x^2 (P), odd
+    1/x (Q) and even 1/|x| (V = (x^2+a^2)^(-1/2)).
+
+    H P = Q, H Q = -P and H V = (2/pi) asinh(x/a) / sqrt(x^2+a^2).
+    """
     P = lambda x: (a / math.pi) / (x * x + a * a)
     Q = lambda x: (x / math.pi) / (x * x + a * a)
-    return P, Q
+    V = lambda x: 1.0 / np.sqrt(x * x + a * a)
+    HV = lambda x: (2.0 / math.pi) * np.arcsinh(x / a) * V(x)
+    return [(P, Q), (Q, lambda x: -P(x)), (V, HV)]
 
 
-def _template_V(a: float):
-    return lambda x: 1.0 / np.sqrt(x * x + a * a)
-
-
-def _template_log(a: float):
+def _origin_templates(a: float):
+    """(template, conjugate) pairs of the singular layer at the origin: the
+    log point lam = log(1 + (a/x)^2)/2 and the jump hlam = sgn(x)
+    arctan(a/|x|), with H lam = hlam and H hlam = -lam."""
     def lam(x):
         # floor keeps the log point finite (and (a/x)^2 representable):
         # integrands may brush x = 0
         x = np.maximum(np.abs(np.asarray(x, dtype=float)), 1e-150)
         return 0.5 * np.log1p((a / x) ** 2)
-    return lam
 
-
-def _template_log_conj(a: float):
     def hlam(x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore"):
             return np.sign(x) * np.arctan2(a, np.abs(x))
-    return hlam
-
-
-_V_CONJ_CACHE: dict = {}
-
-
-def _v_conjugate(a: float, L: float, N: int):
-    """Conjugate of the even 1/|x| template, precomputed once per geometry.
-
-    V_a = (x^2+a^2)^(-1/2) has no elementary conjugate; its transform is
-    evaluated by symmetric-pair quadrature on the grid and a log ladder,
-    then served by interpolation with the (2/pi) log(x)/x asymptote.
-    """
-    key = (a, L, N)
-    if key in _V_CONJ_CACHE:
-        return _V_CONJ_CACHE[key]
-    V = _template_V(a)
-    line = SampledLine.from_function(V, L, N, tail_power=1.0)
-    xs = line.grid()
-    grid_vals = _pv_values(line, xs, 1e-10).real
-    grid_line = SampledLine.from_values(grid_vals, L)
-    ladder = np.geomspace(L * (1.0 + 1e-4), 1e7 * L, 160)
-    lad_vals = _pv_values(line, ladder, 1e-10).real
-    # odd function: the ladder covers x > 0, mirror for x < 0
-    interp = PchipInterpolator(np.log(ladder), ladder * lad_vals, extrapolate=False)
-    log_lo, log_hi = math.log(ladder[0]), math.log(ladder[-1])
-    top = float(ladder[-1] * lad_vals[-1])
-    x_top = float(ladder[-1])
-
-    def conj(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        ax = np.abs(x)
-        inside = ax <= L
-        if np.any(inside):
-            out[inside] = eval_at(grid_line, x[inside]).real
-        far = ax > x_top
-        mid = ~inside & ~far
-        if np.any(mid):
-            lg = np.clip(np.log(ax[mid]), log_lo, log_hi)
-            out[mid] = np.sign(x[mid]) * interp(lg) / ax[mid]
-        if np.any(far):
-            # x*conj grows like (2/pi) log x; continue from the ladder top
-            out[far] = np.sign(x[far]) * (
-                top + (2.0 / math.pi) * np.log(ax[far] / x_top)) / ax[far]
-        return out
-
-    _V_CONJ_CACHE[key] = conj
-    return conj
+    return [(lam, hlam), (hlam, lambda x: -lam(x))]
 
 
 def _fit_tail_model(g: SampledLine, a: float, origin: float = 0.0):
-    """Least-squares (c_P, c_Q, c_V) matching g where |x| >= 0.6 L.
+    """Least-squares coefficients of the ``_tail_templates`` (P, Q, V)
+    matching g where |x| >= 0.6 L.
 
-    The basis spans the slow content a windowed transform can carry:
-    even 1/x^2 (P), odd 1/x (Q), and even 1/|x| (V).
+    The basis spans the slow content a windowed transform can carry, and
+    each template's conjugate is a closed form.
     """
     xs = g.grid() - origin
     sel = np.abs(xs) >= 0.6 * g.L
-    P, Q = _templates(a)
-    V = _template_V(a)
-    basis = np.stack([P(xs[sel]), Q(xs[sel]), V(xs[sel])], axis=1)
+    basis = np.stack([T(xs[sel]) for T, _ in _tail_templates(a)], axis=1)
     coef, *_ = np.linalg.lstsq(basis, g.values[sel].real, rcond=None)
-    return float(coef[0]), float(coef[1]), float(coef[2])
+    return [float(c) for c in coef]
 
 
 def _fit_origin_model(g: SampledLine, a: float, origin: float = 0.0):
@@ -260,12 +216,17 @@ def _fit_origin_model(g: SampledLine, a: float, origin: float = 0.0):
     xs = g.grid() - origin
     idx = np.argsort(np.abs(xs))[:16]
     xi = xs[idx]
-    lam = _template_log(a)
-    jmp = _template_log_conj(a)  # sgn(x) arctan(a/|x|): the jump profile
-    basis = np.stack([lam(xi), jmp(xi), np.ones_like(xi), xi, xi * xi,
-                      xi ** 3], axis=1)
+    layer = [T(xi) for T, _ in _origin_templates(a)]
+    basis = np.stack(layer + [np.ones_like(xi), xi, xi * xi, xi ** 3], axis=1)
     coef, *_ = np.linalg.lstsq(basis, g.values[idx].real, rcond=None)
     return float(coef[0]), float(coef[1])
+
+
+def _minus_model(vals, x, terms):
+    """vals - sum(c * T(x)) over the fitted (c, (T, H)) terms, in order."""
+    for c, (T, _) in terms:
+        vals = vals - c * T(x)
+    return vals
 
 
 def _image_sum_1(x: np.ndarray, L: float) -> np.ndarray:
@@ -319,22 +280,17 @@ def hilbert_with_tails(g: SampledLine, method: str = "fft",
     xc = xs - origin
     scale = max(float(np.max(np.abs(g.values))), 1e-300)
     a = 2.0  # width of the conjugate-kernel templates
-    lam = _template_log(a)
-    hlam = _template_log_conj(a)
-    c0, cJ = _fit_origin_model(g, a, origin)
-    # genuine singular layers sit at O(0.01..1) of scale; smaller fitted
-    # coefficients are stencil noise from smooth data
-    c0 = 0.0 if abs(c0) < 1e-6 * scale else c0
-    cJ = 0.0 if abs(cJ) < 1e-6 * scale else cJ
-    work = g.values.real - c0 * lam(xc) - cJ * hlam(xc)
-
-    cP, cQ, cV = _fit_tail_model(SampledLine.from_values(work, g.L), a, origin)
-    P, Q = _templates(a)
-    V = _template_V(a)
-    if abs(cV) < 1e-11 * scale:
-        cV = 0.0
-    hV = _v_conjugate(a, g.L, g.N) if cV else None
-    res_vals = work - cP * P(xc) - cQ * Q(xc) - cV * V(xc)
+    # fitted (coefficient, (template, conjugate)) terms; genuine singular
+    # layers sit at O(0.01..1) of scale, smaller fitted coefficients are
+    # stencil noise from smooth data
+    terms = [(c, pair) for c, pair in zip(_fit_origin_model(g, a, origin),
+                                          _origin_templates(a))
+             if abs(c) >= 1e-6 * scale]
+    work = _minus_model(g.values.real, xc, terms)
+    tail_terms = list(zip(_fit_tail_model(SampledLine.from_values(work, g.L),
+                                          a, origin), _tail_templates(a)))
+    terms += tail_terms
+    res_vals = _minus_model(work, xc, tail_terms)
     res = SampledLine.from_values(res_vals, g.L)
 
     if method == "pv":
@@ -352,9 +308,7 @@ def hilbert_with_tails(g: SampledLine, method: str = "fft",
         # part the fitted model missed); pole-free seen from inside
         def res_tag(y):
             yc = np.asarray(y, dtype=float) - origin
-            vals = np.asarray(g.form(y)).real - cP * P(yc) - cQ * Q(yc) \
-                - cV * V(yc) - c0 * lam(yc) - cJ * hlam(yc)
-            return vals
+            return _minus_model(np.asarray(g.form(y)).real, yc, terms)
 
         def tail_side(side):
             def integrand(ss):
@@ -371,13 +325,7 @@ def hilbert_with_tails(g: SampledLine, method: str = "fft",
 
     def h_model(x):
         x = np.asarray(x, dtype=float) - origin
-        # conjugates: H P = Q, H Q = -P, H lam = hlam, H hlam = -lam
-        out = cP * Q(x) - cQ * P(x) + c0 * hlam(x)
-        if cJ:
-            out = out - cJ * lam(x)
-        if cV:
-            out = out + cV * hV(x)
-        return out
+        return sum(c * H(x) for c, (_, H) in terms)
 
     out_vals = hres_vals + h_model(xs)
 
@@ -442,7 +390,8 @@ def hilbert_with_tails(g: SampledLine, method: str = "fft",
     # sums of jumpy data are only trustworthy above the h level
     phys_mass = abs(float(np.sum(g.values.real)) * g.h)
     mass_floor = max(1e-9, 2.5 * g.h) * scale
-    tp = 1.0 if (abs(cP) + phys_mass / math.pi) > mass_floor else 2.0
+    fitted_mass = abs(tail_terms[0][0])  # P's coefficient
+    tp = 1.0 if (fitted_mass + phys_mass / math.pi) > mass_floor else 2.0
     return SampledLine(L=g.L, values=out_vals, form=form, tail_power=tp,
                        label=f"H[{g.label}]" if g.label else "")
 

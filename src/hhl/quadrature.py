@@ -102,11 +102,11 @@ _W_GAUSS = np.polynomial.legendre.leggauss(10)[1]
 _EVALS_PER_PANEL = _NODES.size
 
 
-def eval_budget(default: int = DEFAULT_BUDGET) -> int:
+def eval_budget() -> int:
     """Per-call evaluation budget; the HHL_BUDGET env var overrides it."""
     raw = os.environ.get("HHL_BUDGET", "").strip()
     if not raw:
-        return default
+        return DEFAULT_BUDGET
     try:
         budget = int(raw)
     except ValueError:
@@ -161,6 +161,14 @@ def _embedded(vals, half):
     gauss = np.tensordot(_W_GAUSS, vals[1::2], axes=(0, 0)) * half
     kronrod = np.tensordot(_W_KRONROD, vals, axes=(0, 0)) * half
     return kronrod, _abs_max(kronrod - gauss)
+
+
+def _too_narrow(a: float, b: float) -> bool:
+    """[a, b] cannot be bisected at double precision: its width is a few
+    ulps of its endpoints.  The absolute floor lies far below any abscissa
+    in use, so panels next to 0 keep refining toward an endpoint
+    singularity."""
+    return b - a <= 8 * np.finfo(float).eps * max(abs(a), abs(b), 1e-290)
 
 
 def _panel(g, a: float, b: float):
@@ -218,8 +226,7 @@ def integrate(g, a: float, b: float, tol: float = 1e-9,
                 f"(error estimate {total_err:.3e} > tol {tol:.3e})",
                 partial)
         neg_e, _, ia, ib, ival = heapq.heappop(heap)
-        width = ib - ia
-        if width <= 8 * np.finfo(float).eps * max(abs(ia), abs(ib), 1.0):
+        if _too_narrow(ia, ib):
             # cannot be refined at double precision; freeze it
             done.append((ia, ib, ival))
             total_err += neg_e  # removes its error from the ledger
@@ -488,8 +495,7 @@ def integrate_batched(g_batch, panels, tol: float = 1e-9,
         evals += n
         new_pending = []
         for (a, b), (hi, e) in zip(pending, estimates):
-            tiny = 8 * np.finfo(float).eps * max(abs(a), abs(b), 1.0)
-            if e <= tol / max(len(intervals), 8) or (b - a) <= tiny:
+            if e <= tol / max(len(intervals), 8) or _too_narrow(a, b):
                 settled.append((a, b, hi, e))
             else:
                 m = 0.5 * (a + b)

@@ -125,13 +125,40 @@ def test_projection_conjugation_swap():
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
-def test_hilbert_with_tails_whole_line():
-    big = SampledLine.from_function(lambda x: np.exp(-np.asarray(x) ** 2),
-                                    256.0, 1 << 14, label="gauss")
-    hf = hilbert_with_tails(big)
-    probes = np.array([-1e4, -300.0, 0.5, 2.0, 300.0, 1e4])
-    exact = 2.0 / math.sqrt(math.pi) * dawsn(probes)
-    assert np.max(np.abs(hf.form(probes).real - exact)) < 1e-6
+def _pv_reference_v2(xs):
+    """H V_2 at each x for V_2 = (x^2+4)^(-1/2), by mpmath principal-value
+    quadrature at 30 digits: (1/pi) int_0^inf [V(x-s) - V(x+s)]/s ds."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        def hv(x):
+            x = mp.mpf(x)
+            V = lambda y: 1 / mp.sqrt(y * y + 4)
+            # breakpoints at the template width and at the peak s = |x|
+            pts = sorted({mp.mpf(0), mp.mpf(2), abs(x), 2 * abs(x) + 8})
+            return mp.quad(lambda s: (V(x - s) - V(x + s)) / s,
+                           pts + [mp.inf]) / mp.pi
+        return np.array([float(hv(x)) for x in xs])
+
+
+@pytest.mark.parametrize("case", ["gauss", "V2"])
+def test_hilbert_with_tails_whole_line(case):
+    probes = np.array([-1e8, -1e5, -1e4, -300.0, 0.5, 2.0, 300.0, 1e4,
+                       1e5, 1e8])
+    if case == "gauss":
+        line = SampledLine.from_function(
+            lambda x: np.exp(-np.asarray(x) ** 2), 256.0, 1 << 14, label="gauss")
+        exact = 2.0 / math.sqrt(math.pi) * dawsn(probes)
+        atol = 1e-6
+    else:
+        # even 1/|x| tail: its fitted V content needs an exact conjugate
+        # far outside the window
+        exact = _pv_reference_v2(probes)
+        line = SampledLine.from_function(
+            lambda x: 1.0 / np.sqrt(np.asarray(x) ** 2 + 4.0), 64.0, 1 << 12,
+            tail_power=1.0, label="V2")
+        atol = 1e-6 * np.abs(exact)
+    hf = hilbert_with_tails(line)
+    assert np.all(np.abs(hf.form(probes).real - exact) <= atol)
     assert hf.tail_power == 1.0  # carries the mass term
 
 

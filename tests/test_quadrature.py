@@ -24,6 +24,14 @@ def test_endpoint_singularity():
     assert r.value == pytest.approx(2.0, abs=5e-8)
 
 
+@pytest.mark.parametrize("power, exact", [(0.75, 4.0), (0.9, 10.0)])
+def test_strong_endpoint_singularity(power, exact):
+    # panels next to 0 must refine far below eps-wide before the left
+    # panel's share 1/(1 - power) * width^(1 - power) falls under tol
+    r = integrate(lambda x: x ** -power, 0, 1, tol=1e-10)
+    assert abs(r.value - exact) <= 1e-9
+
+
 def test_budget_error_carries_partial():
     with pytest.raises(BudgetError) as exc:
         integrate(lambda x: 1.0 / np.sqrt(np.abs(np.sin(1000 * x)) + 1e-14),

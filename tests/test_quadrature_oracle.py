@@ -1,6 +1,7 @@
 """Oracle tier for the quadrature engine: references computed by mpmath at
-30 digits, sharing no code with the engine.  Each case checks the value
-and that the reported ``error`` bounds the true error."""
+30 digits, sharing no code with the engine.  Each integral checks that the
+reported ``error`` bounds the true error; transforms at points check the
+value against their tol."""
 
 import math
 
@@ -9,6 +10,7 @@ import pytest
 
 mp = pytest.importorskip("mpmath")
 
+from hhl.hausdorff import transform_values
 from hhl.kernels import cesaro, hardy_type, moment
 from hhl.quadrature import integrate, integrate_halfline, integrate_pv
 
@@ -68,3 +70,21 @@ def test_error_bounds_true_error(name):
         true_err = abs(float(res.value) - float(ref()))
     assert math.isfinite(res.error)
     assert true_err <= res.error, f"true error {true_err:.3e} > reported {res.error:.3e}"
+
+
+# T_phi f(x) = int phi(t) f(x/t) dt/t for f = e^(-x^2), in closed form
+TRANSFORMS = {
+    "cesaro": (cesaro, lambda x: mp.e1(x * x) / 2),
+    "hardy": (hardy_type, lambda x: mp.sqrt(mp.pi) * mp.erf(x) / (2 * x)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORMS))
+def test_transform_values_on_gauss(name):
+    kernel, ref = TRANSFORMS[name]
+    xs = np.array([-3.0, -0.4, 0.01, 0.3, 1.0, 2.5, 6.0])
+    tol = 1e-10
+    got = transform_values(kernel(), lambda z: np.exp(-z * z), xs, tol=tol)
+    with mp.workdps(30):
+        exact = np.array([float(ref(mp.mpf(x))) for x in xs])
+    assert np.max(np.abs(got - exact)) <= tol
