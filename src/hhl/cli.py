@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -61,8 +62,17 @@ class RunConfig:
         n = self.N
         if n < 16 or n & (n - 1):
             raise ValueError("N must be a power of two >= 16")
-        if self.L <= 0 or self.sweep_L <= 0:
-            raise ValueError("window sizes must be positive")
+        if not (0 < self.L < math.inf and 0 < self.sweep_L < math.inf):
+            raise ValueError("window sizes must be positive and finite")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
+        if self.fmt not in ("csv", "json", "both"):
+            raise ValueError(f"unknown format {self.fmt!r}")
+        if not isinstance(self.out_dir, str):
+            raise ValueError("out_dir must be a string")
+        unknown = [s for s in self.suites if s not in SUITES]
+        if unknown:
+            raise ValueError(f"unknown suites {unknown}; choose from {sorted(SUITES)}")
         for p in self.p_list:
             if not (p >= 1):
                 raise ValueError("p_list entries must lie in [1, inf]")
@@ -255,14 +265,19 @@ def suite_h1(config: RunConfig) -> VerificationReport:
     k = config.make_kernel()
     rows = []
     eps = tuple(sorted(config.epsilons, reverse=True))
-    sweep = hardy_bmo.h1_lowerbound_check(k, eps)
-    decreasing = all(sweep.quotients[i] > sweep.quotients[i + 1]
-                     for i in range(len(eps) - 1))
-    rows.append(_row("h1", "residuals decrease in eps", "h1-lower-bound",
-                     "decreasing" if decreasing else "not-decreasing",
-                     "decreasing", 0.0 if decreasing else 1.0, 0.5))
-    rows.append(_row("h1", f"final residual eps={eps[-1]:g}", "h1-lower-bound",
-                     sweep.quotients[-1], 0.0, sweep.quotients[-1], 5e-2))
+    if not moment(k, 1.0).finite:
+        # the integral of phi diverges: the paper's unbounded direction at p = 1
+        rows.append(_row("h1", "p=1 unbounded", "unbounded-direction",
+                         "inf", "inf", 0.0, 0.5))
+    else:
+        sweep = hardy_bmo.h1_lowerbound_check(k, eps)
+        decreasing = all(sweep.quotients[i] > sweep.quotients[i + 1]
+                         for i in range(len(eps) - 1))
+        rows.append(_row("h1", "residuals decrease in eps", "h1-lower-bound",
+                         "decreasing" if decreasing else "not-decreasing",
+                         "decreasing", 0.0 if decreasing else 1.0, 0.5))
+        rows.append(_row("h1", f"final residual eps={eps[-1]:g}", "h1-lower-bound",
+                         sweep.quotients[-1], 0.0, sweep.quotients[-1], 5e-2))
 
     rng = np.random.default_rng(config.seed)
     lo, hi = hardy_bmo.RATIO_CORRIDOR
@@ -360,9 +375,27 @@ def run_suite(name: str, config: RunConfig) -> VerificationReport:
     return rep
 
 
+def _error_report(name: str, exc: Exception, config: RunConfig) -> VerificationReport:
+    """One failing row for a suite that raised; object addresses are cut
+    from the message so reruns stay byte-identical."""
+    message = re.sub(r" at 0x[0-9a-fA-F]+", "", str(exc))
+    row = CheckRow(suite=name, check="suite raised", anchor="harness",
+                   computed=f"{type(exc).__name__}: {message}",
+                   predicted="no exception", residual=1.0, tol=0.5, passed=False)
+    return VerificationReport(suite=name, rows=[row],
+                              environment={"seed": config.seed})
+
+
 def run_suites(config: RunConfig):
-    names = config.suites or tuple(sorted(SUITES))
-    return [run_suite(n, config) for n in sorted(names)]
+    """Every requested suite in name order; a suite that raises becomes a
+    failing error row and the others still run."""
+    reports = []
+    for name in sorted(config.suites or SUITES):
+        try:
+            reports.append(run_suite(name, config))
+        except Exception as exc:
+            reports.append(_error_report(name, exc, config))
+    return reports
 
 
 def main(argv=None) -> int:
@@ -382,11 +415,8 @@ def main(argv=None) -> int:
         config = RunConfig.from_json(args.config) if args.config else RunConfig()
         overrides = {}
         if args.suite:
-            names = tuple(s.strip() for s in args.suite.split(",") if s.strip())
-            for n in names:
-                if n not in SUITES:
-                    raise ValueError(f"unknown suite {n!r}")
-            overrides["suites"] = names
+            overrides["suites"] = tuple(
+                s.strip() for s in args.suite.split(",") if s.strip())
         if args.out:
             overrides["out_dir"] = args.out
         if args.format:
@@ -396,7 +426,7 @@ def main(argv=None) -> int:
         if overrides:
             config = replace(config, **overrides)
         eval_budget()  # a malformed HHL_BUDGET fails here, not mid-run
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.interpolate import CubicSpline
+from scipy.signal import fftconvolve
 
 from .halfplane import CayleyPower, HoloFunction, InverseSquare, hardy_norm, slice_norm
 from .kernels import Kernel, cumulative_moment, eval_kernel, moment
@@ -77,6 +79,95 @@ def transform_values(k: Kernel, f_of, zs, tol: float = 1e-10,
                 f"transform integral diverges near output point {worst}")
         out[start:start + _CHUNK] = res.value
     return complex(out[0]) if scalar else out
+
+
+# Log-grid (Mellin) convolution.  With x = +-e^s and t = e^u the transform
+# is T f(+-e^s) = integral of F(s - u) phi(e^u) du, F(w) = f(+-e^w): one
+# convolution per sign.  F is sampled at _LOG_M nodes on w in
+# [-_LOG_HALF, _LOG_HALF) (w = 0 a node) and read as piecewise linear.
+_LOG_M = 1 << 16
+_LOG_HALF = 40.0
+_LOG_DELTA = 2.0 * _LOG_HALF / _LOG_M
+# the kernel's reach, the u past which its mass is negligible, may not
+# exceed _LOG_REACH; an output point needs s >= reach - _LOG_HALF, so that
+# F(s - u) stays on the grid wherever the kernel has mass
+_LOG_REACH = 34.0
+_LOG_NEGLIGIBLE = 1e-12
+_GAUSS8 = np.polynomial.legendre.leggauss(8)
+
+
+def _hat_weights(k: Kernel) -> np.ndarray:
+    """W_m = integral of phi(e^u) times the hat centred at u = m*delta,
+    for m = -M..M (u in [-2*_LOG_HALF, 2*_LOG_HALF]).
+
+    Product integration: an 8-point Gauss rule per cell, with cells that
+    hold the log of a support end split there, so any kernel kind works.
+    """
+    d, m = _LOG_DELTA, _LOG_M
+    lo, hi = k.support
+    a = max(-2.0 * _LOG_HALF, math.log(lo)) if lo > 0 else -2.0 * _LOG_HALF
+    b = min(2.0 * _LOG_HALF, math.log(hi))
+    if a >= b:
+        return np.zeros(2 * m + 1)
+    nodes = d * np.arange(math.ceil(a / d), math.floor(b / d) + 1)
+    edges = np.unique(np.concatenate(([a, b], nodes)))
+    left, width = edges[:-1], np.diff(edges)
+    cell = np.floor(left / d)
+    gx, gw = _GAUSS8
+    u = left[:, None] + 0.5 * width[:, None] * (gx + 1.0)
+    mass = 0.5 * width[:, None] * gw * eval_kernel(k, np.exp(u))
+    frac = u / d - cell[:, None]  # place inside the cell, 0..1
+    idx = cell.astype(int) + m
+    return (np.bincount(idx, np.sum(mass * (1.0 - frac), axis=1), minlength=2 * m + 1)
+            + np.bincount(idx + 1, np.sum(mass * frac, axis=1), minlength=2 * m + 1))
+
+
+def _log_grid_transform(k: Kernel, f_of, xs) -> np.ndarray:
+    """(T_phi f)(x) at real points x by one FFT convolution per sign.
+
+    Product integration of phi against the piecewise-linear model of
+    F(w) = f(+-e^w), read off at log|x| by a cubic spline; values agree
+    with ``transform_values`` to about 2e-7 of their maximum.  Raises
+    ValueError instead of truncating: when F has not decayed at the
+    large-|x| end, when the kernel has mass past u = _LOG_REACH, and when
+    an output point lies off the grid: |x| >= e^_LOG_HALF, or |x| below
+    e^(reach - _LOG_HALF), with a reach of 0 for kernels supported in
+    (0, 1] and about 27.6 for hardy (|x| >= 4.2e-6).
+    """
+    xs = np.asarray(xs, dtype=float)
+    d, m = _LOG_DELTA, _LOG_M
+    weights = _hat_weights(k)
+    beyond = np.cumsum(weights[::-1])[::-1]  # weight mass from index i on
+    live = np.flatnonzero(beyond > _LOG_NEGLIGIBLE * beyond[0])
+    reach = (live[-1] - m) * d if live.size else 0.0
+    if reach > _LOG_REACH:
+        far = beyond[m + int(_LOG_REACH / d) + 1] / beyond[0]
+        raise ValueError(f"kernel mass past t = e^{_LOG_REACH:g} is "
+                         f"{far:.2e} of the total; the log grid would "
+                         f"truncate it")
+    with np.errstate(divide="ignore"):
+        s = np.log(np.abs(xs))
+    if not np.all((s >= reach - _LOG_HALF) & (s <= _LOG_HALF - d)):
+        raise ValueError("output point off the log grid: |x| must lie in "
+                         f"[{math.exp(reach - _LOG_HALF):.3g}, "
+                         f"{math.exp(_LOG_HALF - d):.3g}] for {k.label}")
+    ws = -_LOG_HALF + d * np.arange(m)
+    out = np.zeros(xs.shape, dtype=complex)
+    for sign, side in ((1.0, xs > 0), (-1.0, xs < 0)):
+        if not np.any(side):
+            continue
+        F = np.asarray(f_of(sign * np.exp(ws)), dtype=complex)
+        peak = float(np.max(np.abs(F)))
+        if abs(F[-1]) > _LOG_NEGLIGIBLE * peak:
+            raise ValueError(
+                f"input has not decayed at x = {sign * math.exp(ws[-1]):.3g} "
+                f"(|f| = {abs(F[-1]):.2e} of peak {peak:.2e}); the log "
+                f"grid would truncate it")
+        if not F.imag.any():
+            F = F.real
+        conv = fftconvolve(F, weights)[m:2 * m]
+        out[side] = CubicSpline(ws, conv)(s[side])
+    return out
 
 
 def apply_real(k: Kernel, f: SampledLine, tol: float = 1e-9) -> SampledLine:

@@ -9,7 +9,9 @@ cross-validate each other on smooth decaying inputs.
 The commutation check composes the averaging transform with both methods'
 H on an internally enlarged window so the slowly decaying transform of
 the test function is not clipped, then measures the residual on the
-requested grid.
+requested grid.  Its two transform legs are log-grid (Mellin)
+convolutions, one FFT per sign in log|x|, so the check has no tolerance
+to set; the adaptive t-quadrature serves as their oracle in the tests.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import warnings
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
+from .hausdorff import _log_grid_transform
 from .kernels import Kernel, moment
 from .quadrature import integrate, integrate_halfline
 from .realline import SampledLine, eval_at, lp_norm
@@ -397,15 +400,20 @@ def hilbert_with_tails(g: SampledLine, method: str = "fft",
 
 
 def commutation_check(k: Kernel, f: SampledLine, p: float = 2.0,
-                      method: str = "fft", tol: float = 4e-7) -> VerificationReport:
+                      method: str = "fft") -> VerificationReport:
     """Residual of T_phi(H f) = H(T_phi f) relative to |f|_p.
 
     Both compositions run on a window four times wider (same spacing),
     with the slow tails of every intermediate carried by fitted
     conjugate-kernel models rather than clipped; the residual norm is
     taken back on f's own window.  Passes below 1e-5.
+
+    The two transform legs, T(Hf) on f's window and T f on the wide one,
+    are log-grid convolutions (``hausdorff._log_grid_transform``): one
+    FFT per sign in s = log|x|, with no tolerance to set.  They raise
+    ValueError rather than truncate, for instance when f has not decayed
+    by |x| = e^40.
     """
-    from .hausdorff import transform_values
     m = moment(k, p)
     if not m.finite:
         raise ValueError("commutation requires a finite moment on this p-scale")
@@ -441,14 +449,8 @@ def commutation_check(k: Kernel, f: SampledLine, p: float = 2.0,
                               tail_power=f.tail_power)
     hf_shifted = hilbert_with_tails(big_shifted, method=method, origin=-shift)
     hf_true = lambda x: hf_shifted.form(np.asarray(x, dtype=float) - shift)
-    # chunked so per-call stagnation cost stays bounded
-    t_hf = np.empty(xs_small.size, dtype=complex)
-    for s in range(0, xs_small.size, 4096):
-        t_hf[s:s + 4096] = transform_values(k, hf_true, xs_small[s:s + 4096],
-                                            tol=tol)
-
-    # the tag-backed side is noise-free and takes a much tighter budget
-    tf_vals = transform_values(k, f_eval, xs_big, tol=min(tol, 1e-9))
+    t_hf = _log_grid_transform(k, hf_true, xs_small)
+    tf_vals = _log_grid_transform(k, f_eval, xs_big)
     tf_shifted = SampledLine.from_values(tf_vals, big_L)
     h_tf_shifted = hilbert_with_tails(tf_shifted, method=method, origin=-shift)
 

@@ -102,7 +102,7 @@ def hardy_type() -> Kernel:
 
 def gen_cesaro(alpha: float) -> Kernel:
     """alpha*(1-t)^(alpha-1) on (0, 1); alpha > 0."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
 
     def fn(t):

@@ -2,7 +2,10 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from hhl import cli
 from hhl.cli import RunConfig, main, run_suite, run_suites
 from hhl.report import CheckRow, VerificationReport, emit, emit_sweep_csv
 
@@ -151,3 +154,76 @@ def test_main_rejects_malformed_budget(monkeypatch, capsys, raw):
     monkeypatch.setenv("HHL_BUDGET", raw)
     assert main(["--suite", "moment"]) == 2
     assert "HHL_BUDGET" in capsys.readouterr().err
+
+
+def test_raising_suite_becomes_error_row(tmp_path, monkeypatch, capsys):
+    def boom(config):
+        raise RuntimeError(f"broken at {object()!r}")
+
+    monkeypatch.setitem(cli.SUITES, "boom", boom)
+    code = main(["--suite", "boom,moment", "--out", str(tmp_path),
+                 "--format", "json"])
+    assert code == 1
+    reports = json.loads((tmp_path / "report.json").read_text())["reports"]
+    by_suite = {r["suite"]: r for r in reports}
+    assert by_suite["moment"]["passed"] is True
+    (row,) = by_suite["boom"]["rows"]
+    assert row["pass"] is False
+    assert row["computed"].startswith("RuntimeError: broken at <object object")
+    assert "0x" not in row["computed"]
+    assert "[FAIL] boom/suite raised" in capsys.readouterr().out
+
+
+def test_h1_suite_reports_unbounded_kernel(tmp_path):
+    cfg = tmp_path / "hardy.json"
+    cfg.write_text(json.dumps({"kernel": {"kind": "hardy"}}))
+    code = main(["--config", str(cfg), "--suite", "h1", "--out", str(tmp_path),
+                 "--format", "json"])
+    (rep,) = json.loads((tmp_path / "report.json").read_text())["reports"]
+    checks = [r["check"] for r in rep["rows"]]
+    assert "p=1 unbounded" in checks
+    assert sum(c.startswith("corpus[") for c in checks) == 3
+    assert rep["passed"] and code == 0
+
+
+# a fuzzed config is a valid one with up to two fields replaced by junk
+_VALID_FIELDS = {
+    "kernel": st.sampled_from([
+        {"kind": "cesaro"}, {"kind": "hardy"}, {"kind": "gencesaro", "alpha": 2},
+        {"kind": "table", "points": [[0.5, 1.0], [1.0, 0.5]]}]),
+    "p_list": st.lists(st.sampled_from([1.0, 1.5, 2.0, 4.0, math.inf]),
+                       max_size=2),
+    "L": st.floats(1.0, 100.0),
+    "N": st.sampled_from([16, 1 << 12]),
+    "sweep_L": st.floats(1.0, 1e4),
+    "epsilons": st.sampled_from([[0.2, 0.1], [0.3, 0.2, 0.02]]),
+    "y_seq": st.sampled_from([[0.5, 0.1], [2e-3]]),
+    "suites": st.sampled_from([["moment"], []]),
+    "seed": st.integers(0, 10),
+    "fmt": st.sampled_from(["csv", "json", "both"]),
+}
+_SCALAR_JUNK = st.one_of(
+    st.none(), st.booleans(), st.sampled_from(["", "xml", "moment", "2"]),
+    st.integers(-3, 100), st.floats(allow_nan=True, allow_infinity=True))
+_JUNK = st.one_of(_SCALAR_JUNK, st.lists(_SCALAR_JUNK, max_size=3),
+                  st.dictionaries(st.sampled_from(["kind", "alpha", "points"]),
+                                  _SCALAR_JUNK, max_size=2))
+_CONFIGS = st.builds(
+    lambda base, junk: {**base, **junk},
+    st.fixed_dictionaries({}, optional=_VALID_FIELDS),
+    st.dictionaries(st.sampled_from(sorted(_VALID_FIELDS) + ["out_dir", "bogus"]),
+                    _JUNK, max_size=2))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=_CONFIGS)
+def test_fuzz_config_parses_or_reports(tmp_path_factory, raw):
+    """Every config either fails at parse time with exit 2 or runs the
+    moment suite to a written report; nothing escapes as an exception."""
+    out = tmp_path_factory.mktemp("fuzz")
+    path = out / "config.json"
+    path.write_text(json.dumps(raw))
+    code = main(["--config", str(path), "--suite", "moment", "--out", str(out / "r")])
+    written = any((out / "r" / f"report.{ext}").exists() for ext in ("csv", "json"))
+    assert (code == 2 and not written) or (code in (0, 1) and written)

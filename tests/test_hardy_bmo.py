@@ -48,6 +48,36 @@ def test_decomposition_synthesis():
     assert total < 4 * f.h * dec.atomic_bound
 
 
+def test_synthesis_tags_only_edge_crossing_sums():
+    L, N = 16.0, 1 << 10
+    inside = AtomicDecomposition(terms=((0.5, make_atom(0, 1, "haar")),
+                                        (0.5, make_atom(-14.0, 2.0, "sine"))))
+    assert inside.synthesize(L, N).form is None
+    # the sampled range ends at L - h, so an atom reaching L crosses it
+    crossing = AtomicDecomposition(terms=((0.5, make_atom(0, 1, "haar")),
+                                          (0.5, make_atom(14.0, 2.0, "bump"))))
+    assert crossing.synthesize(L, N).form is not None
+
+
+def test_h1_report_untagged_synthesis_matches_tagged():
+    L, N = 32.0, 1 << 10
+    dec = AtomicDecomposition(terms=((0.6, make_atom(-3.0, 2.0, "sine")),
+                                     (0.4, make_atom(5.0, 1.5, "bump"))))
+    untagged = dec.synthesize(L, N)
+    assert untagged.form is None
+
+    def fn(x):
+        return sum(c * a(x) for c, a in dec.terms)
+
+    tagged = SampledLine.from_function(fn, L, N, label="atomic-sum")
+    assert np.array_equal(tagged.values, untagged.values)
+    a = h1_report(untagged, L=L, N=N).ratios()
+    b = h1_report(tagged, L=L, N=N).ratios()
+    assert a.keys() == b.keys()
+    for key in a:
+        assert a[key] == pytest.approx(b[key], rel=1e-12)
+
+
 def test_smooth_maximal_dominates_single_scale():
     from scipy.signal import fftconvolve
     f = haar_line(N=1 << 10)

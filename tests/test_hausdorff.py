@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from hhl.halfplane import CayleyPower, InverseSquare
-from hhl.hausdorff import (KernelImage, SweepResult,
-                           WindowTooSmallError, apply_complex, apply_real,
+from scipy.special import erf, exp1
+
+from hhl.hausdorff import (_LOG_DELTA, _LOG_M, KernelImage, SweepResult,
+                           WindowTooSmallError, _hat_weights,
+                           _log_grid_transform, apply_complex, apply_real,
                            boundary_identity_check, norm_lower_bound_sweep,
                            norm_upper_bound, transform_values)
-from hhl.kernels import (cesaro, eval_kernel, hardy_type, moment,
-                         moment_exponent, truncate_below)
+from hhl.kernels import (Kernel, cesaro, eval_kernel, gen_cesaro, hardy_type,
+                         moment, moment_exponent, truncate_below, zero_kernel)
 from hhl.quadrature import DivergenceError, integrate_halfline
 from hhl.realline import SampledLine, lp_norm
 
@@ -179,3 +182,85 @@ def test_boundary_identity_quick():
     assert rep.passed
     errs = rep.environment["errors"]
     assert all(a > b for a, b in zip(errs, errs[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Log-grid (Mellin) convolution, checked against closed forms and against
+# the adaptive transform_values
+
+
+def _gauss(x):
+    return np.exp(-np.asarray(x) ** 2)
+
+
+LOG_GRID_CLOSED = {
+    # T_phi of e^(-x^2) for the two classical kernels
+    "cesaro": (cesaro, lambda x: exp1(x * x) / 2),
+    "hardy": (hardy_type, lambda x: math.sqrt(math.pi) * erf(x) / (2 * x)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOG_GRID_CLOSED))
+def test_log_grid_closed_forms(name):
+    kernel, ref = LOG_GRID_CLOSED[name]
+    xs = np.array([-3.0, -0.4, 0.01, 0.3, 1.0, 2.5, 6.0, 100.0])
+    got = _log_grid_transform(kernel(), _gauss, xs)
+    exact = ref(xs)
+    assert np.max(np.abs(got - exact)) <= 1e-7 * np.max(np.abs(exact))
+
+
+LOG_GRID_CORPUS = {
+    "gauss": _gauss,
+    "xgauss": lambda x: np.asarray(x) * _gauss(x),
+    "P1diff": lambda x: (1 / math.pi) / (1 + np.asarray(x) ** 2)
+    - (1 / math.pi) / (1 + (np.asarray(x) - 1) ** 2),
+}
+
+
+@pytest.mark.parametrize("fname", sorted(LOG_GRID_CORPUS))
+@pytest.mark.parametrize("kernel", [cesaro, hardy_type, lambda: gen_cesaro(2.0)],
+                         ids=["cesaro", "hardy", "gencesaro2"])
+def test_log_grid_matches_adaptive(kernel, fname):
+    fn = LOG_GRID_CORPUS[fname]
+    pos = np.geomspace(3e-3, 200.0, 20)
+    xs = np.concatenate([-pos[::-1], pos])
+    k = kernel()
+    got = _log_grid_transform(k, fn, xs)
+    ref = transform_values(k, fn, xs, tol=1e-10)
+    assert np.max(np.abs(got - ref)) <= 5e-7 * np.max(np.abs(ref))
+
+
+def test_log_grid_hat_weights_closed_forms():
+    d, m = _LOG_DELTA, _LOG_M
+    idx = np.arange(1, m - 1)  # away from the grid ends
+    ces = _hat_weights(cesaro())
+    assert np.max(np.abs(ces[m - idx] - d)) <= 1e-12
+    assert abs(ces[m] - d / 2) <= 1e-12
+    assert np.all(ces[m + 1:] == 0.0)
+    har = _hat_weights(hardy_type())
+    exact = np.exp(-idx * d) * 2.0 * (math.cosh(d) - 1.0) / d
+    assert np.max(np.abs(har[m + idx] - exact)) <= 1e-12
+    assert np.all(har[:m] == 0.0)
+
+
+def test_log_grid_guards():
+    xs = np.array([-1.0, 0.5, 2.0])
+    with pytest.raises(ValueError, match="decayed"):
+        _log_grid_transform(cesaro(), lambda x: 1.0 / (1.0 + np.abs(x)) ** 0.25, xs)
+    slow = Kernel(kind="slow", label="slow", fn=lambda t: np.asarray(t) ** -0.5,
+                  support=(1.0, math.inf), inf_exponent=-0.5)
+    with pytest.raises(ValueError, match="kernel mass"):
+        _log_grid_transform(slow, _gauss, xs)
+    # the output floor follows the kernel's reach: 0 for cesaro, about
+    # 27.6 for hardy, whose floor is then |x| = e^(27.6 - 40) = 4.2e-6
+    for k, bad in ((cesaro(), 0.0), (cesaro(), 1e18), (hardy_type(), 1e-6)):
+        with pytest.raises(ValueError, match="off the log grid"):
+            _log_grid_transform(k, _gauss, np.array([1.0, bad]))
+    tiny = np.array([-1e-10, 1e-10])
+    assert np.allclose(_log_grid_transform(cesaro(), _gauss, tiny),
+                       exp1(1e-20) / 2, rtol=1e-7, atol=0)
+
+
+def test_log_grid_zero_kernel_exact():
+    xs = np.array([-5.0, -0.01, 0.01, 5.0])
+    assert np.all(_log_grid_transform(zero_kernel(), _gauss, xs) == 0.0)
