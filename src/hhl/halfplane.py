@@ -102,8 +102,14 @@ class CayleyPower(HoloFunction):
 
     def eval_batch(self, z):
         zeta = np.asarray(z, dtype=complex) + 1j * self.sigma
+        # the principal power in real polar form, |zeta|^-beta
+        # (cos + i sin)(-beta arg zeta): cheaper than the complex power
+        out = np.empty(zeta.shape, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out = zeta ** (-self.beta)
+            mod = np.power(np.hypot(zeta.real, zeta.imag), -self.beta)
+            ang = -self.beta * np.arctan2(zeta.imag, zeta.real)
+            out.real = mod * np.cos(ang)
+            out.imag = mod * np.sin(ang)
         # |zeta| beyond double range means the value underflowed to zero
         return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
 

@@ -41,7 +41,8 @@ __all__ = [
     "boundary_identity_check",
 ]
 
-_CHUNK = 1 << 16
+# output points per adaptive t-schedule
+_GROUP = 256
 
 
 class WindowTooSmallError(ValueError):
@@ -52,32 +53,37 @@ def transform_values(k: Kernel, f_of, zs, tol: float = 1e-10,
                      budget: int | None = None) -> np.ndarray:
     """(T_phi f)(z) for an array of points, real or complex.
 
-    One adaptive schedule in t serves the whole batch; ``f_of`` must be
-    vectorized over arbitrary-shape arrays.  Output points are chunked so
-    node-by-batch intermediates stay bounded in memory.
+    The points are sorted by |z| (ties by value) and cut into contiguous
+    groups of at most 256; each group gets its own adaptive schedule in t,
+    so the schedule refines only for the scales its points share, and
+    node-by-group intermediates stay small.  A point's value depends on
+    the set of points passed, never on their order.  ``f_of`` must be
+    vectorized over arbitrary-shape arrays.
     """
     zs = np.asarray(zs)
     scalar = zs.ndim == 0
     zs = np.atleast_1d(zs)
     out = np.empty(zs.shape, dtype=complex)
-    for start in range(0, zs.size, _CHUNK):
-        chunk = zs[start:start + _CHUNK]
+    order = np.lexsort((zs.imag, zs.real, np.abs(zs)))
+    for start in range(0, zs.size, _GROUP):
+        idx = order[start:start + _GROUP]
+        group = zs[idx]
 
         def integrand(ts):
             w = eval_kernel(k, ts) / ts
             with np.errstate(over="ignore"):
-                args = chunk[None, :] / ts[:, None]
+                args = group[None, :] / ts[:, None]
             vals = np.asarray(f_of(args), dtype=complex)
             return vals * w[:, None]
 
         res = integrate_halfline(integrand, tol=tol, budget=budget,
                                  support=k.support)
         if res.diverges:
-            probe = np.abs(np.asarray(f_of(chunk)))
-            worst = chunk[int(np.argmax(probe))]
+            probe = np.abs(np.asarray(f_of(group)))
+            worst = group[int(np.argmax(probe))]
             raise DivergenceError(
                 f"transform integral diverges near output point {worst}")
-        out[start:start + _CHUNK] = res.value
+        out[idx] = res.value
     return complex(out[0]) if scalar else out
 
 
@@ -122,8 +128,10 @@ def _hat_weights(k: Kernel) -> np.ndarray:
             + np.bincount(idx + 1, np.sum(mass * frac, axis=1), minlength=2 * m + 1))
 
 
-def _log_grid_transform(k: Kernel, f_of, xs) -> np.ndarray:
-    """(T_phi f)(x) at real points x by one FFT convolution per sign.
+def _log_grid_transform(k: Kernel, legs) -> list:
+    """(T_phi f)(x) at real points x by one FFT convolution per sign, for
+    each (f_of, xs) pair in ``legs``; the kernel's hat weights are built
+    once for all of them.
 
     Product integration of phi against the piecewise-linear model of
     F(w) = f(+-e^w), read off at log|x| by a cubic spline; values agree
@@ -134,7 +142,6 @@ def _log_grid_transform(k: Kernel, f_of, xs) -> np.ndarray:
     e^(reach - _LOG_HALF), with a reach of 0 for kernels supported in
     (0, 1] and about 27.6 for hardy (|x| >= 4.2e-6).
     """
-    xs = np.asarray(xs, dtype=float)
     d, m = _LOG_DELTA, _LOG_M
     weights = _hat_weights(k)
     beyond = np.cumsum(weights[::-1])[::-1]  # weight mass from index i on
@@ -145,29 +152,33 @@ def _log_grid_transform(k: Kernel, f_of, xs) -> np.ndarray:
         raise ValueError(f"kernel mass past t = e^{_LOG_REACH:g} is "
                          f"{far:.2e} of the total; the log grid would "
                          f"truncate it")
-    with np.errstate(divide="ignore"):
-        s = np.log(np.abs(xs))
-    if not np.all((s >= reach - _LOG_HALF) & (s <= _LOG_HALF - d)):
-        raise ValueError("output point off the log grid: |x| must lie in "
-                         f"[{math.exp(reach - _LOG_HALF):.3g}, "
-                         f"{math.exp(_LOG_HALF - d):.3g}] for {k.label}")
     ws = -_LOG_HALF + d * np.arange(m)
-    out = np.zeros(xs.shape, dtype=complex)
-    for sign, side in ((1.0, xs > 0), (-1.0, xs < 0)):
-        if not np.any(side):
-            continue
-        F = np.asarray(f_of(sign * np.exp(ws)), dtype=complex)
-        peak = float(np.max(np.abs(F)))
-        if abs(F[-1]) > _LOG_NEGLIGIBLE * peak:
-            raise ValueError(
-                f"input has not decayed at x = {sign * math.exp(ws[-1]):.3g} "
-                f"(|f| = {abs(F[-1]):.2e} of peak {peak:.2e}); the log "
-                f"grid would truncate it")
-        if not F.imag.any():
-            F = F.real
-        conv = fftconvolve(F, weights)[m:2 * m]
-        out[side] = CubicSpline(ws, conv)(s[side])
-    return out
+    results = []
+    for f_of, xs in legs:
+        xs = np.asarray(xs, dtype=float)
+        with np.errstate(divide="ignore"):
+            s = np.log(np.abs(xs))
+        if not np.all((s >= reach - _LOG_HALF) & (s <= _LOG_HALF - d)):
+            raise ValueError("output point off the log grid: |x| must lie in "
+                             f"[{math.exp(reach - _LOG_HALF):.3g}, "
+                             f"{math.exp(_LOG_HALF - d):.3g}] for {k.label}")
+        out = np.zeros(xs.shape, dtype=complex)
+        for sign, side in ((1.0, xs > 0), (-1.0, xs < 0)):
+            if not np.any(side):
+                continue
+            F = np.asarray(f_of(sign * np.exp(ws)), dtype=complex)
+            peak = float(np.max(np.abs(F)))
+            if abs(F[-1]) > _LOG_NEGLIGIBLE * peak:
+                raise ValueError(
+                    f"input has not decayed at x = {sign * math.exp(ws[-1]):.3g} "
+                    f"(|f| = {abs(F[-1]):.2e} of peak {peak:.2e}); the log "
+                    f"grid would truncate it")
+            if not F.imag.any():
+                F = F.real
+            conv = fftconvolve(F, weights)[m:2 * m]
+            out[side] = CubicSpline(ws, conv)(s[side])
+        results.append(out)
+    return results
 
 
 def apply_real(k: Kernel, f: SampledLine, tol: float = 1e-9) -> SampledLine:

@@ -409,10 +409,10 @@ def commutation_check(k: Kernel, f: SampledLine, p: float = 2.0,
     taken back on f's own window.  Passes below 1e-5.
 
     The two transform legs, T(Hf) on f's window and T f on the wide one,
-    are log-grid convolutions (``hausdorff._log_grid_transform``): one
-    FFT per sign in s = log|x|, with no tolerance to set.  They raise
-    ValueError rather than truncate, for instance when f has not decayed
-    by |x| = e^40.
+    are log-grid convolutions (``hausdorff._log_grid_transform``) from
+    one set of kernel hat weights: one FFT per sign in s = log|x|, with
+    no tolerance to set.  They raise ValueError rather than truncate, for
+    instance when f has not decayed by |x| = e^40.
     """
     m = moment(k, p)
     if not m.finite:
@@ -449,8 +449,7 @@ def commutation_check(k: Kernel, f: SampledLine, p: float = 2.0,
                               tail_power=f.tail_power)
     hf_shifted = hilbert_with_tails(big_shifted, method=method, origin=-shift)
     hf_true = lambda x: hf_shifted.form(np.asarray(x, dtype=float) - shift)
-    t_hf = _log_grid_transform(k, hf_true, xs_small)
-    tf_vals = _log_grid_transform(k, f_eval, xs_big)
+    t_hf, tf_vals = _log_grid_transform(k, [(hf_true, xs_small), (f_eval, xs_big)])
     tf_shifted = SampledLine.from_values(tf_vals, big_L)
     h_tf_shifted = hilbert_with_tails(tf_shifted, method=method, origin=-shift)
 

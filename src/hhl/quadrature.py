@@ -463,52 +463,115 @@ def _panel_batch(g_batch, pending):
     return [_embedded(v, half) for v, half in zip(vals, halfs)], xs.size
 
 
+def _chain(a: float, b: float, toward_lo: bool, levels: int):
+    """The panels of ``levels`` successive bisections of [a, b] toward one
+    end, both halves of each level, as the round loop would create them."""
+    out = []
+    for _ in range(levels):
+        if _too_narrow(a, b):
+            break
+        m = 0.5 * (a + b)
+        out += [(a, m), (m, b)]
+        a, b = (a, m) if toward_lo else (m, b)
+    return out
+
+
 def integrate_batched(g_batch, panels, tol: float = 1e-9,
                       budget: int | None = None, max_rounds: int = 24) -> QuadResult:
     """Panel quadrature with batched evaluation.
 
-    ``panels`` is a list of breakpoints; every refinement round gathers the
-    abscissas of all panels that still exceed their error share into one
-    array and calls ``g_batch`` once.  Intended for integrands whose every
+    ``panels`` is a list of breakpoints.  A panel settles once its error
+    estimate is at most tol / max(n, 8), n the number of starting panels,
+    once it is too narrow to bisect, or at depth ``max_rounds`` (the
+    bisections from its starting panel); otherwise it is bisected.  Every
+    round gathers the abscissas of all open panels into one array and
+    calls ``g_batch`` once.  Intended for integrands whose every
     evaluation is itself expensive (inner quadratures) but vectorizes
     across points.
+
+    Chain replay: an endpoint singularity forces one bisection per depth
+    at the end it sits on.  So when a failing panel touches an end of the
+    range and its error is at least 1/4 of its parent's, the round that
+    evaluates its halves also evaluates the next bisection levels toward
+    that end, both halves of each, as many as the observed error ratio
+    predicts the end panel needs to settle (capped at depth
+    ``max_rounds``).  The rule above is replayed over those levels, and
+    levels past the settling point are dropped uncounted.  The settled
+    panels are then those of the plain loop that evaluates one depth per
+    round, and so are the BudgetError raised (at the first depth below
+    ``max_rounds`` whose panels would exceed the budget) and its partial
+    result: for a pointwise integrand, one whose value at an abscissa
+    does not depend on the others in the batch, value, error and
+    evaluation count are bit-identical to it.
     """
     budget = eval_budget() if budget is None else budget
     intervals = [(panels[i], panels[i + 1]) for i in range(len(panels) - 1)
                  if panels[i + 1] > panels[i]]
     if not intervals:
         raise ValueError("need at least one non-empty panel")
+    lo, hi = intervals[0][0], intervals[-1][1]
+    cut = tol / max(len(intervals), 8)
+    depth_cap = max(max_rounds, 0)
 
-    evals = 0
-    settled = []  # (a, b, value, error)
-    pending = intervals
-    for _ in range(max_rounds):
-        if not pending:
-            break
-        if evals + len(pending) * _EVALS_PER_PANEL > budget:
-            segs = [(a, b, v) for a, b, v, _ in settled]
-            err = sum(e for *_, e in settled) + math.inf
-            raise BudgetError("batched quadrature budget exhausted",
-                              QuadResult(_collect(segs)[0] if segs else 0.0,
-                                         err, evals))
-        estimates, n = _panel_batch(g_batch, pending)
-        evals += n
-        new_pending = []
-        for (a, b), (hi, e) in zip(pending, estimates):
-            if e <= tol / max(len(intervals), 8) or _too_narrow(a, b):
-                settled.append((a, b, hi, e))
-            else:
-                m = 0.5 * (a + b)
-                new_pending.extend([(a, m), (m, b)])
-        pending = new_pending
-    else:
-        # rounds exhausted: keep best estimates for what is left
-        if pending:
-            estimates, n = _panel_batch(g_batch, pending)
-            evals += n
-            settled.extend((a, b, hi, e)
-                           for (a, b), (hi, e) in zip(pending, estimates))
+    known = {}  # (a, b) -> (value, error) of every panel evaluated
+    counts = [len(intervals)] + [0] * depth_cap  # panels created per depth
+    checked = 0  # depths below this one have passed the budget check
+    settled = []  # (depth, a, b, value, error)
+    # open panels: (a, b, depth, parent's error, grandparent's error)
+    pending = [(a, b, 0, math.nan, math.nan) for a, b in intervals]
+    while pending:
+        # every panel at or above the shallowest open depth exists now, so
+        # the depth-by-depth budget check can run that far
+        top = min(p[2] for p in pending)
+        for d in range(checked, min(top + 1, max_rounds)):
+            if _EVALS_PER_PANEL * sum(counts[:d + 1]) > budget:
+                done = [s for s in settled if s[0] < d]
+                segs = [(a, b, v) for _, a, b, v, _ in done]
+                err = sum(e for *_, e in done) + math.inf
+                raise BudgetError("batched quadrature budget exhausted",
+                                  QuadResult(_collect(segs)[0] if segs else 0.0,
+                                             err, _EVALS_PER_PANEL * sum(counts[:d])))
+        checked = min(top + 1, max_rounds)  # ``top`` never decreases
 
-    value, rounding = _collect([(a, b, v) for a, b, v, _ in settled])
+        committed = _EVALS_PER_PANEL * sum(counts)
+        if committed > budget:
+            # near the budget: one depth per round, nothing speculative
+            fetch = [p for p in pending if p[2] == top]
+            pending = [p for p in pending if p[2] != top]
+            extra = []
+        else:
+            fetch, pending, extra = pending, [], []
+            for a, b, d, pe, gpe in fetch:
+                ratio = pe / gpe if gpe > 0 else math.nan
+                if not ratio >= 0.25 or (a != lo and b != hi):
+                    continue
+                # the end panel's error shrinks by ``ratio`` per level;
+                # evaluate down to the level predicted to settle
+                levels = depth_cap - d
+                if ratio < 1.0 and cut > 0:
+                    need = math.ceil(math.log(pe / cut) / -math.log(ratio)) - 1
+                    levels = min(levels, need)
+                extra += _chain(a, b, a == lo, levels)
+            if committed + _EVALS_PER_PANEL * len(extra) > budget:
+                extra = []
+
+        batch = [(a, b) for a, b, *_ in fetch] + extra
+        estimates, _ = _panel_batch(g_batch, batch)
+        known.update(zip(batch, estimates))
+
+        # replay the per-panel rule, descending into evaluated halves
+        while fetch:
+            a, b, d, pe, _ = fetch.pop()
+            v, e = known.pop((a, b))
+            if d >= max_rounds or e <= cut or _too_narrow(a, b):
+                settled.append((d, a, b, v, e))
+                continue
+            m = 0.5 * (a + b)
+            counts[d + 1] += 2
+            for half in ((a, m, d + 1, e, pe), (m, b, d + 1, e, pe)):
+                (fetch if half[:2] in known else pending).append(half)
+
+    settled.sort(key=lambda s: (s[0], s[1]))  # the plain loop's order
+    value, rounding = _collect([(a, b, v) for _, a, b, v, _ in settled])
     err = float(sum(e for *_, e in settled)) + rounding
-    return QuadResult(value, err, evals)
+    return QuadResult(value, err, _EVALS_PER_PANEL * sum(counts))

@@ -35,6 +35,26 @@ def test_eval_branch_oracle():
     assert abs(got) == pytest.approx(5.0 ** -0.25, rel=1e-13)
 
 
+@pytest.mark.parametrize("beta", [0.27, 0.52, 0.7, 1.0, 1.52, 2.0])
+def test_eval_batch_matches_complex_power(beta):
+    # the real polar form against numpy's principal complex power, from
+    # |x| = 1e-300 to 1e300 on both sides; underflowed values sit below
+    # 1e-290 on both
+    mag = np.logspace(-300, 300, 1201)
+    xs = np.concatenate([-mag[::-1], mag])
+    for sigma, y in ((1.0, 0.0), (1e-3, 0.25)):
+        z = xs + 1j * y
+        got = CayleyPower(beta, sigma).eval_batch(z)
+        with np.errstate(all="ignore"):
+            ref = (z + 1j * sigma) ** -beta
+        big = np.abs(ref) > 1e-290
+        assert np.all(np.abs(got[big] - ref[big]) <= 1e-12 * np.abs(ref[big]))
+        assert np.all(np.abs(got[~big]) <= 1e-290)
+    odd = np.array([np.inf, -np.inf, np.nan, 1j * np.inf,
+                    complex(np.inf, np.inf), complex(np.nan, 1.0)])
+    assert np.all(CayleyPower(beta, 1.0).eval_batch(odd) == 0.0)
+
+
 def test_eval_rejects_lower_halfplane():
     with pytest.raises(ValueError):
         CayleyPower(1.0, 1.0).eval(1 - 1j)

@@ -184,6 +184,26 @@ def test_boundary_identity_quick():
     assert all(a > b for a, b in zip(errs, errs[1:]))
 
 
+@pytest.mark.parametrize("kernel", [cesaro, hardy_type, lambda: gen_cesaro(2.0)],
+                         ids=["cesaro", "hardy", "gencesaro2"])
+def test_transform_values_order_and_grouping(kernel, monkeypatch):
+    # the Kronrod nodes of graded panels: 15 decades of |x|, so the 256-point
+    # groups each get their own schedule
+    from hhl import hausdorff
+    from hhl.quadrature import _NODES, geometric_panels
+    pts = geometric_panels(1e-9, 1e4)
+    xs = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * _NODES
+                         for a, b in zip(pts[:-1], pts[1:])])
+    assert xs.size == 1071
+    k, f = kernel(), CayleyPower(0.52, 1.0).eval_batch
+    grouped = transform_values(k, f, xs, tol=1e-10)
+    perm = np.random.default_rng(7).permutation(xs.size)
+    assert np.array_equal(transform_values(k, f, xs[perm], tol=1e-10), grouped[perm])
+    monkeypatch.setattr(hausdorff, "_GROUP", xs.size)
+    shared = transform_values(k, f, xs, tol=1e-10)
+    assert np.all(np.abs(grouped - shared) <= 1e-12 * np.abs(shared))
+
+
 # ---------------------------------------------------------------------------
 # Log-grid (Mellin) convolution, checked against closed forms and against
 # the adaptive transform_values
@@ -204,7 +224,7 @@ LOG_GRID_CLOSED = {
 def test_log_grid_closed_forms(name):
     kernel, ref = LOG_GRID_CLOSED[name]
     xs = np.array([-3.0, -0.4, 0.01, 0.3, 1.0, 2.5, 6.0, 100.0])
-    got = _log_grid_transform(kernel(), _gauss, xs)
+    got = _log_grid_transform(kernel(), [(_gauss, xs)])[0]
     exact = ref(xs)
     assert np.max(np.abs(got - exact)) <= 1e-7 * np.max(np.abs(exact))
 
@@ -225,7 +245,7 @@ def test_log_grid_matches_adaptive(kernel, fname):
     pos = np.geomspace(3e-3, 200.0, 20)
     xs = np.concatenate([-pos[::-1], pos])
     k = kernel()
-    got = _log_grid_transform(k, fn, xs)
+    got = _log_grid_transform(k, [(fn, xs)])[0]
     ref = transform_values(k, fn, xs, tol=1e-10)
     assert np.max(np.abs(got - ref)) <= 5e-7 * np.max(np.abs(ref))
 
@@ -246,21 +266,22 @@ def test_log_grid_hat_weights_closed_forms():
 def test_log_grid_guards():
     xs = np.array([-1.0, 0.5, 2.0])
     with pytest.raises(ValueError, match="decayed"):
-        _log_grid_transform(cesaro(), lambda x: 1.0 / (1.0 + np.abs(x)) ** 0.25, xs)
+        slow_decay = lambda x: 1.0 / (1.0 + np.abs(x)) ** 0.25
+        _log_grid_transform(cesaro(), [(slow_decay, xs)])
     slow = Kernel(kind="slow", label="slow", fn=lambda t: np.asarray(t) ** -0.5,
                   support=(1.0, math.inf), inf_exponent=-0.5)
     with pytest.raises(ValueError, match="kernel mass"):
-        _log_grid_transform(slow, _gauss, xs)
+        _log_grid_transform(slow, [(_gauss, xs)])
     # the output floor follows the kernel's reach: 0 for cesaro, about
     # 27.6 for hardy, whose floor is then |x| = e^(27.6 - 40) = 4.2e-6
     for k, bad in ((cesaro(), 0.0), (cesaro(), 1e18), (hardy_type(), 1e-6)):
         with pytest.raises(ValueError, match="off the log grid"):
-            _log_grid_transform(k, _gauss, np.array([1.0, bad]))
+            _log_grid_transform(k, [(_gauss, np.array([1.0, bad]))])
     tiny = np.array([-1e-10, 1e-10])
-    assert np.allclose(_log_grid_transform(cesaro(), _gauss, tiny),
+    assert np.allclose(_log_grid_transform(cesaro(), [(_gauss, tiny)])[0],
                        exp1(1e-20) / 2, rtol=1e-7, atol=0)
 
 
 def test_log_grid_zero_kernel_exact():
     xs = np.array([-5.0, -0.01, 0.01, 5.0])
-    assert np.all(_log_grid_transform(zero_kernel(), _gauss, xs) == 0.0)
+    assert np.all(_log_grid_transform(zero_kernel(), [(_gauss, xs)])[0] == 0.0)

@@ -157,6 +157,99 @@ def test_batched_round_cap_keeps_value_shape(shape):
     assert np.allclose(capped.value, 1.0 - math.exp(-2.0), atol=1e-12)
 
 
+def _batched_by_depth(g_batch, panels, tol, budget=None, max_rounds=24):
+    """Reference for ``integrate_batched``: the plain round loop, one call
+    of ``g_batch`` per depth."""
+    from hhl.quadrature import (_EVALS_PER_PANEL, QuadResult, _collect,
+                                _panel_batch, _too_narrow, eval_budget)
+    budget = eval_budget() if budget is None else budget
+    intervals = [(panels[i], panels[i + 1]) for i in range(len(panels) - 1)
+                 if panels[i + 1] > panels[i]]
+    evals = 0
+    settled = []
+    pending = intervals
+    for _ in range(max_rounds):
+        if not pending:
+            break
+        if evals + len(pending) * _EVALS_PER_PANEL > budget:
+            segs = [(a, b, v) for a, b, v, _ in settled]
+            err = sum(e for *_, e in settled) + math.inf
+            raise BudgetError("batched quadrature budget exhausted",
+                              QuadResult(_collect(segs)[0] if segs else 0.0,
+                                         err, evals))
+        estimates, n = _panel_batch(g_batch, pending)
+        evals += n
+        new_pending = []
+        for (a, b), (hi, e) in zip(pending, estimates):
+            if e <= tol / max(len(intervals), 8) or _too_narrow(a, b):
+                settled.append((a, b, hi, e))
+            else:
+                m = 0.5 * (a + b)
+                new_pending.extend([(a, m), (m, b)])
+        pending = new_pending
+    else:
+        if pending:
+            estimates, n = _panel_batch(g_batch, pending)
+            evals += n
+            settled.extend((a, b, hi, e)
+                           for (a, b), (hi, e) in zip(pending, estimates))
+    value, rounding = _collect([(a, b, v) for a, b, v, _ in settled])
+    err = float(sum(e for *_, e in settled)) + rounding
+    return QuadResult(value, err, evals)
+
+
+# (integrand, breakpoints, keyword arguments, g_batch calls of the plain
+# loop, at most this many with chain replay)
+CHAIN_CASES = {
+    "log squared": (lambda x: np.log(x) ** 2 + np.sqrt(x),
+                    geometric_panels(1e-3, 1e4), {}, 22, 8),
+    "rsqrt round cap": (lambda x: x ** -0.5, [0.0, 1.0], {}, 25, 8),
+    "vector valued": (lambda x: np.stack([np.log(x), np.sqrt(x), np.exp(-x)], axis=1),
+                      [0.0, 0.5, 1.0, 2.0], {}, 25, 8),
+    "log4 five rounds": (lambda x: np.log(x) ** 4, [0.0, 1.0],
+                         {"max_rounds": 5}, 6, 6),
+    "right end log": (lambda x: np.log(1.0 - x), [0.0, 0.5, 1.0], {}, 25, 8),
+    "smooth gaussian": (lambda x: np.exp(-x * x), [-5.0, 0.0, 5.0], {}, 2, 2),
+    "budget": (lambda x: np.log(x) ** 2, [0.0, 1.0], {"budget": 21 * 30}, 15, 15),
+}
+
+
+def _counting(g):
+    calls = []
+
+    def wrapped(x):
+        calls.append(x.size)
+        return g(x)
+    return wrapped, calls
+
+
+def _result_or_partial(fn, *args, **kwargs):
+    try:
+        return "value", fn(*args, **kwargs)
+    except BudgetError as exc:
+        return "budget", exc.partial
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_CASES))
+def test_batched_chain_replay_matches_plain_loop(name):
+    g, panels, kwargs, plain_calls, chain_calls = CHAIN_CASES[name]
+    g_ref, ref_calls = _counting(g)
+    g_new, new_calls = _counting(g)
+    kind_ref, ref = _result_or_partial(_batched_by_depth, g_ref, panels,
+                                       1e-10, **kwargs)
+    kind_new, new = _result_or_partial(integrate_batched, g_new, panels,
+                                       tol=1e-10, **kwargs)
+    assert kind_new == kind_ref
+    # bit for bit: the same settled panels, summed in the same order
+    assert np.array_equal(new.value, ref.value)
+    assert new.error == ref.error
+    assert new.evaluations == ref.evaluations
+    assert len(ref_calls) == plain_calls
+    assert len(new_calls) <= chain_calls
+    # speculative panels past the settling point are evaluated, not counted
+    assert sum(new_calls) >= new.evaluations
+
+
 def test_budget_env_override(monkeypatch):
     from hhl.quadrature import eval_budget
     monkeypatch.setenv("HHL_BUDGET", "1234")
