@@ -11,46 +11,32 @@ from .halfplane import (
     HardyNormEstimate,
     HoloFunction,
     InverseSquare,
-    LinearCombination,
-    PoissonExtension,
-    boundary_trace,
     hardy_norm,
-    nontangential_max,
-    pointwise_bound_check,
     poisson_extend,
-    vertical_shift,
 )
 from .hausdorff import (
     KernelImage,
     SweepResult,
-    apply_complex,
-    apply_real,
     boundary_identity_check,
     lp_lower_bound_sweep,
     norm_lower_bound_sweep,
-    norm_upper_bound,
 )
 from .hilbert import (
-    analytic_completion,
     commutation_check,
     hilbert,
     hilbert_with_tails,
-    project_minus,
-    project_plus,
 )
 from .kernels import (
     Kernel,
     MomentValue,
     adjoint_kernel,
     cesaro,
-    dilate_truncate,
     eval_kernel,
     gen_cesaro,
     hardy_type,
     kernel_from_config,
     moment,
     moment_exponent,
-    scale_kernel,
     table_kernel,
     truncate_below,
     zero_kernel,
@@ -63,6 +49,6 @@ from .quadrature import (
     integrate_halfline,
     integrate_pv,
 )
-from .realline import SampledLine, eval_at, eval_dilated, lp_norm, resample, to_csv
+from .realline import SampledLine, eval_at, lp_norm
 
 __version__ = "0.1.0"

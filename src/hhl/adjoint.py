@@ -2,9 +2,10 @@
 
 S_a coincides with the averaging transform for the reciprocal kernel
 t -> a(1/t)/t, and under the L^p pairing it is the Banach-space adjoint
-of the transform with weight a.  Everything here verifies by reduction:
-apply through the kernel transform, compare against the direct integral,
-and measure the duality residual.
+of the transform with weight a.  This module computes its sharp constant
+(a kernel moment), its values by direct integration in t (independent of
+the reciprocal reduction, so each checks the other), and the duality
+residual.
 """
 
 from __future__ import annotations
@@ -13,14 +14,11 @@ import math
 
 import numpy as np
 
-from .halfplane import HoloFunction
 from .kernels import Kernel, eval_kernel
 from .quadrature import integrate_halfline
 from .realline import SampledLine, eval_at, lp_norm
 
 __all__ = [
-    "apply_Sa_real",
-    "apply_Sa_complex",
     "sa_moment",
     "duality_residual",
 ]
@@ -50,22 +48,6 @@ def _sa_values(a: Kernel, f_of, zs, tol: float) -> np.ndarray:
         raise ValueError("companion transform diverges on this input")
     vals = np.asarray(res.value)
     return complex(vals.reshape(-1)[0]) if scalar else vals
-
-
-def apply_Sa_real(a: Kernel, f: SampledLine, tol: float = 1e-9) -> SampledLine:
-    """S_a on sampled data, node by node on f's grid."""
-    vals = _sa_values(a, lambda x: eval_at(f, x), f.grid(), tol)
-    return SampledLine.from_values(vals, f.L, tail_power=f.tail_power,
-                                   label=f"S[{a.label}]({f.label})")
-
-
-def apply_Sa_complex(a: Kernel, F: HoloFunction, z, tol: float = 1e-10):
-    """S_a on a holomorphic function at interior point(s): t z stays in
-    the upper half-plane for t > 0."""
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.imag <= 0):
-        raise ValueError("apply_Sa_complex requires Im z > 0")
-    return _sa_values(a, F.eval_batch, z, tol)
 
 
 def duality_residual(k: Kernel, f: SampledLine, g: SampledLine, p: float,

@@ -1,12 +1,11 @@
 """Holomorphic functions on the upper half-plane.
 
-The built-in family is small but closed under everything the verification
-suites need: shifted Cayley powers (z + i*sigma)^-beta on the principal
-branch, the fixed inverse square (z+i)^-2, Poisson extensions of sampled
-boundary data, linear combinations, and vertical shifts.  On top of the
-family sit the Hardy-norm estimator (supremum of horizontal slice norms),
-boundary traces, the interior pointwise bound, and the nontangential
-maximal function.
+The built-in family is what the verification suites need: shifted Cayley
+powers (z + i*sigma)^-beta on the principal branch and the fixed inverse
+square (z+i)^-2.  On top of the family sits the Hardy-norm estimator
+(supremum of horizontal slice norms).  The Poisson extension of sampled
+boundary data to a height y > 0 is computed from the exact convolution of
+its piecewise-linear model, plus the tagged tails by quadrature.
 """
 
 from __future__ import annotations
@@ -18,23 +17,15 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .quadrature import integrate_halfline, geometric_panels
-from .realline import SampledLine, lp_norm, lp_norm_function
-from .report import CheckRow, VerificationReport
+from .realline import SampledLine, lp_norm_function
 
 __all__ = [
     "HoloFunction",
     "CayleyPower",
     "InverseSquare",
-    "PoissonExtension",
-    "LinearCombination",
     "HardyNormEstimate",
     "hardy_norm",
     "slice_norm",
-    "boundary_trace",
-    "BoundaryTraceReport",
-    "pointwise_bound_check",
-    "nontangential_max",
-    "vertical_shift",
     "poisson_extend",
 ]
 
@@ -62,9 +53,6 @@ class HoloFunction:
         if z.imag <= 0 and not (self.boundary_ok and z.imag == 0.0):
             raise ValueError(f"evaluation point {z} is not in the upper half-plane")
         return complex(self.eval_batch(np.array([z]))[0])
-
-    def shift(self, sigma: float) -> "HoloFunction":
-        return _Shifted(self, sigma)
 
 
 @dataclass(frozen=True)
@@ -113,9 +101,6 @@ class CayleyPower(HoloFunction):
         # |zeta| beyond double range means the value underflowed to zero
         return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
 
-    def shift(self, sigma):
-        return CayleyPower(self.beta, self.sigma + sigma)
-
 
 @dataclass(frozen=True)
 class InverseSquare(HoloFunction):
@@ -131,119 +116,6 @@ class InverseSquare(HoloFunction):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             out = 1.0 / (zeta * zeta)
         return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
-
-    def shift(self, sigma):
-        return CayleyPower(2.0, 1.0 + sigma)
-
-
-@dataclass(frozen=True)
-class PoissonExtension(HoloFunction):
-    """Harmonic extension u(x + iy) = (g * P_y)(x) of sampled boundary data.
-
-    Holomorphic exactly when g lies in the analytic boundary class; the
-    verification suites use it for maximal functions and boundary traces,
-    which only need the harmonic extension.
-    """
-
-    g: SampledLine = None
-
-    boundary_ok = False
-    even_slice_modulus = False
-
-    @property
-    def tail_power(self) -> float | None:  # type: ignore[override]
-        tp = self.g.tail_power
-        return min(2.0, tp) if tp is not None and tp > 1 else None
-
-    @property
-    def feature_scale(self) -> float:  # type: ignore[override]
-        return max(self.g.h, 1e-6)
-
-    def eval_batch(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.empty(z.shape, dtype=complex)
-        flat_z = z.ravel()
-        flat_out = out.ravel()
-        for y in np.unique(flat_z.imag):
-            if y <= 0:
-                raise ValueError("Poisson extension requires Im z > 0")
-            sel = flat_z.imag == y
-            flat_out[sel] = _poisson_values(self.g, float(y), flat_z.real[sel])
-        return out
-
-    def shift(self, sigma):
-        return _Shifted(self, sigma)
-
-
-@dataclass(frozen=True)
-class LinearCombination(HoloFunction):
-    """sum of coef * member over a list of (coef, HoloFunction) terms."""
-
-    terms: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple((complex(c), f) for c, f in self.terms))
-
-    @property
-    def boundary_ok(self) -> bool:  # type: ignore[override]
-        return all(f.boundary_ok for _, f in self.terms)
-
-    @property
-    def tail_power(self) -> float | None:  # type: ignore[override]
-        powers = [f.tail_power for _, f in self.terms]
-        if any(tp is None for tp in powers):
-            return None
-        return min(powers) if powers else None
-
-    @property
-    def feature_scale(self) -> float:  # type: ignore[override]
-        return min((f.feature_scale for _, f in self.terms), default=1.0)
-
-    even_slice_modulus = False
-
-    def eval_batch(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape, dtype=complex)
-        for c, f in self.terms:
-            out = out + c * f.eval_batch(z)
-        return out
-
-
-@dataclass(frozen=True)
-class _Shifted(HoloFunction):
-    base: HoloFunction = None
-    sigma: float = 0.0
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("vertical shift must be positive")
-
-    @property
-    def boundary_ok(self) -> bool:  # type: ignore[override]
-        return True  # the shift moves the axis into the interior
-
-    @property
-    def tail_power(self):  # type: ignore[override]
-        return self.base.tail_power
-
-    @property
-    def feature_scale(self) -> float:  # type: ignore[override]
-        return self.base.feature_scale + self.sigma
-
-    @property
-    def even_slice_modulus(self) -> bool:  # type: ignore[override]
-        return self.base.even_slice_modulus
-
-    def eval_batch(self, z):
-        return self.base.eval_batch(np.asarray(z, dtype=complex) + 1j * self.sigma)
-
-    def shift(self, sigma):
-        return _Shifted(self.base, self.sigma + sigma)
-
-
-def vertical_shift(f: HoloFunction, sigma: float) -> HoloFunction:
-    """z -> f(z + i*sigma); lands in H^p intersected with H^inf."""
-    return f.shift(sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -311,81 +183,6 @@ def hardy_norm(f: HoloFunction, p: float, y_grid=(1.0, 0.5, 0.1, 0.05, 0.01),
                    for i in range(len(norms) - 1))
     return HardyNormEstimate(p=p, slice_heights=ys, slice_norms=tuple(norms),
                              estimate=estimate, monotone=monotone, finite=finite)
-
-
-@dataclass(frozen=True)
-class BoundaryTraceReport:
-    heights: tuple
-    increments: tuple  # L^p distance between consecutive slices
-    convergent: bool
-
-
-def boundary_trace(f: HoloFunction, y_seq, p: float, L: float, N: int):
-    """Boundary proxy: the slice at the smallest y, plus convergence data.
-
-    Returns (SampledLine, BoundaryTraceReport); the report marks the trace
-    convergent when the slice increments decrease monotonically.
-    """
-    ys = tuple(float(y) for y in y_seq)
-    if any(ys[i] <= ys[i + 1] for i in range(len(ys) - 1)) or ys[-1] < 0:
-        raise ValueError("y_seq must be strictly decreasing and nonnegative")
-    if ys[-1] == 0 and not f.boundary_ok:
-        raise ValueError("y = 0 requested for a form without boundary continuity")
-    slices = []
-    for y in ys:
-        fn = (lambda yy: lambda xs: f.eval_batch(np.asarray(xs) + 1j * yy))(y)
-        slices.append(SampledLine.from_function(fn, L, N, tail_power=f.tail_power))
-    increments = []
-    for a, b in zip(slices, slices[1:]):
-        diff = SampledLine.from_values(b.values - a.values, L)
-        increments.append(lp_norm(diff, p))
-    convergent = all(increments[i] > increments[i + 1]
-                     for i in range(len(increments) - 1))
-    return slices[-1], BoundaryTraceReport(heights=ys, increments=tuple(increments),
-                                           convergent=convergent)
-
-
-def pointwise_bound_check(f: HoloFunction, p: float, z_set,
-                          L: float = 1e4) -> VerificationReport:
-    """Interior bound |f(x+iy)| <= (2/(pi y))^(1/p) * hardy norm at each z."""
-    est = hardy_norm(f, p, L=L)
-    rows = []
-    worst = 0.0
-    for z in z_set:
-        z = complex(z)
-        lhs = abs(f.eval(z))
-        rhs = (2.0 / (math.pi * z.imag)) ** (1.0 / p) * est.estimate
-        ratio = lhs / rhs if rhs > 0 else math.inf
-        worst = max(worst, ratio)
-        rows.append(CheckRow(
-            suite="halfplane", check=f"pointwise-bound z={z:.4g}",
-            anchor="interior-growth-bound", computed=lhs, predicted=rhs,
-            residual=ratio, tol=1.0, passed=bool(ratio <= 1.0 + 1e-12)))
-    return VerificationReport(suite="halfplane", rows=rows,
-                              environment={"p": p, "norm": est.estimate,
-                                           "worst_ratio": worst})
-
-
-def nontangential_max(f: HoloFunction, x: float, y_cap: float,
-                      resolution: int = 64, floor: float = 1e-6) -> float:
-    """sup of |f| over the cone |t - x| < y <= y_cap on a triangular grid.
-
-    Levels live on an absolute eighth-octave ladder between ``floor`` and
-    y_cap, so enlarging the cone scans a superset of points and the
-    discrete supremum is monotone in y_cap, like the true one.  Each level
-    is scanned at 2*resolution+1 relative lateral offsets.
-    """
-    if y_cap <= 0:
-        raise ValueError("y_cap must be positive")
-    j_lo = math.ceil(8.0 * math.log2(floor))
-    j_hi = math.floor(8.0 * math.log2(y_cap))
-    ys = [2.0 ** (j / 8.0) for j in range(j_lo, j_hi + 1)] + [y_cap]
-    offs = np.linspace(-1.0, 1.0, 2 * resolution + 1)[1:-1]
-    best = 0.0
-    for y in ys:
-        vals = np.abs(f.eval_batch(x + y * offs + 1j * y))
-        best = max(best, float(vals.max()))
-    return best
 
 
 # ---------------------------------------------------------------------------

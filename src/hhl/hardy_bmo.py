@@ -38,7 +38,6 @@ __all__ = [
     "h1_report",
     "h1_proxy_norm",
     "bmo_norm",
-    "bmo_norm_brute",
     "h1_lowerbound_check",
     "bmo_bound_check",
     "RATIO_CORRIDOR",
@@ -242,7 +241,7 @@ def square_function(f: SampledLine, t_grid=None, scales: int = 64) -> SampledLin
 # H1 proxy and report
 
 
-def h1_proxy_norm(f: SampledLine, method: str = "fft") -> float:
+def h1_proxy_norm(f: SampledLine) -> float:
     """|f|_1 + |Hf|_1: the grid-stable H1 characterization.
 
     The transform side uses the tail-aware method so the 1/x content of
@@ -250,8 +249,7 @@ def h1_proxy_norm(f: SampledLine, method: str = "fft") -> float:
     the sum to be finite (otherwise |Hf|_1 grows with the window).
     """
     from .hilbert import hilbert_with_tails
-    hf = hilbert_with_tails(SampledLine.from_values(f.values.real, f.L),
-                            method=method)
+    hf = hilbert_with_tails(SampledLine.from_values(f.values.real, f.L))
     return lp_norm(f, 1.0) + lp_norm(hf, 1.0)
 
 
@@ -330,25 +328,6 @@ def bmo_norm(g: SampledLine, depth: int = 10) -> float:
             means = blocks.mean(axis=1, keepdims=True)
             osc = np.abs(blocks - means).mean(axis=1)
             best = max(best, float(osc.max()))
-    return best
-
-
-def bmo_norm_brute(g: SampledLine, max_n: int = 512) -> float:
-    """Oracle: mean oscillation over every discrete subinterval.
-
-    Quadratic cost; intended for small grids in tests.
-    """
-    vals = g.values.real
-    n = min(g.N, max_n)
-    step = max(1, g.N // n)
-    v = vals[::step]
-    n = v.size
-    csum = np.concatenate([[0.0], np.cumsum(v)])
-    best = 0.0
-    for i in range(n):
-        for j in range(i + 2, n + 1):
-            m = (csum[j] - csum[i]) / (j - i)
-            best = max(best, float(np.mean(np.abs(v[i:j] - m))))
     return best
 
 

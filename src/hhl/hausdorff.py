@@ -2,13 +2,13 @@
 sharp-norm verification machinery.
 
 The transform is (T_phi f)(x) = integral of f(x/t) phi(t)/t dt over
-(0, inf) for a nonnegative weight phi.  Applied to boundary samples it
-acts on SampledLine; applied to holomorphic functions it keeps the
-argument in the upper half-plane (Im(z/t) = y/t > 0).  Its operator norm
-on the p-scale is exactly the kernel moment integral of t^(1/p-1) phi(t);
-the machinery here witnesses that constant from below with a Rayleigh
-sweep over the extremizer family (z + i*sigma)^(-1/p-eps), and on the
-line with the power families |x|^(-1/p+-eps), and verifies the
+(0, inf) for a nonnegative weight phi.  On the line it takes any
+vectorized function of a real variable; applied to holomorphic functions
+it keeps the argument in the upper half-plane (Im(z/t) = y/t > 0).  Its
+operator norm on the p-scale is exactly the kernel moment integral of
+t^(1/p-1) phi(t); the machinery here witnesses that constant from below
+with a Rayleigh sweep over the extremizer family (z + i*sigma)^(-1/p-eps),
+and on the line with the power families |x|^(-1/p+-eps), and verifies the
 boundary-value identity (T f)* = T(f*).
 """
 
@@ -25,15 +25,12 @@ from .halfplane import CayleyPower, HoloFunction, InverseSquare, hardy_norm, sli
 from .kernels import Kernel, cumulative_moment, eval_kernel, moment
 from .quadrature import (DivergenceError, doubling_panels, geometric_panels,
                          integrate_batched, integrate_halfline)
-from .realline import _TAIL_UMAX, SampledLine, _tail_integral, eval_at
+from .realline import _TAIL_UMAX, _tail_integral
 from .report import CheckRow, VerificationReport
 
 __all__ = [
     "transform_values",
-    "apply_real",
-    "apply_complex",
     "KernelImage",
-    "norm_upper_bound",
     "SweepResult",
     "WindowTooSmallError",
     "norm_lower_bound_sweep",
@@ -181,26 +178,6 @@ def _log_grid_transform(k: Kernel, legs) -> list:
     return results
 
 
-def apply_real(k: Kernel, f: SampledLine, tol: float = 1e-9) -> SampledLine:
-    """Transform of sampled boundary data, node by node on f's grid.
-
-    The integrand reads f through its tag when present (windowed data is
-    zero-extended).  The result keeps the input's tail decay marker: a
-    power tail maps to a power tail with the same exponent.
-    """
-    vals = transform_values(k, lambda a: eval_at(f, a), f.grid(), tol=tol)
-    return SampledLine.from_values(vals, f.L, tail_power=f.tail_power,
-                                   label=f"T[{k.label}]({f.label})")
-
-
-def apply_complex(k: Kernel, f: HoloFunction, z, tol: float = 1e-10):
-    """Transform of a holomorphic function at interior point(s) z."""
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.imag <= 0):
-        raise ValueError("apply_complex requires Im z > 0")
-    return transform_values(k, f.eval_batch, z, tol=tol)
-
-
 @dataclass(frozen=True)
 class KernelImage(HoloFunction):
     """The transform of a holomorphic function, itself a HoloFunction.
@@ -238,11 +215,6 @@ class KernelImage(HoloFunction):
         flat = transform_values(self.kernel, self.base.eval_batch, z.ravel(),
                                 tol=self.tol)
         return np.asarray(flat).reshape(z.shape)
-
-
-def norm_upper_bound(k: Kernel, p: float):
-    """The sharp constant: the p-moment of the kernel; +inf = unbounded."""
-    return moment(k, p).value
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Discrete Hilbert transform, analytic completion, and commutation checks.
+"""Discrete Hilbert transforms and the commutation check.
 
 Two independent methods realize the principal-value convolution with
 1/(pi x): a spectral multiplier on the sample grid (the classical
@@ -6,12 +6,13 @@ Two independent methods realize the principal-value convolution with
 principal-value quadrature that reads tagged tails exactly.  They
 cross-validate each other on smooth decaying inputs.
 
-The commutation check composes the averaging transform with both methods'
-H on an internally enlarged window so the slowly decaying transform of
-the test function is not clipped, then measures the residual on the
-requested grid.  Its two transform legs are log-grid (Mellin)
-convolutions, one FFT per sign in log|x|, so the check has no tolerance
-to set; the adaptive t-quadrature serves as their oracle in the tests.
+The commutation check composes the averaging transform with the
+tail-aware spectral H on an internally enlarged window so the slowly
+decaying transform of the test function is not clipped, then measures
+the residual on the requested grid.  Its two transform legs are log-grid
+(Mellin) convolutions, one FFT per sign in log|x|, so the check has no
+tolerance to set; the adaptive t-quadrature serves as their oracle in
+the tests.
 """
 
 from __future__ import annotations
@@ -32,9 +33,6 @@ __all__ = [
     "EdgeDecayWarning",
     "hilbert",
     "hilbert_with_tails",
-    "analytic_completion",
-    "project_plus",
-    "project_minus",
     "commutation_check",
 ]
 
@@ -92,11 +90,6 @@ def _hilbert_pv(f: SampledLine, tol: float = 1e-9) -> SampledLine:
     return SampledLine.from_values(vals, f.L, label=f"H[{f.label}]" if f.label else "")
 
 
-def _check_method(method: str) -> None:
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}")
-
-
 def hilbert(f: SampledLine, method: str = "fft",
             tol: float = 1e-9) -> SampledLine:
     """Hilbert transform of sampled data on its own grid.
@@ -106,7 +99,8 @@ def hilbert(f: SampledLine, method: str = "fft",
     input fails to decay at the window edges (magnitude above 1e-6 of the
     peak), since periodization then pollutes the result.
     """
-    _check_method(method)
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}")
     if method == "fft":
         amax = float(np.max(np.abs(f.values))) or 1.0
         edge = max(abs(f.values[0]), abs(f.values[-1]))
@@ -116,34 +110,6 @@ def hilbert(f: SampledLine, method: str = "fft",
                 f"the spectral Hilbert transform wraps around", EdgeDecayWarning)
         return _hilbert_fft(f)
     return _hilbert_pv(f, tol=tol)
-
-
-def analytic_completion(g: SampledLine, method: str = "fft") -> SampledLine:
-    """g + i H(g) for real g: boundary values of an analytic extension."""
-    if np.max(np.abs(g.values.imag)) > 1e-14 * max(np.max(np.abs(g.values)), 1e-300):
-        raise ValueError("analytic completion requires real-valued input")
-    if g.form is not None:
-        base_form = g.form
-        real = SampledLine.from_function(
-            lambda x: np.asarray(base_form(x)).real.astype(complex), g.L, g.N,
-            tail_power=g.tail_power, label=g.label)
-    else:
-        real = SampledLine.from_values(g.values.real, g.L, label=g.label)
-    hg = hilbert(real, method)
-    return SampledLine.from_values(g.values.real + 1j * hg.values.real, g.L,
-                                   label=f"{g.label}+iH" if g.label else "")
-
-
-def project_plus(f: SampledLine, method: str = "fft") -> SampledLine:
-    """P+ f = (f + i Hf)/2: the analytic-signal component."""
-    hf = hilbert(f, method)
-    return SampledLine.from_values(0.5 * (f.values + 1j * hf.values), f.L)
-
-
-def project_minus(f: SampledLine, method: str = "fft") -> SampledLine:
-    """P- f = (f - i Hf)/2; P+ + P- is the identity by construction."""
-    hf = hilbert(f, method)
-    return SampledLine.from_values(0.5 * (f.values - 1j * hf.values), f.L)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +231,7 @@ def _image_sum_2(x: np.ndarray, L: float) -> np.ndarray:
     return out
 
 
-def hilbert_with_tails(g: SampledLine, method: str = "fft",
-                       origin: float = 0.0) -> SampledLine:
+def hilbert_with_tails(g: SampledLine, origin: float = 0.0) -> SampledLine:
     """Hilbert transform of real data with an honest whole-line form.
 
     Returns a SampledLine whose closed-form tag is accurate on the whole
@@ -276,7 +241,6 @@ def hilbert_with_tails(g: SampledLine, method: str = "fft",
     quadrature.  ``origin`` locates dilation-induced features (log points)
     when the data lives on a shifted coordinate.
     """
-    _check_method(method)
     if np.max(np.abs(g.values.imag)) > 1e-13 * max(float(np.max(np.abs(g.values))), 1e-300):
         raise ValueError("tail-aware transform expects real-valued input")
     xs = g.grid()
@@ -296,15 +260,13 @@ def hilbert_with_tails(g: SampledLine, method: str = "fft",
     res_vals = _minus_model(work, xc, tail_terms)
     res = SampledLine.from_values(res_vals, g.L)
 
-    if method == "pv":
-        hres_vals = _pv_values(res, xs, 1e-8).real
-    else:
-        hres_vals = _hilbert_fft(res).values.real
-        # window mass and dipole of the remainder drive the image fold-in
-        m0w_c = float(np.sum(res_vals)) * g.h
-        m1w_c = float(np.sum(res_vals * xs)) * g.h
-        hres_vals = hres_vals - (m0w_c / math.pi) * _image_sum_1(xs, g.L) \
-            - (m1w_c / math.pi) * _image_sum_2(xs, g.L)
+    # window mass and dipole of the remainder drive the image fold-in and
+    # the asymptote beyond the exterior ladder
+    m0w = float(np.sum(res_vals)) * g.h
+    m1w = float(np.sum(res_vals * xs)) * g.h
+    hres_vals = _hilbert_fft(res).values.real \
+        - (m0w / math.pi) * _image_sum_1(xs, g.L) \
+        - (m1w / math.pi) * _image_sum_2(xs, g.L)
 
     if g.form is not None:
         # tagged inputs contribute their true beyond-window remainder (the
@@ -335,8 +297,6 @@ def hilbert_with_tails(g: SampledLine, method: str = "fft",
     # the remainder's transform outside the window is a pole-free
     # quadrature; precompute x*H(res)(x) on a log ladder once per side and
     # interpolate, with the mass/dipole asymptote beyond the ladder
-    m0w = float(np.sum(res_vals)) * g.h
-    m1w = float(np.sum(res_vals * xs)) * g.h
     # ladder starts a hair outside the window: at x = L the integrand has
     # an endpoint pole the adaptive scheme must not be asked to resolve
     ladder = np.geomspace(g.L * (1.0 + 1e-4), 1e7 * g.L, 200)
@@ -399,8 +359,7 @@ def hilbert_with_tails(g: SampledLine, method: str = "fft",
                        label=f"H[{g.label}]" if g.label else "")
 
 
-def commutation_check(k: Kernel, f: SampledLine, p: float = 2.0,
-                      method: str = "fft") -> VerificationReport:
+def commutation_check(k: Kernel, f: SampledLine, p: float = 2.0) -> VerificationReport:
     """Residual of T_phi(H f) = H(T_phi f) relative to |f|_p.
 
     Both compositions run on a window four times wider (same spacing),
@@ -447,11 +406,11 @@ def commutation_check(k: Kernel, f: SampledLine, p: float = 2.0,
             f_eval(np.asarray(x, dtype=float) + shift), dtype=complex)
     big_shifted = SampledLine(L=big_L, values=f_big_vals, form=shifted_tag,
                               tail_power=f.tail_power)
-    hf_shifted = hilbert_with_tails(big_shifted, method=method, origin=-shift)
+    hf_shifted = hilbert_with_tails(big_shifted, origin=-shift)
     hf_true = lambda x: hf_shifted.form(np.asarray(x, dtype=float) - shift)
     t_hf, tf_vals = _log_grid_transform(k, [(hf_true, xs_small), (f_eval, xs_big)])
     tf_shifted = SampledLine.from_values(tf_vals, big_L)
-    h_tf_shifted = hilbert_with_tails(tf_shifted, method=method, origin=-shift)
+    h_tf_shifted = hilbert_with_tails(tf_shifted, origin=-shift)
 
     diff = t_hf - h_tf_shifted.values[lo:hi]
     num = float(np.sum(np.abs(diff) ** p) * h) ** (1.0 / p)
@@ -462,5 +421,5 @@ def commutation_check(k: Kernel, f: SampledLine, p: float = 2.0,
                    residual=residual, tol=1e-5, passed=bool(residual < 1e-5))
     return VerificationReport(
         suite="commute", rows=[row],
-        environment={"kernel": k.label, "p": p, "method": method,
+        environment={"kernel": k.label, "p": p, "method": "fft",
                      "window_factor": 4, "L": f.L, "N": f.N})

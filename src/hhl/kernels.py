@@ -3,8 +3,8 @@
 A kernel is the weight under the averaging transforms: built-in closed
 forms (indicator of (0,1), the t^-1 tail weight, the generalized
 (1-t)^(alpha-1) family), tabulated profiles on a log grid, and the derived
-kernels produced by truncation, dilation, scaling, and the reciprocal
-(adjoint) transform t -> a(1/t)/t.
+kernels produced by truncation and by the reciprocal (adjoint) transform
+t -> a(1/t)/t.
 """
 
 from __future__ import annotations
@@ -25,13 +25,11 @@ __all__ = [
     "gen_cesaro",
     "table_kernel",
     "zero_kernel",
-    "scale_kernel",
     "eval_kernel",
     "moment",
     "moment_exponent",
     "cumulative_moment",
     "truncate_below",
-    "dilate_truncate",
     "adjoint_kernel",
     "kernel_from_config",
     "DEFAULT_MOMENT_TOL",
@@ -149,14 +147,6 @@ def table_kernel(points) -> Kernel:
 
     return Kernel(kind="table", label=f"table[{len(pts)} pts]",
                   fn=fn, support=(float(ts[0]), float(ts[-1])))
-
-
-def scale_kernel(k: Kernel, c: float) -> Kernel:
-    """c * phi for c >= 0."""
-    if c < 0:
-        raise ValueError("scale factor must be nonnegative")
-    base = k.fn
-    return replace(k, label=f"{c:g}*{k.label}", fn=lambda t: c * np.asarray(base(t)))
 
 
 def eval_kernel(k: Kernel, t):
@@ -280,29 +270,6 @@ def truncate_below(k: Kernel, delta: float) -> Kernel:
         return zero_kernel()
     return replace(k, kind="derived", label=f"{k.label}|[{delta:g},inf)",
                    support=(new_lo, hi), zero_exponent=None)
-
-
-def dilate_truncate(k: Kernel, m: float) -> Kernel:
-    """t -> phi(m t) restricted to (0, 1]; m > 0.
-
-    The dilated-then-cut kernel used to exhaust mass at large t: its
-    support is (supp phi)/m intersected with (0, 1].
-    """
-    if m <= 0:
-        raise ValueError("m must be positive")
-    lo, hi = k.support
-    new_lo = lo / m
-    new_hi = min(1.0, hi / m)
-    if new_lo >= new_hi:
-        return zero_kernel()
-    base = k.fn
-
-    def fn(t):
-        return np.asarray(base(m * np.asarray(t, dtype=float)))
-
-    return Kernel(kind="derived", label=f"{k.label}(m*t)|(0,1]", fn=fn,
-                  support=(new_lo, new_hi),
-                  zero_exponent=k.zero_exponent if new_lo == 0.0 else None)
 
 
 def adjoint_kernel(a: Kernel) -> Kernel:

@@ -17,8 +17,7 @@ from scipy.interpolate import CubicSpline
 
 from .quadrature import integrate, integrate_batched, geometric_panels
 
-__all__ = ["SampledLine", "lp_norm", "eval_dilated", "resample", "to_csv",
-           "lp_norm_function", "tail_mass"]
+__all__ = ["SampledLine", "lp_norm", "lp_norm_function"]
 
 # exponent cap for the x = L*e^u tail substitution (see lp tail handling)
 _TAIL_UMAX = 600.0
@@ -91,15 +90,6 @@ def _spline_of(f: SampledLine):
     return cached
 
 
-def eval_dilated(f: SampledLine, x, t: float):
-    """f(x/t) for t > 0: exact through the tag, else clamped cubic
-    interpolation, zero outside [-L, L]."""
-    if t <= 0:
-        raise ValueError("dilation parameter t must be positive")
-    args = np.asarray(x, dtype=float) / t
-    return eval_at(f, args)
-
-
 def eval_at(f: SampledLine, x):
     """Point evaluation honoring the tag; grid interpolation otherwise."""
     args = np.asarray(x, dtype=float)
@@ -112,16 +102,6 @@ def eval_at(f: SampledLine, x):
         xs = args[inside]
         out[inside] = re(xs) if im is None else re(xs) + 1j * im(xs)
     return out if args.ndim else complex(out)
-
-
-def resample(f: SampledLine, L: float, N: int) -> SampledLine:
-    """New grid geometry; the tag is re-evaluated when present."""
-    if f.form is not None:
-        return SampledLine.from_function(f.form, L, N, tail_power=f.tail_power,
-                                         label=f.label)
-    xs = -L + (2.0 * L / N) * np.arange(N)
-    return SampledLine.from_values(eval_at(f, xs), L, tail_power=f.tail_power,
-                                   label=f.label)
 
 
 def _window_trapezoid(f: SampledLine, p: float) -> float:
@@ -184,14 +164,6 @@ def lp_norm(f: SampledLine, p: float) -> float:
     return total ** (1.0 / p)
 
 
-def tail_mass(f: SampledLine, p: float) -> float:
-    """|f|^p mass outside the window, for tagged integrable forms."""
-    if f.form is None or f.tail_power is None or math.isinf(p):
-        return 0.0
-    return (_tail_integral(f.form, p, f.L, f.tail_power, +1, 1e-12)
-            + _tail_integral(f.form, p, f.L, f.tail_power, -1, 1e-12))
-
-
 def lp_norm_function(fn, p: float, L: float, scale: float = 1.0,
                      tail_power: float | None = None, tol: float = 1e-10,
                      even_modulus: bool = False) -> float:
@@ -214,11 +186,3 @@ def lp_norm_function(fn, p: float, L: float, scale: float = 1.0,
         total = one_side(+1) + one_side(-1)
     return total ** (1.0 / p)
 
-
-def to_csv(f: SampledLine, path) -> None:
-    """Write the samples as CSV with columns x, re, im."""
-    xs = f.grid()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,re,im\n")
-        for x, v in zip(xs, f.values):
-            fh.write(f"{x!r},{v.real!r},{v.imag!r}\n")

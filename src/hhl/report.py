@@ -15,7 +15,7 @@ import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
-__all__ = ["CheckRow", "VerificationReport", "emit", "emit_sweep_csv"]
+__all__ = ["CheckRow", "VerificationReport", "emit"]
 
 
 def _fmt(v) -> str:
@@ -125,13 +125,3 @@ def emit(reports, out_dir, fmt: str = "both", stem: str = "report"):
         written.append(path)
     return written
 
-
-def emit_sweep_csv(path, epsilons, columns: dict):
-    """Convergence-curve data: one row per epsilon, one column per series."""
-    names = sorted(columns)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epsilon"] + names)
-        for i, eps in enumerate(epsilons):
-            w.writerow([_fmt(float(eps))] + [_fmt(float(columns[n][i])) for n in names])
-    return Path(path)

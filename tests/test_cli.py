@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hhl import cli
 from hhl.cli import RunConfig, main, run_suite, run_suites
-from hhl.report import CheckRow, VerificationReport, emit, emit_sweep_csv
+from hhl.report import CheckRow, VerificationReport, emit
 
 
 def test_config_defaults_and_validation():
@@ -63,13 +63,6 @@ def test_emit_csv_and_json_roundtrip(tmp_path):
     assert back["passed"] is True
     assert len(back["rows"]) == 3
     assert "wall_time" not in json.dumps(payload)
-
-
-def test_emit_sweep_csv(tmp_path):
-    path = emit_sweep_csv(tmp_path / "sweep.csv", [0.2, 0.1, 0.05],
-                          {"quotient": [1.8, 1.9, 1.95]})
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 1 + 3
 
 
 def test_moment_suite_passes():

@@ -8,13 +8,12 @@ from scipy.special import erf, exp1
 
 from hhl.hausdorff import (_LOG_DELTA, _LOG_M, KernelImage, SweepResult,
                            WindowTooSmallError, _hat_weights,
-                           _log_grid_transform, apply_complex, apply_real,
-                           boundary_identity_check, norm_lower_bound_sweep,
-                           norm_upper_bound, transform_values)
+                           _log_grid_transform, boundary_identity_check,
+                           norm_lower_bound_sweep, transform_values)
 from hhl.kernels import (Kernel, cesaro, eval_kernel, gen_cesaro, hardy_type,
                          moment, moment_exponent, truncate_below, zero_kernel)
 from hhl.quadrature import DivergenceError, integrate_halfline
-from hhl.realline import SampledLine, lp_norm
+from hhl.realline import SampledLine, eval_at, lp_norm
 
 
 def test_apply_real_log_profile():
@@ -48,10 +47,10 @@ def test_eigenfunction_identity():
 def test_apply_real_positivity_and_grid():
     f = SampledLine.from_function(
         lambda x: np.exp(-np.asarray(x, dtype=float) ** 2), 16.0, 1 << 10)
-    out = apply_real(hardy_type(), f, tol=1e-9)
-    assert out.N == f.N and out.L == f.L
-    assert np.min(out.values.real) >= -1e-12
-    assert np.max(np.abs(out.values.imag)) < 1e-12
+    out = transform_values(hardy_type(), lambda a: eval_at(f, a), f.grid(), tol=1e-9)
+    assert out.shape == (f.N,)
+    assert np.min(out.real) >= -1e-12
+    assert np.max(np.abs(out.imag)) < 1e-12
 
 
 def test_apply_real_divergence_names_node():
@@ -61,7 +60,8 @@ def test_apply_real_divergence_names_node():
 
     f = SampledLine.from_function(clipped_gauss, 4.0, 1 << 10)
     with pytest.raises(DivergenceError) as exc:
-        apply_real(cesaro(), f, tol=1e-9)  # log point at the x=0 node
+        # log point at the x=0 node
+        transform_values(cesaro(), lambda a: eval_at(f, a), f.grid(), tol=1e-9)
     assert "0" in str(exc.value)
 
 
@@ -71,7 +71,8 @@ def test_minkowski_bound():
         lambda x: np.exp(-np.asarray(x, dtype=float) ** 2), 32.0, 1 << 12,
         label="gauss")
     for k in (hardy_type(), truncate_below(cesaro(), 0.01)):
-        out = apply_real(k, f, tol=1e-9)
+        out = SampledLine.from_values(
+            transform_values(k, lambda a: eval_at(f, a), f.grid(), tol=1e-9), f.L)
         bound = moment(k, p).value * lp_norm(f, p)
         assert lp_norm(out, p) <= bound * (1.0 + 1e-4)
 
@@ -109,7 +110,7 @@ def test_truncation_continuity():
 
 def test_apply_complex_log_value():
     # averaging (z+i)^-1 at z=i: antiderivative gives -i log 2
-    got = apply_complex(cesaro(), CayleyPower(1.0, 1.0), 1j)
+    got = transform_values(cesaro(), CayleyPower(1.0, 1.0).eval_batch, 1j, tol=1e-10)
     assert got == pytest.approx(-1j * math.log(2.0), abs=1e-10)
 
 
@@ -120,21 +121,18 @@ def test_apply_complex_zero_and_linearity():
     zs = rng.uniform(-3, 3, 20) + 1j * rng.uniform(0.2, 4.0, 20)
     a, b = 1.7 - 0.3j, -0.8j
     for z in zs[:5]:
-        lhs = a * apply_complex(k, f, z) + b * apply_complex(k, g, z)
+        lhs = (a * transform_values(k, f.eval_batch, z, tol=1e-10)
+               + b * transform_values(k, g.eval_batch, z, tol=1e-10))
         combo = lambda zz: a * f.eval_batch(zz) + b * g.eval_batch(zz)
         rhs = transform_values(k, combo, np.array([z]), tol=1e-10)[0]
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
-def test_apply_complex_rejects_lower_half():
-    with pytest.raises(ValueError):
-        apply_complex(cesaro(), InverseSquare(), 1 - 1j)
-
-
 def test_norm_upper_bound():
-    assert norm_upper_bound(cesaro(), 2.0) == pytest.approx(2.0, rel=1e-9)
-    assert math.isinf(norm_upper_bound(cesaro(), math.inf))
-    assert norm_upper_bound(hardy_type(), 4.0) == pytest.approx(4.0 / 3.0, rel=1e-9)
+    # the sharp constant is the p-moment of the kernel; +inf = unbounded
+    assert moment(cesaro(), 2.0).value == pytest.approx(2.0, rel=1e-9)
+    assert math.isinf(moment(cesaro(), math.inf).value)
+    assert moment(hardy_type(), 4.0).value == pytest.approx(4.0 / 3.0, rel=1e-9)
 
 
 def test_kernel_image_boundary_continuity():

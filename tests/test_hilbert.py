@@ -5,9 +5,8 @@ import pytest
 from scipy.special import dawsn
 
 from hhl.hausdorff import lp_lower_bound_sweep
-from hhl.hilbert import (EdgeDecayWarning, analytic_completion,
-                         commutation_check, hilbert, hilbert_with_tails,
-                         project_minus, project_plus)
+from hhl.hilbert import (EdgeDecayWarning, commutation_check, hilbert,
+                         hilbert_with_tails)
 from hhl.kernels import cesaro, cumulative_moment, hardy_type, zero_kernel
 from hhl.realline import SampledLine
 
@@ -38,10 +37,6 @@ def test_method_validation():
     g = gaussian_line()
     with pytest.raises(ValueError):
         hilbert(g, "nope")
-    with pytest.raises(ValueError):
-        hilbert_with_tails(g, method="nope")
-    with pytest.raises(ValueError):
-        commutation_check(cesaro(), g, 2.0, method="nope")
 
 
 def test_pv_matches_dawson():
@@ -87,41 +82,6 @@ def test_antisymmetry():
     # -x_j lands on x_(N-j) for j >= 1
     lhs = h_refl[1:]
     rhs = -h_f[1:][::-1]
-    assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-
-def test_analytic_completion_poisson():
-    # the analytic completion of P_1 is the boundary value of the
-    # upper-half-plane Cauchy kernel: P_1 + i Q_1
-    P1 = SampledLine.from_function(lambda x: (1 / math.pi) / (1 + np.asarray(x) ** 2),
-                                   64.0, 1 << 12, tail_power=2.0, label="P1")
-    comp = analytic_completion(P1, method="pv")
-    xs = P1.grid()
-    expect = (1j / math.pi) / (xs + 1j)
-    assert np.max(np.abs(comp.values - expect)) < 1e-6
-
-
-def test_analytic_completion_rejects_complex():
-    f = SampledLine.from_values(np.full(64, 1j), 2.0)
-    with pytest.raises(ValueError):
-        analytic_completion(f)
-
-
-def test_projections_partition_and_idempotence():
-    # dc-free input: the spectral method needs no 1/x tail handling
-    f = modgauss_line(N=1 << 12)
-    plus = project_plus(f)
-    minus = project_minus(f)
-    assert np.allclose(plus.values + minus.values, f.values, atol=1e-14)
-    again = project_plus(plus)
-    diff = SampledLine.from_values(again.values - plus.values, f.L)
-    assert l2(diff) / l2(plus) < 1e-7
-
-
-def test_projection_conjugation_swap():
-    f = gaussian_line(N=1 << 10)
-    lhs = np.conj(project_plus(f).values)
-    rhs = project_minus(f).values  # f real: conj(P+ f) = P- f
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
