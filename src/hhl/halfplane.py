@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .quadrature import integrate_halfline, geometric_panels
-from .realline import SampledLine, lp_norm_function
+from .realline import SampledLine, _fftconvolve, lp_norm_function
 
 __all__ = [
     "HoloFunction",
@@ -280,7 +279,7 @@ def _poisson_grid_values(g: SampledLine, y: float) -> np.ndarray:
     h = g.h
     k = np.arange(-(n - 1), n) * h
     w = (_poisson_B(k + h, y) - 2.0 * _poisson_B(k, y) + _poisson_B(k - h, y)) / h
-    conv = fftconvolve(g.values, w.astype(complex), mode="valid")
+    conv = _fftconvolve(g.values, w.astype(complex), mode="valid")
     out = _poisson_window(g, y, g.grid(), conv=conv)
     if g.form is not None:
         out = out + _poisson_tail(g, y, g.grid())

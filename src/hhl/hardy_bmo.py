@@ -19,12 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d, uniform_filter1d
-from scipy.signal import fftconvolve
 
 from .halfplane import _poisson_grid_values
 from .hausdorff import SweepResult, transform_values
 from .kernels import Kernel, moment, truncate_below
-from .realline import SampledLine, lp_norm, lp_norm_function
+from .realline import SampledLine, _fftconvolve, lp_norm, lp_norm_function
 from .report import CheckRow, VerificationReport
 
 __all__ = [
@@ -186,7 +185,7 @@ def smooth_maximal(f: SampledLine, t_grid=None, scales: int = 64) -> SampledLine
         ker_x = np.arange(-m, m + 1) * f.h
         ker = np.exp(-0.5 * (ker_x / t) ** 2) / (t * math.sqrt(2 * math.pi))
         ker *= f.h
-        conv = fftconvolve(f.values, ker.astype(complex), mode="same")
+        conv = _fftconvolve(f.values, ker.astype(complex), mode="same")
         best = np.maximum(best, np.abs(conv))
     return SampledLine.from_values(best, f.L, label=f"M_smooth[{f.label}]")
 

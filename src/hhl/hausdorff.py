@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.signal import fftconvolve
 
 from .halfplane import CayleyPower, HoloFunction, InverseSquare, hardy_norm, slice_norm
 from .kernels import Kernel, cumulative_moment, eval_kernel, moment
 from .quadrature import (DivergenceError, doubling_panels, geometric_panels,
                          integrate_batched, integrate_halfline)
-from .realline import _TAIL_UMAX, _tail_integral
+from .realline import _TAIL_UMAX, _fftconvolve, _tail_integral
 from .report import CheckRow, VerificationReport
 
 __all__ = [
@@ -172,7 +171,7 @@ def _log_grid_transform(k: Kernel, legs) -> list:
                     f"grid would truncate it")
             if not F.imag.any():
                 F = F.real
-            conv = fftconvolve(F, weights)[m:2 * m]
+            conv = _fftconvolve(F, weights)[m:2 * m]
             out[side] = CubicSpline(ws, conv)(s[side])
         results.append(out)
     return results

@@ -43,6 +43,10 @@ class EdgeDecayWarning(UserWarning):
     """Input does not decay at the window edges; the spectral method wraps."""
 
 
+class _LiveTail(Exception):
+    """A tagged remainder read nonzero beyond the window."""
+
+
 def _hilbert_fft(f: SampledLine) -> SampledLine:
     vals = f.values
     spec = np.fft.fft(vals)
@@ -276,6 +280,21 @@ def hilbert_with_tails(g: SampledLine, origin: float = 0.0) -> SampledLine:
             return _minus_model(np.asarray(g.form(y)).real, yc, terms)
 
         def tail_side(side):
+            # a scalar probe first, stopped at the first nonzero sample: a
+            # remainder that reads 0 at every abscissa the probe visits
+            # makes the vector scan visit the same abscissas and return
+            # zeros, so that scan is skipped
+            def probe(ss):
+                vals = res_tag(side * (g.L + ss))
+                if np.any(vals):
+                    raise _LiveTail
+                return vals
+            try:
+                integrate_halfline(probe, tol=1e-10, support=(1e-9, math.inf))
+                return np.zeros(xs.shape)
+            except _LiveTail:
+                pass
+
             def integrand(ss):
                 y = side * (g.L + ss)
                 return res_tag(y)[:, None] / (xs[None, :] - y[:, None])

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.interpolate import CubicSpline
 
 from .quadrature import integrate, integrate_batched, geometric_panels
@@ -102,6 +103,32 @@ def eval_at(f: SampledLine, x):
         xs = args[inside]
         out[inside] = re(xs) if im is None else re(xs) + 1j * im(xs)
     return out if args.ndim else complex(out)
+
+
+def _fftconvolve(a: np.ndarray, b: np.ndarray, mode: str = "full") -> np.ndarray:
+    """Linear convolution of two 1-D arrays by FFT, in the arithmetic of
+    scipy's ``fftconvolve`` bit for bit.
+
+    ``mode`` is "full" (length len(a) + len(b) - 1), "same" (centred to
+    len(a)) or "valid" (centred to the overlap, |len(a) - len(b)| + 1).
+    Real inputs take the real transforms.  "valid" puts the longer operand
+    first as scipy does: the spectrum product is not commutative bit for
+    bit under fused multiply-add.
+    """
+    if mode == "valid" and a.size < b.size:
+        a, b = b, a
+    n = a.size + b.size - 1
+    real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
+    nf = sp_fft.next_fast_len(n, real)
+    if real:
+        out = sp_fft.irfft(sp_fft.rfft(a, nf) * sp_fft.rfft(b, nf), nf)[:n]
+    else:
+        out = sp_fft.ifft(sp_fft.fft(a, nf) * sp_fft.fft(b, nf), nf)[:n]
+    if mode == "full":
+        return out
+    keep = a.size if mode == "same" else a.size - b.size + 1
+    start = (n - keep) // 2
+    return out[start:start + keep]
 
 
 def _window_trapezoid(f: SampledLine, p: float) -> float:

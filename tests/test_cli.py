@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -220,3 +223,15 @@ def test_fuzz_config_parses_or_reports(tmp_path_factory, raw):
     code = main(["--config", str(path), "--suite", "moment", "--out", str(out / "r")])
     written = any((out / "r" / f"report.{ext}").exists() for ext in ("csv", "json"))
     assert (code == 2 and not written) or (code in (0, 1) and written)
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    """``import hhl.cli`` loads neither scipy.signal nor scipy.stats (about
+    0.8 s of start-up); a fresh interpreter, since this one may hold them."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import hhl.cli, sys; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -8,7 +9,11 @@ from hhl.hausdorff import lp_lower_bound_sweep
 from hhl.hilbert import (EdgeDecayWarning, commutation_check, hilbert,
                          hilbert_with_tails)
 from hhl.kernels import cesaro, cumulative_moment, hardy_type, zero_kernel
+from hhl.quadrature import integrate_halfline
 from hhl.realline import SampledLine
+
+# the module itself: ``hhl.hilbert`` as an attribute is the function
+hilbert_mod = importlib.import_module("hhl.hilbert")
 
 
 def gaussian_line(L=64.0, N=1 << 12):
@@ -120,6 +125,61 @@ def test_hilbert_with_tails_whole_line(case):
     hf = hilbert_with_tails(line)
     assert np.all(np.abs(hf.form(probes).real - exact) <= atol)
     assert hf.tail_power == 1.0  # carries the mass term
+
+
+
+def _record_halfline(monkeypatch):
+    """Route hilbert_with_tails' half-line scans through a recorder."""
+    calls = []
+
+    def recording(fn, **kw):
+        res = integrate_halfline(fn, **kw)
+        calls.append(res)
+        return res
+    monkeypatch.setattr(hilbert_mod, "integrate_halfline", recording)
+    return calls
+
+
+def test_tails_skip_zero_remainder(monkeypatch):
+    # at L = 64 the Gaussian's samples past 0.6 L are exactly 0, so the
+    # fitted tail coefficients are too; at this spacing the origin-layer
+    # coefficients fall under their cut
+    g = gaussian_line(N=1 << 14)
+    assert hilbert_mod._fit_tail_model(g, 2.0) == [0.0] * 3
+    calls = _record_halfline(monkeypatch)
+    hilbert_with_tails(g)
+    # one scalar probe per side, no vector scan
+    assert [np.shape(c.value) for c in calls] == [()] * 2
+    xs = g.grid()
+    for side, probe in zip((1.0, -1.0), calls):
+        assert probe.value == 0.0 and probe.error == 0.0
+
+        def vector(ss):
+            y = side * (g.L + ss)
+            return g.form(y).real[:, None] / (xs[None, :] - y[:, None])
+        full = integrate_halfline(vector, tol=1e-10, support=(1e-9, math.inf))
+        assert full.value.shape == xs.shape and not np.any(full.value)
+        assert full.error == 0.0
+        assert full.evaluations == probe.evaluations
+
+
+def test_tails_scan_live_remainder(monkeypatch):
+    # P1diff leaves a nonzero remainder past the window, so the vector
+    # scans run; the form matches the values from before the probe existed
+    fn = lambda x: (1 / math.pi) / (1 + np.asarray(x) ** 2) \
+        - (1 / math.pi) / (1 + (np.asarray(x) - 1) ** 2)
+    line = SampledLine.from_function(fn, 64.0, 1 << 12, tail_power=2.0,
+                                     label="P1diff")
+    calls = _record_halfline(monkeypatch)
+    hf = hilbert_with_tails(line)
+    assert [np.shape(c.value) for c in calls] == [(line.N,)] * 2
+    probes = np.array([-1e4, -300.0, -64.0, -3.0, 0.5, 10.0, 63.5, 200.0, 1e5])
+    before = np.array([-7.691573846855666e-09, -4.064188916372427e-06,
+                       -8.444841358274704e-05, -0.020596618298258224,
+                       0.2546478747156495, -0.003420631816906064,
+                       -7.829928483384976e-05, -6.867142026622444e-06,
+                       6.182678616057811e-10])
+    np.testing.assert_allclose(hf.form(probes).real, before, rtol=1e-12, atol=0)
 
 
 def test_commutation_zero_kernel():

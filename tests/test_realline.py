@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhl.realline import SampledLine, eval_at, lp_norm
+from hhl.realline import SampledLine, _fftconvolve, eval_at, lp_norm
 
 
 def indicator01(x):
@@ -108,3 +108,24 @@ def test_interpolation_real_and_complex_data():
     assert np.all(vr.imag == 0.0)
     assert np.allclose(vr.real, np.exp(-probe ** 2), atol=1e-6)
     assert np.allclose(vc, vr * (1.0 + 2.0j), atol=1e-12)
+
+
+@pytest.mark.parametrize("la, lb, mode, dtype", [
+    (65536, 131073, "full", float),     # log-grid transform legs
+    (3000, 4001, "full", complex),
+    (4096, 53, "same", complex),        # smooth maximal, small and
+    (4096, 8193, "same", complex),      # wider than the data
+    (4096, 8191, "valid", complex),     # Poisson grid values: shorter first
+    (65536, 131073, "valid", complex),
+])
+def test_fftconvolve_matches_scipy_bitwise(la, lb, mode, dtype):
+    from scipy.signal import fftconvolve
+    rng = np.random.default_rng(la + lb)
+    a, b = rng.standard_normal(la), rng.standard_normal(lb)
+    if dtype is complex:
+        a = a + 1j * rng.standard_normal(la)
+        b = b.astype(complex)
+    got = _fftconvolve(a, b, mode)
+    want = fftconvolve(a, b, mode)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
