@@ -97,6 +97,8 @@ class CayleyPower(HoloFunction):
             ang = -self.beta * np.arctan2(zeta.imag, zeta.real)
             out.real = mod * np.cos(ang)
             out.imag = mod * np.sin(ang)
+        if np.isfinite(out).all():
+            return out
         # |zeta| beyond double range means the value underflowed to zero
         return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
 
@@ -114,6 +116,8 @@ class InverseSquare(HoloFunction):
         zeta = np.asarray(z, dtype=complex) + 1j
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             out = 1.0 / (zeta * zeta)
+        if np.isfinite(out).all():
+            return out
         return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .quadrature import QuadResult, integrate, integrate_halfline
+from .quadrature import (QuadResult, _bisect, _panel_batch, eval_budget,
+                         integrate_halfline)
 
 __all__ = [
     "Kernel",
@@ -159,6 +160,8 @@ def eval_kernel(k: Kernel, t):
         raise ValueError("kernel argument must be positive")
     lo, hi = k.support
     inside = (arr >= lo) & (arr <= hi)
+    if arr.ndim and inside.all():
+        return np.clip(np.asarray(k.fn(arr), dtype=float), 0.0, None)
     out = np.zeros_like(arr)
     if np.any(inside):
         vals = np.clip(np.asarray(k.fn(arr[inside]), dtype=float), 0.0, None)
@@ -226,35 +229,46 @@ def cumulative_moment(k: Kernel, s: float, xs: np.ndarray,
     """integral of t^(s-1) phi(t) over (0, x] (or [x, inf) when upper).
 
     ``xs`` may be unsorted; segments between consecutive sorted abscissas
-    are integrated once and accumulated, so a batch costs one sweep.
+    are integrated once and accumulated, so a batch costs one sweep.  The
+    first panels of all bounded segments come from one integrand call;
+    only segments that miss ``tol`` on it are refined further, each as
+    ``integrate`` would.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     xs = np.asarray(xs, dtype=float)
+    if not xs.size:
+        return np.empty(0)
     order = np.argsort(xs)
     sx = xs[order]
     lo, hi = k.support
 
-    def seg(a, b):
-        a2, b2 = max(a, lo), min(b, hi)
-        if not a2 < b2:
-            return 0.0
-        if a2 <= 0 or (b2 / a2 > 1e3) or math.isinf(b2):
-            res = integrate_halfline(
-                lambda ts: k(ts) * np.power(ts, s - 1.0), tol=tol,
-                support=(a2, b2))
+    def g(ts):
+        return k(ts) * np.power(ts, s - 1.0)
+
+    # segment i ends at sx[i]; with ``upper`` one more runs on to infinity
+    ends = [0.0, *sx] + ([math.inf] if upper else [])
+    pieces = np.zeros(len(ends) - 1)
+    bounded = []  # (index, a, b) of segments for the panel engine
+    for i in range(len(ends) - 1):
+        a, b = max(ends[i], lo), min(ends[i + 1], hi)
+        if not a < b:
+            continue
+        if a <= 0 or (b / a > 1e3) or math.isinf(b):
+            res = integrate_halfline(g, tol=tol, support=(a, b))
             if res.diverges:
                 raise ValueError("cumulative moment diverges")
-            return float(res.value)
-        return float(integrate(lambda ts: k(ts) * np.power(ts, s - 1.0),
-                               a2, b2, tol=tol).value)
-
-    pieces = np.empty(sx.size)
-    pieces[0] = seg(0.0, sx[0])
-    for i in range(1, sx.size):
-        pieces[i] = seg(sx[i - 1], sx[i])
-    cums = np.cumsum(pieces)
+            pieces[i] = float(res.value)
+        else:
+            bounded.append((i, a, b))
+    if bounded:
+        firsts, _ = _panel_batch(g, [(a, b) for _, a, b in bounded])
+        budget = eval_budget()
+        for (i, a, b), first in zip(bounded, firsts):
+            pieces[i] = float(_bisect(g, a, b, tol, budget, *first).value)
+    cums = np.cumsum(pieces[:sx.size])
     if upper:
-        top = seg(sx[-1], math.inf)
-        cums = (cums[-1] - cums) + top
+        cums = (cums[-1] - cums) + pieces[-1]
     out = np.empty_like(cums)
     out[order] = cums
     return out

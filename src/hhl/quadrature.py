@@ -100,6 +100,7 @@ _ROUNDING = 50.0 * np.finfo(float).eps
 _NODES, _W_KRONROD = _kronrod(10)
 _W_GAUSS = np.polynomial.legendre.leggauss(10)[1]
 _EVALS_PER_PANEL = _NODES.size
+_ROW_GAUSS, _ROW_KRONROD = _W_GAUSS[None, :], _W_KRONROD[None, :]
 
 
 def eval_budget() -> int:
@@ -154,12 +155,19 @@ def _abs_max(v) -> float:
     return float(a) if np.ndim(a) == 0 else float(a.max()) if a.size else 0.0
 
 
+def _rule(row, vals):
+    """``np.tensordot(row[0], vals, axes=(0, 0))`` as the one ``np.dot``
+    call tensordot makes, without its wrapper's per-call cost: same
+    operands, bit-identical result."""
+    return np.dot(row, vals.reshape(row.shape[1], -1)).reshape(vals.shape[1:])
+
+
 def _embedded(vals, half):
     """Kronrod value and error estimate |K21 - G10| of one panel from the
     values at its ``_NODES`` (leading axis), for a panel of half-width
     ``half``."""
-    gauss = np.tensordot(_W_GAUSS, vals[1::2], axes=(0, 0)) * half
-    kronrod = np.tensordot(_W_KRONROD, vals, axes=(0, 0)) * half
+    gauss = _rule(_ROW_GAUSS, vals[1::2]) * half
+    kronrod = _rule(_ROW_KRONROD, vals) * half
     return kronrod, _abs_max(kronrod - gauss)
 
 
@@ -205,8 +213,13 @@ def integrate(g, a: float, b: float, tol: float = 1e-9,
     if tol <= 0:
         raise ValueError("tol must be positive")
     budget = eval_budget() if budget is None else budget
+    return _bisect(g, a, b, tol, budget, *_panel(g, a, b))
 
-    val, err = _panel(g, a, b)
+
+def _bisect(g, a: float, b: float, tol: float, budget: int,
+            val, err: float) -> QuadResult:
+    """``integrate``'s bisection loop on [a, b], started from the value and
+    error of its first panel (evaluated by the caller)."""
     evals = _EVALS_PER_PANEL
     # heap entries: (-error, seq, a, b, value); seq makes ordering total.
     seq = 0

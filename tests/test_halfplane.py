@@ -53,6 +53,30 @@ def test_eval_batch_matches_complex_power(beta):
     assert np.all(CayleyPower(beta, 1.0).eval_batch(odd) == 0.0)
 
 
+@pytest.mark.parametrize("f", [InverseSquare(), CayleyPower(0.52, 1.0),
+                               CayleyPower(2.0, 1e-3)])
+def test_eval_batch_non_finite_to_zero(f):
+    # overflowing arguments, as a transform integrand forms z/t for tiny t
+    with np.errstate(all="ignore"):
+        over = np.array([3.0 + 0.5j, -2.0 + 1.0j])[None, :] \
+            / np.array([1e-310, 5e-324])[:, None]
+    huge = [1.5e308 + 1.5e308j, complex(np.inf, np.inf), np.nan]
+    if isinstance(f, InverseSquare):
+        huge.append(1e308 + 1e308j)  # z * z overflows to inf - inf
+    odd = np.concatenate([over.ravel(), huge])
+    assert np.all(f.eval_batch(odd) == 0.0)
+    # finite values are returned as nan_to_num would leave them, with or
+    # without non-finite neighbours in the same batch
+    z = np.linspace(-50.0, 50.0, 201) + 0.25j
+    got = f.eval_batch(z)
+    assert np.isfinite(got).all() and got.dtype == complex
+    assert got.tobytes() == np.nan_to_num(got, nan=0.0, posinf=0.0,
+                                          neginf=0.0).tobytes()
+    mixed = f.eval_batch(np.concatenate([z, odd]))
+    assert mixed[:z.size].tobytes() == got.tobytes()
+    assert np.all(mixed[z.size:] == 0.0)
+
+
 def test_eval_rejects_lower_halfplane():
     with pytest.raises(ValueError):
         CayleyPower(1.0, 1.0).eval(1 - 1j)

@@ -8,7 +8,7 @@ from scipy.special import dawsn
 from hhl.hausdorff import lp_lower_bound_sweep
 from hhl.hilbert import (EdgeDecayWarning, commutation_check, hilbert,
                          hilbert_with_tails)
-from hhl.kernels import cesaro, cumulative_moment, hardy_type, zero_kernel
+from hhl.kernels import cesaro, hardy_type, zero_kernel
 from hhl.quadrature import integrate_halfline
 from hhl.realline import SampledLine
 
@@ -193,16 +193,6 @@ def test_commutation_quick():
                                   64.0, 1 << 12, label="xgauss")
     rep = commutation_check(hardy_type(), f, 2.0)
     assert rep.rows[0].residual < 1e-5
-
-
-def test_cumulative_moment():
-    k = cesaro()
-    xs = np.array([0.25, 0.5, 2.0])
-    got = cumulative_moment(k, 0.5, xs)
-    expect = np.array([2 * math.sqrt(0.25), 2 * math.sqrt(0.5), 2.0])
-    assert np.allclose(got, expect, rtol=1e-9)
-    up = cumulative_moment(k, 0.5, xs, upper=True)
-    assert np.allclose(up, 2.0 - np.minimum(expect, 2.0), atol=1e-9)
 
 
 def test_lp_sweep_floors_and_sandwich():

@@ -281,3 +281,40 @@ def test_panel_costs_21_abscissas():
     r = integrate(lambda x: 3.0 * x ** 5 - x ** 2 + 1.0, 0, 1)
     assert r.evaluations == 21
     assert r.value == pytest.approx(7.0 / 6.0, abs=1e-14)
+
+
+def _embedded_tensordot(vals, half):
+    """The tensordot form of the panel rule: the oracle of ``_embedded``."""
+    from hhl.quadrature import _W_GAUSS, _W_KRONROD
+    gauss = np.tensordot(_W_GAUSS, vals[1::2], axes=(0, 0)) * half
+    kronrod = np.tensordot(_W_KRONROD, vals, axes=(0, 0)) * half
+    a = np.abs(kronrod - gauss)
+    return kronrod, float(a) if np.ndim(a) == 0 else float(a.max())
+
+
+def _panel_values():
+    rng = np.random.default_rng(7)
+    wide = rng.standard_normal((21, 13, 4))
+    cplx = rng.standard_normal((21, 130)) + 1j * rng.standard_normal((21, 130))
+    return {
+        "1d": rng.standard_normal(21),
+        "real": rng.standard_normal((21, 130)),
+        "complex": cplx,
+        "3d": rng.standard_normal((21, 5, 3)),
+        "strided_columns": wide[:, ::3, 1],
+        "strided_rows": rng.standard_normal((42, 6))[::2],
+        "transposed": np.ascontiguousarray(cplx[:, :21].T).T,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_panel_values()))
+def test_embedded_matches_tensordot_bitwise(name):
+    from hhl.quadrature import _embedded
+    vals = _panel_values()[name]
+    for half in (0.5, 3.0e-7, 1.25e5):
+        got_v, got_e = _embedded(vals, half)
+        ref_v, ref_e = _embedded_tensordot(vals, half)
+        assert np.shape(got_v) == np.shape(ref_v) == vals.shape[1:]
+        assert np.asarray(got_v).dtype == np.asarray(ref_v).dtype
+        assert np.asarray(got_v).tobytes() == np.asarray(ref_v).tobytes()
+        assert got_e == ref_e
