@@ -251,12 +251,8 @@ def suite_commute(config: RunConfig) -> VerificationReport:
     corpus geometry is pinned here.
     """
     L, N = 64.0, 1 << 14
-    rows = []
-    for k in (cesaro(), hardy_type()):
-        for f in _line_corpus(L, N):
-            rep = commutation_check(k, f, 2.0)
-            rows.extend(rep.rows)
-    return VerificationReport(suite="commute", rows=rows,
+    rep = commutation_check((cesaro(), hardy_type()), _line_corpus(L, N), 2.0)
+    return VerificationReport(suite="commute", rows=rep.rows,
                               environment={"L": L, "N": N})
 
 

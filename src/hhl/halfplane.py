@@ -305,8 +305,5 @@ def poisson_extend(g: SampledLine, y: float) -> SampledLine:
         gtp = g.tail_power
         tp = min(2.0, gtp) if gtp is not None and gtp > 1 else gtp
     form = (lambda xs: _poisson_values(g, y, np.asarray(xs, dtype=float)))
-    out = SampledLine(L=g.L, values=vals, form=None, tail_power=tp,
-                      label=f"P_{y:g}*{g.label}" if g.label else "")
-    # attach the derived form after validation against its own values
-    object.__setattr__(out, "form", form)
-    return out
+    return SampledLine.derived(vals, g.L, form, tail_power=tp,
+                               label=f"P_{y:g}*{g.label}" if g.label else "")

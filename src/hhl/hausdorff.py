@@ -124,20 +124,9 @@ def _hat_weights(k: Kernel) -> np.ndarray:
             + np.bincount(idx + 1, np.sum(mass * frac, axis=1), minlength=2 * m + 1))
 
 
-def _log_grid_transform(k: Kernel, legs) -> list:
-    """(T_phi f)(x) at real points x by one FFT convolution per sign, for
-    each (f_of, xs) pair in ``legs``; the kernel's hat weights are built
-    once for all of them.
-
-    Product integration of phi against the piecewise-linear model of
-    F(w) = f(+-e^w), read off at log|x| by a cubic spline; values agree
-    with ``transform_values`` to about 2e-7 of their maximum.  Raises
-    ValueError instead of truncating: when F has not decayed at the
-    large-|x| end, when the kernel has mass past u = _LOG_REACH, and when
-    an output point lies off the grid: |x| >= e^_LOG_HALF, or |x| below
-    e^(reach - _LOG_HALF), with a reach of 0 for kernels supported in
-    (0, 1] and about 27.6 for hardy (|x| >= 4.2e-6).
-    """
+def _log_grid_kernel(k: Kernel):
+    """(k, hat weights, reach u past which its mass is negligible) for
+    ``_log_grid_transform``; ValueError when the reach passes _LOG_REACH."""
     d, m = _LOG_DELTA, _LOG_M
     weights = _hat_weights(k)
     beyond = np.cumsum(weights[::-1])[::-1]  # weight mass from index i on
@@ -148,17 +137,37 @@ def _log_grid_transform(k: Kernel, legs) -> list:
         raise ValueError(f"kernel mass past t = e^{_LOG_REACH:g} is "
                          f"{far:.2e} of the total; the log grid would "
                          f"truncate it")
+    return k, weights, reach
+
+
+def _log_grid_transform(kernels, legs) -> list:
+    """(T_phi f)(x) at real points x by one FFT convolution per sign, for
+    each (f_of, xs) pair in ``legs`` and each ``_log_grid_kernel`` triple
+    in ``kernels``: entry [j][i] is leg j by kernel i.  Each leg's F is
+    sampled once per sign for all kernels.
+
+    Product integration of phi against the piecewise-linear model of
+    F(w) = f(+-e^w), read off at log|x| by a cubic spline; values agree
+    with ``transform_values`` to about 2e-7 of their maximum.  Raises
+    ValueError instead of truncating: when F has not decayed at the
+    large-|x| end, and when an output point lies off the grid: |x| >=
+    e^_LOG_HALF, or |x| below e^(reach - _LOG_HALF), with a reach of 0
+    for kernels supported in (0, 1] and about 27.6 for hardy (|x| >=
+    4.2e-6).
+    """
+    d, m = _LOG_DELTA, _LOG_M
     ws = -_LOG_HALF + d * np.arange(m)
     results = []
     for f_of, xs in legs:
         xs = np.asarray(xs, dtype=float)
         with np.errstate(divide="ignore"):
             s = np.log(np.abs(xs))
-        if not np.all((s >= reach - _LOG_HALF) & (s <= _LOG_HALF - d)):
-            raise ValueError("output point off the log grid: |x| must lie in "
-                             f"[{math.exp(reach - _LOG_HALF):.3g}, "
-                             f"{math.exp(_LOG_HALF - d):.3g}] for {k.label}")
-        out = np.zeros(xs.shape, dtype=complex)
+        for k, _, reach in kernels:
+            if not np.all((s >= reach - _LOG_HALF) & (s <= _LOG_HALF - d)):
+                raise ValueError("output point off the log grid: |x| must lie in "
+                                 f"[{math.exp(reach - _LOG_HALF):.3g}, "
+                                 f"{math.exp(_LOG_HALF - d):.3g}] for {k.label}")
+        outs = [np.zeros(xs.shape, dtype=complex) for _ in kernels]
         for sign, side in ((1.0, xs > 0), (-1.0, xs < 0)):
             if not np.any(side):
                 continue
@@ -171,9 +180,10 @@ def _log_grid_transform(k: Kernel, legs) -> list:
                     f"grid would truncate it")
             if not F.imag.any():
                 F = F.real
-            conv = _fftconvolve(F, weights)[m:2 * m]
-            out[side] = CubicSpline(ws, conv)(s[side])
-        results.append(out)
+            for out, (_, weights, _) in zip(outs, kernels):
+                conv = _fftconvolve(F, weights)[m:2 * m]
+                out[side] = CubicSpline(ws, conv)(s[side])
+        results.append(outs)
     return results
 
 

@@ -12,7 +12,10 @@ decaying transform of the test function is not clipped, then measures
 the residual on the requested grid.  Its two transform legs are log-grid
 (Mellin) convolutions, one FFT per sign in log|x|, so the check has no
 tolerance to set; the adaptive t-quadrature serves as their oracle in
-the tests.
+the tests.  It takes a whole corpus of kernels and functions and shares
+the work: hat weights once per kernel; the tail-aware H f, its log-grid
+samples and |f|_p once per function; only the tail-aware H(T f) and the
+residual once per pair.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import warnings
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .hausdorff import _log_grid_transform
-from .kernels import Kernel, moment
+from .hausdorff import _log_grid_kernel, _log_grid_transform
+from .kernels import moment
 from .quadrature import integrate, integrate_halfline
 from .realline import SampledLine, eval_at, lp_norm
 from .report import CheckRow, VerificationReport
@@ -374,71 +377,80 @@ def hilbert_with_tails(g: SampledLine, origin: float = 0.0) -> SampledLine:
     mass_floor = max(1e-9, 2.5 * g.h) * scale
     fitted_mass = abs(tail_terms[0][0])  # P's coefficient
     tp = 1.0 if (fitted_mass + phys_mass / math.pi) > mass_floor else 2.0
-    return SampledLine(L=g.L, values=out_vals, form=form, tail_power=tp,
-                       label=f"H[{g.label}]" if g.label else "")
+    return SampledLine.derived(out_vals, g.L, form, tail_power=tp,
+                               label=f"H[{g.label}]" if g.label else "")
 
 
-def commutation_check(k: Kernel, f: SampledLine, p: float = 2.0) -> VerificationReport:
-    """Residual of T_phi(H f) = H(T_phi f) relative to |f|_p.
-
-    Both compositions run on a window four times wider (same spacing),
-    with the slow tails of every intermediate carried by fitted
-    conjugate-kernel models rather than clipped; the residual norm is
-    taken back on f's own window.  Passes below 1e-5.
-
-    The two transform legs, T(Hf) on f's window and T f on the wide one,
-    are log-grid convolutions (``hausdorff._log_grid_transform``) from
-    one set of kernel hat weights: one FFT per sign in s = log|x|, with
-    no tolerance to set.  They raise ValueError rather than truncate, for
-    instance when f has not decayed by |x| = e^40.
-    """
-    m = moment(k, p)
-    if not m.finite:
-        raise ValueError("commutation requires a finite moment on this p-scale")
-    if np.max(np.abs(f.values.imag)) > 0:
-        raise ValueError("commutation corpus functions are real-valued")
-
+def _commute_legs(weighted, f: SampledLine) -> list:
+    """[T(H f) on f's window, T f on one four times wider], each listed per
+    ``_log_grid_kernel`` triple in ``weighted``: the per-function stage."""
     # internal midpoint-offset nodes: the transform of anything nonzero at
     # the origin carries a log point at x = 0, which node grids hit exactly
-    big_L = f.L * 4
-    big_N = f.N * 4
-    h = f.h
-    shift = 0.5 * h
-    xs_big = -big_L + h * (np.arange(big_N) + 0.5)
+    big_L, big_N = f.L * 4, f.N * 4
+    shift = 0.5 * f.h
+    xs_big = -big_L + f.h * (np.arange(big_N) + 0.5)
 
-    if f.form is not None:
-        f_eval = f.form
-    else:
-        f_eval = lambda x: eval_at(f, x)
+    f_eval = f.form if f.form is not None else (lambda x: eval_at(f, x))
     f_big_vals = np.asarray(f_eval(xs_big), dtype=complex)
 
     lo = (big_N - f.N) // 2
-    hi = lo + f.N
-    xs_small = xs_big[lo:hi]
+    xs_small = xs_big[lo:lo + f.N]
 
     # shifted coordinate x' = x - h/2 puts the offset nodes on a standard
     # grid; the Hilbert transform commutes with the shift, and the
     # transform's log point (true x = 0) sits at x' = -h/2
-    shifted_tag = None
-    if f.form is not None:
-        shifted_tag = lambda x: np.asarray(
-            f_eval(np.asarray(x, dtype=float) + shift), dtype=complex)
+    shifted_tag = None if f.form is None else lambda x: np.asarray(
+        f_eval(np.asarray(x, dtype=float) + shift), dtype=complex)
     big_shifted = SampledLine(L=big_L, values=f_big_vals, form=shifted_tag,
                               tail_power=f.tail_power)
     hf_shifted = hilbert_with_tails(big_shifted, origin=-shift)
     hf_true = lambda x: hf_shifted.form(np.asarray(x, dtype=float) - shift)
-    t_hf, tf_vals = _log_grid_transform(k, [(hf_true, xs_small), (f_eval, xs_big)])
-    tf_shifted = SampledLine.from_values(tf_vals, big_L)
-    h_tf_shifted = hilbert_with_tails(tf_shifted, origin=-shift)
+    return _log_grid_transform(weighted, [(hf_true, xs_small), (f_eval, xs_big)])
 
-    diff = t_hf - h_tf_shifted.values[lo:hi]
-    num = float(np.sum(np.abs(diff) ** p) * h) ** (1.0 / p)
-    den = lp_norm(f, p)
-    residual = num / den
-    row = CheckRow(suite="commute", check=f"{k.label} on {f.label or 'input'}",
-                   anchor="hilbert-commutation", computed=residual, predicted=0.0,
-                   residual=residual, tol=1e-5, passed=bool(residual < 1e-5))
-    return VerificationReport(
-        suite="commute", rows=[row],
-        environment={"kernel": k.label, "p": p, "method": "fft",
-                     "window_factor": 4, "L": f.L, "N": f.N})
+
+def _commute_gap(t_hf, tf_vals, f: SampledLine, p: float) -> float:
+    """|T(H f) - H(T f)|_p on f's window: the per-pair stage."""
+    lo = (tf_vals.size - f.N) // 2
+    h_tf_shifted = hilbert_with_tails(SampledLine.from_values(tf_vals, f.L * 4),
+                                      origin=-0.5 * f.h)
+    diff = t_hf - h_tf_shifted.values[lo:lo + f.N]
+    return float(np.sum(np.abs(diff) ** p) * f.h) ** (1.0 / p)
+
+
+def commutation_check(kernels, fs, p: float = 2.0) -> VerificationReport:
+    """Residual of T_phi(H f) = H(T_phi f) relative to |f|_p for every
+    kernel in ``kernels`` and function in ``fs``, in kernel-major rows that
+    pass below 1e-5.
+
+    Both compositions run on a window four times wider (same spacing),
+    with the slow tails of every intermediate carried by fitted
+    conjugate-kernel models; the residual norm is taken back on f's own
+    window.  The log-grid legs (``hausdorff._log_grid_transform``) raise
+    ValueError rather than truncate, e.g. when f has not decayed by e^40.
+
+    Every kernel's moment and every function's realness are checked before
+    any transform runs.  Then hat weights are built once per kernel; H f,
+    its log-grid samples and |f|_p once per function; the convolutions and
+    the tail-aware H(T f) once per pair.
+    """
+    kernels, fs = tuple(kernels), tuple(fs)
+    for k in kernels:
+        if not moment(k, p).finite:
+            raise ValueError(f"{k.label}: commutation requires a finite moment at p={p:g}")
+    for f in fs:
+        if np.max(np.abs(f.values.imag)) > 0:
+            raise ValueError(f"{f.label or 'input'}: commutation inputs must be real-valued")
+    weighted = [_log_grid_kernel(k) for k in kernels]
+    # function-major, each stage in its own scope, so no 2^16-sample array
+    # of one function outlives it into the next function's H f
+    residuals = []
+    for f in fs:
+        den = lp_norm(f, p)
+        residuals.append([_commute_gap(t_hf, tf_vals, f, p) / den
+                          for t_hf, tf_vals in zip(*_commute_legs(weighted, f))])
+    rows = [CheckRow(suite="commute", check=f"{k.label} on {f.label or 'input'}",
+                     anchor="hilbert-commutation", computed=r, predicted=0.0,
+                     residual=r, tol=1e-5, passed=bool(r < 1e-5))
+            for k, per_k in zip(kernels, zip(*residuals)) for f, r in zip(fs, per_k)]
+    return VerificationReport(suite="commute", rows=rows, environment={
+        "kernels": [k.label for k in kernels], "p": p, "window_factor": 4})

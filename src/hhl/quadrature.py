@@ -274,21 +274,24 @@ class _BlockScan:
 
     def __init__(self, budget: int):
         self.budget = budget
-        self.vals = []
+        self.singles = []  # blocks of one value, summed pairwise by total()
+        self.running = 0.0
         self.err = 0.0
         self.evals = 0
 
     def add(self, res: QuadResult) -> float:
-        """Fold in one block; returns the max-norm of the running total."""
-        self.vals.append(res.value)
+        """Fold in one block; returns the max-norm of the running sum."""
+        if np.size(res.value) <= 1:
+            self.singles.append(res.value)
+        self.running = self.running + res.value
         self.err += res.error
         self.evals += res.evaluations
-        return _abs_max(self.total())
+        return _abs_max(self.running)
 
     def total(self):
-        if not self.vals:
-            return 0.0
-        return np.sum(np.stack([np.asarray(v) for v in self.vals]), axis=0)
+        # np.sum of stacked blocks of two or more values adds them in order
+        # from 0.0, which is the running sum bit for bit
+        return np.sum(np.stack(self.singles), axis=0) if self.singles else self.running
 
     def run(self, h, blocks, tol: float):
         """Integrate ``h`` over the (lo, hi) ``blocks`` in order until the

@@ -9,8 +9,9 @@ integrated out to the representable range instead of being cut at L).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -40,8 +41,9 @@ class SampledLine:
     form: object = field(default=None, repr=False, compare=False)
     tail_power: float | None = None
     label: str = ""
+    _derived: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _derived):
         vals = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", vals)
         n = vals.size
@@ -49,7 +51,7 @@ class SampledLine:
             raise ValueError("half-width L must be positive")
         if n < 16 or n & (n - 1):
             raise ValueError("sample count must be a power of two >= 16")
-        if self.form is not None:
+        if self.form is not None and not _derived:
             probe = self.form(self.grid())
             if not np.allclose(probe, vals, rtol=1e-12, atol=1e-300):
                 raise ValueError("closed-form tag does not reproduce the samples")
@@ -78,17 +80,22 @@ class SampledLine:
         return cls(L=L, values=np.asarray(values, dtype=complex),
                    tail_power=tail_power, label=label)
 
+    @classmethod
+    def derived(cls, values, L: float, form, tail_power: float | None = None,
+                label: str = "") -> "SampledLine":
+        """Samples with a closed form the caller derived along with them,
+        attached unprobed: re-evaluating the form on every node could only
+        cost time, or fail FFT grid values at the probe's rtol 1e-12."""
+        return cls(L=L, values=values, form=form, tail_power=tail_power,
+                   label=label, _derived=True)
 
-def _spline_of(f: SampledLine):
-    # values are immutable, so the fitted spline is cached on the instance;
-    # real data caches None for the imaginary part
-    cached = getattr(f, "_spline", None)
-    if cached is None:
-        imag = f.values.imag
-        cached = (CubicSpline(f.grid(), f.values.real),
-                  CubicSpline(f.grid(), imag) if imag.any() else None)
-        object.__setattr__(f, "_spline", cached)
-    return cached
+    @functools.cached_property
+    def _splines(self):
+        # values are immutable, so the splines are fitted once; real data
+        # has None for the imaginary part
+        imag = self.values.imag
+        return (CubicSpline(self.grid(), self.values.real),
+                CubicSpline(self.grid(), imag) if imag.any() else None)
 
 
 def eval_at(f: SampledLine, x):
@@ -99,7 +106,7 @@ def eval_at(f: SampledLine, x):
     out = np.zeros(args.shape, dtype=complex)
     inside = (args >= -f.L) & (args <= f.L)
     if np.any(inside):
-        re, im = _spline_of(f)
+        re, im = f._splines
         xs = args[inside]
         out[inside] = re(xs) if im is None else re(xs) + 1j * im(xs)
     return out if args.ndim else complex(out)

@@ -8,7 +8,8 @@ from scipy.special import erf, exp1
 
 from hhl.hausdorff import (_LOG_DELTA, _LOG_M, KernelImage, SweepResult,
                            WindowTooSmallError, _hat_weights,
-                           _log_grid_transform, boundary_identity_check,
+                           _log_grid_kernel, _log_grid_transform,
+                           boundary_identity_check,
                            norm_lower_bound_sweep, transform_values)
 from hhl.kernels import (Kernel, cesaro, eval_kernel, gen_cesaro, hardy_type,
                          moment, moment_exponent, truncate_below, zero_kernel)
@@ -211,6 +212,11 @@ def _gauss(x):
     return np.exp(-np.asarray(x) ** 2)
 
 
+def _log_grid_one(k, fn, xs):
+    """The log-grid transform of one function by one kernel."""
+    return _log_grid_transform([_log_grid_kernel(k)], [(fn, xs)])[0][0]
+
+
 LOG_GRID_CLOSED = {
     # T_phi of e^(-x^2) for the two classical kernels
     "cesaro": (cesaro, lambda x: exp1(x * x) / 2),
@@ -222,7 +228,7 @@ LOG_GRID_CLOSED = {
 def test_log_grid_closed_forms(name):
     kernel, ref = LOG_GRID_CLOSED[name]
     xs = np.array([-3.0, -0.4, 0.01, 0.3, 1.0, 2.5, 6.0, 100.0])
-    got = _log_grid_transform(kernel(), [(_gauss, xs)])[0]
+    got = _log_grid_one(kernel(), _gauss, xs)
     exact = ref(xs)
     assert np.max(np.abs(got - exact)) <= 1e-7 * np.max(np.abs(exact))
 
@@ -243,7 +249,7 @@ def test_log_grid_matches_adaptive(kernel, fname):
     pos = np.geomspace(3e-3, 200.0, 20)
     xs = np.concatenate([-pos[::-1], pos])
     k = kernel()
-    got = _log_grid_transform(k, [(fn, xs)])[0]
+    got = _log_grid_one(k, fn, xs)
     ref = transform_values(k, fn, xs, tol=1e-10)
     assert np.max(np.abs(got - ref)) <= 5e-7 * np.max(np.abs(ref))
 
@@ -265,21 +271,21 @@ def test_log_grid_guards():
     xs = np.array([-1.0, 0.5, 2.0])
     with pytest.raises(ValueError, match="decayed"):
         slow_decay = lambda x: 1.0 / (1.0 + np.abs(x)) ** 0.25
-        _log_grid_transform(cesaro(), [(slow_decay, xs)])
+        _log_grid_one(cesaro(), slow_decay, xs)
     slow = Kernel(kind="slow", label="slow", fn=lambda t: np.asarray(t) ** -0.5,
                   support=(1.0, math.inf), inf_exponent=-0.5)
     with pytest.raises(ValueError, match="kernel mass"):
-        _log_grid_transform(slow, [(_gauss, xs)])
+        _log_grid_one(slow, _gauss, xs)
     # the output floor follows the kernel's reach: 0 for cesaro, about
     # 27.6 for hardy, whose floor is then |x| = e^(27.6 - 40) = 4.2e-6
     for k, bad in ((cesaro(), 0.0), (cesaro(), 1e18), (hardy_type(), 1e-6)):
         with pytest.raises(ValueError, match="off the log grid"):
-            _log_grid_transform(k, [(_gauss, np.array([1.0, bad]))])
+            _log_grid_one(k, _gauss, np.array([1.0, bad]))
     tiny = np.array([-1e-10, 1e-10])
-    assert np.allclose(_log_grid_transform(cesaro(), [(_gauss, tiny)])[0],
+    assert np.allclose(_log_grid_one(cesaro(), _gauss, tiny),
                        exp1(1e-20) / 2, rtol=1e-7, atol=0)
 
 
 def test_log_grid_zero_kernel_exact():
     xs = np.array([-5.0, -0.01, 0.01, 5.0])
-    assert np.all(_log_grid_transform(zero_kernel(), [(_gauss, xs)])[0] == 0.0)
+    assert np.all(_log_grid_one(zero_kernel(), _gauss, xs) == 0.0)

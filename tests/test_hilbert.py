@@ -1,5 +1,6 @@
 import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.special import dawsn
 from hhl.hausdorff import lp_lower_bound_sweep
 from hhl.hilbert import (EdgeDecayWarning, commutation_check, hilbert,
                          hilbert_with_tails)
-from hhl.kernels import cesaro, hardy_type, zero_kernel
+from hhl.kernels import Kernel, cesaro, hardy_type, moment, zero_kernel
 from hhl.quadrature import integrate_halfline
 from hhl.realline import SampledLine
 
@@ -184,15 +185,76 @@ def test_tails_scan_live_remainder(monkeypatch):
 
 def test_commutation_zero_kernel():
     f = gaussian_line(N=1 << 10)
-    rep = commutation_check(zero_kernel(), f, 2.0)
+    rep = commutation_check((zero_kernel(),), (f,), 2.0)
     assert rep.rows[0].residual == 0.0
 
 
 def test_commutation_quick():
     f = SampledLine.from_function(lambda x: np.asarray(x) * np.exp(-np.asarray(x) ** 2),
                                   64.0, 1 << 12, label="xgauss")
-    rep = commutation_check(hardy_type(), f, 2.0)
+    rep = commutation_check((hardy_type(),), (f,), 2.0)
     assert rep.rows[0].residual < 1e-5
+
+
+def _corpus(N):
+    """gauss (zero tag remainder past the window) and P1diff (live tail)."""
+    p1diff = lambda x: (1 / math.pi) / (1 + np.asarray(x) ** 2) \
+        - (1 / math.pi) / (1 + (np.asarray(x) - 1) ** 2)
+    return (SampledLine.from_function(lambda x: np.exp(-np.asarray(x) ** 2),
+                                      64.0, N, label="gauss"),
+            SampledLine.from_function(p1diff, 64.0, N, tail_power=2.0,
+                                      label="P1diff"))
+
+
+def _count_calls(monkeypatch, module, name):
+    """Route ``module.name`` through a call counter."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counting(*args, **kw):
+        calls.append(name)
+        return fn(*args, **kw)
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_commutation_corpus_matches_single_pairs():
+    # sharing stages across kernels and functions changes no arithmetic:
+    # each row equals its own single-pair call bit for bit, kernel-major
+    kernels, fs = (cesaro(), hardy_type()), _corpus(1 << 10)
+    rows = commutation_check(kernels, fs, 2.0).rows
+    singles = [commutation_check((k,), (f,), 2.0).rows[0]
+               for k in kernels for f in fs]
+    assert [r.check for r in rows] == [r.check for r in singles] == [
+        "cesaro on gauss", "cesaro on P1diff", "hardy on gauss", "hardy on P1diff"]
+    assert [r.residual for r in rows] == [r.residual for r in singles]
+    assert rows == singles
+
+
+def test_commutation_shares_work(monkeypatch):
+    hwt = _count_calls(monkeypatch, sys.modules["hhl.hilbert"], "hilbert_with_tails")
+    hat = _count_calls(monkeypatch, sys.modules["hhl.hausdorff"], "_hat_weights")
+    kernels, fs = (cesaro(), hardy_type()), _corpus(1 << 10)
+    rep = commutation_check(kernels, fs, 2.0)
+    assert len(rep.rows) == len(kernels) * len(fs)
+    # one H f per function, one H(T f) per pair; hat weights per kernel
+    assert len(hwt) == len(fs) + len(kernels) * len(fs)
+    assert len(hat) == len(kernels)
+
+
+def test_commutation_validates_before_work(monkeypatch):
+    hwt = _count_calls(monkeypatch, sys.modules["hhl.hilbert"], "hilbert_with_tails")
+    fs = _corpus(1 << 10)
+    bent = SampledLine.from_values(fs[0].values * (1 + 1e-3j), 64.0, label="bent")
+    with pytest.raises(ValueError, match="bent"):
+        commutation_check((cesaro(), hardy_type()), fs + (bent,), 2.0)
+    # phi = t^-0.6 on (0, 1]: the p = 2 moment integrand is t^-1.1
+    steep = Kernel(kind="steep", label="steep", fn=lambda t: np.asarray(t) ** -0.6,
+                   support=(0.0, 1.0), zero_exponent=-0.6)
+    assert not moment(steep, 2.0).finite
+    with pytest.raises(ValueError, match="steep"):
+        commutation_check((cesaro(), steep), fs, 2.0)
+    assert hwt == []
 
 
 def test_lp_sweep_floors_and_sandwich():

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expi
 
-from hhl.quadrature import (BudgetError, DivergenceError, geometric_panels,
-                            integrate, integrate_batched, integrate_halfline,
-                            integrate_pv)
+from hhl.quadrature import (BudgetError, DivergenceError, QuadResult, _BlockScan,
+                            geometric_panels, integrate, integrate_batched,
+                            integrate_halfline, integrate_pv)
 
 
 def test_constant():
@@ -37,6 +37,31 @@ def test_budget_error_carries_partial():
         integrate(lambda x: 1.0 / np.sqrt(np.abs(np.sin(1000 * x)) + 1e-14),
                   0, 3, tol=1e-14, budget=500)
     assert exc.value.partial.evaluations <= 500
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1), (2,), (7,), (3, 4), (5, 1)])
+def test_block_scan_running_sum(shape, cplx):
+    # the stopping tests read the sequential running sum; total() equals
+    # the stack-and-sum of every block, bit for bit and with its signed
+    # zeros, also where that sum is pairwise (blocks of one value)
+    rng = np.random.default_rng(11)
+    scan = _BlockScan(10 ** 6)
+    assert scan.total() == 0.0
+    blocks, seq = [], 0.0
+    for i in range(20):
+        v = rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 9, size=shape)
+        if cplx:
+            v = v + 1j * rng.standard_normal(shape)
+        if i < 2:
+            v = np.full(shape, -0.0, dtype=complex if cplx else float)
+        blocks.append(v)
+        seq = seq + v
+        assert scan.add(QuadResult(v, 1e-3 * i, 21)) == float(np.max(np.abs(seq)))
+        ref = np.sum(np.stack([np.asarray(b) for b in blocks]), axis=0)
+        got = np.asarray(scan.total())
+        assert (got.shape, got.dtype, got.tobytes()) == (ref.shape, ref.dtype, ref.tobytes())
+    assert scan.evals == 20 * 21 and scan.err == pytest.approx(0.19)
 
 
 def test_halfline_exponential():

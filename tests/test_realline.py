@@ -33,6 +33,33 @@ def test_tag_must_match_samples():
         SampledLine(L=1.0, values=np.zeros(16), form=lambda x: x + 1.0)
 
 
+def test_derived_form_matches_validating_path():
+    # a form that passes the probe: derived() skips only the probe
+    fn = lambda x: np.exp(-np.asarray(x) ** 2) * (1 + 0.5j * np.asarray(x))
+    L, N = 4.0, 64
+    checked = SampledLine.from_function(fn, L, N, tail_power=2.0, label="g")
+    derived = SampledLine.derived(fn(checked.grid()), L, fn, tail_power=2.0,
+                                  label="g")
+    assert (derived.L, derived.tail_power, derived.label) == (L, 2.0, "g")
+    assert derived.form is fn
+    assert derived.values.dtype == complex
+    assert derived.values.tobytes() == checked.values.tobytes()
+    probes = np.array([-7.0, -4.0, -1.3, 0.0, 0.37, 3.9, 12.0])
+    assert derived.form(probes).tobytes() == checked.form(probes).tobytes()
+    assert eval_at(derived, probes).tobytes() == eval_at(checked, probes).tobytes()
+    # untagged data goes through the cached splines the same way
+    plain = [SampledLine.from_values(f.values, L) for f in (checked, derived)]
+    assert eval_at(plain[0], probes).tobytes() == eval_at(plain[1], probes).tobytes()
+    assert plain[0]._splines is plain[0]._splines
+    # the probe is the only check skipped
+    with pytest.raises(ValueError):
+        SampledLine.derived(np.zeros(8), L, fn)
+    bad = SampledLine.derived(np.zeros(N), L, fn)
+    assert bad.form is fn
+    with pytest.raises(ValueError):
+        SampledLine(L=L, values=np.zeros(N), form=fn)
+
+
 def test_lp_indicator():
     f = SampledLine.from_function(indicator01, 4.0, 1 << 12)
     assert lp_norm(f, 2.0) == pytest.approx(1.0, abs=2 * f.h)
