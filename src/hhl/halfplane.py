@@ -226,7 +226,8 @@ def _poisson_window(g: SampledLine, y: float, xs: np.ndarray,
 
     ``conv`` may carry the precomputed full-hat convolution on g's own
     grid; the outward half-hats of the two boundary samples are removed in
-    closed form so the model ends exactly at the sampled span.
+    closed form so the model ends exactly at the sampled span (a zero
+    sample has no half-hat to remove).
     """
     xs = np.asarray(xs, dtype=float)
     h = g.h
@@ -241,8 +242,9 @@ def _poisson_window(g: SampledLine, y: float, xs: np.ndarray,
             out[start:start + chunk] = w.astype(complex) @ g.values
     else:
         out = conv.copy()
-    out -= g.values[0] * _halfhat_outer(xs, grid[0], -1.0, h, y)
-    out -= g.values[-1] * _halfhat_outer(xs, grid[-1], +1.0, h, y)
+    for v, c, side in ((g.values[0], grid[0], -1.0), (g.values[-1], grid[-1], +1.0)):
+        if v != 0:
+            out -= v * _halfhat_outer(xs, c, side, h, y)
     return out
 
 
@@ -277,17 +279,21 @@ def _poisson_values(g: SampledLine, y: float, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poisson_grid_values(g: SampledLine, y: float) -> np.ndarray:
-    """As _poisson_values on g's own grid, via the Toeplitz structure."""
+def _poisson_grid_values(g: SampledLine, ys):
+    """As _poisson_values on g's own grid, via the Toeplitz structure: one
+    array per height in ys, in order, with g's spectrum computed once."""
     n = g.N
     h = g.h
     k = np.arange(-(n - 1), n) * h
-    w = (_poisson_B(k + h, y) - 2.0 * _poisson_B(k, y) + _poisson_B(k - h, y)) / h
-    conv = _fftconvolve(g.values, w.astype(complex), mode="valid")
-    out = _poisson_window(g, y, g.grid(), conv=conv)
-    if g.form is not None:
-        out = out + _poisson_tail(g, y, g.grid())
-    return out
+    grid = g.grid()
+    spectra = {}
+    for y in ys:
+        w = (_poisson_B(k + h, y) - 2.0 * _poisson_B(k, y) + _poisson_B(k - h, y)) / h
+        conv = _fftconvolve(g.values, w.astype(complex), mode="valid", spectra=spectra)
+        out = _poisson_window(g, y, grid, conv=conv)
+        if g.form is not None:
+            out = out + _poisson_tail(g, y, grid)
+        yield out
 
 
 def poisson_extend(g: SampledLine, y: float) -> SampledLine:
@@ -299,7 +305,7 @@ def poisson_extend(g: SampledLine, y: float) -> SampledLine:
     """
     if y <= 0:
         raise ValueError("height y must be positive")
-    vals = _poisson_grid_values(g, y)
+    vals, = _poisson_grid_values(g, (y,))
     tp = None
     if g.form is not None:
         gtp = g.tail_power

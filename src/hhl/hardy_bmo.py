@@ -165,21 +165,21 @@ class AtomicDecomposition:
 # Maximal functions and the square function
 
 
-def _log_scales(f: SampledLine, count: int) -> np.ndarray:
-    return np.geomspace(f.h, 4.0 * f.L, count)
+def _scales(f: SampledLine, t_grid, count: int) -> np.ndarray:
+    """t_grid, else ``count`` log-spaced scales from h to 4 L, the range a
+    finite grid resolves; a scale that is not finite and positive raises."""
+    ts = np.geomspace(f.h, 4.0 * f.L, count) if t_grid is None \
+        else np.asarray(t_grid, dtype=float)
+    bad = ts[~(np.isfinite(ts) & (ts > 0))]
+    if bad.size:
+        raise ValueError(f"scale {float(bad[0])!r} is not finite and positive")
+    return ts
 
 
 def smooth_maximal(f: SampledLine, t_grid=None, scales: int = 64) -> SampledLine:
-    """sup over t of |f * Phi_t| for a fixed normalized Gaussian Phi.
-
-    The supremum runs over log-spaced scales between the grid spacing and
-    four window widths, the range a finite grid can resolve.
-    """
-    ts = np.asarray(t_grid, dtype=float) if t_grid is not None \
-        else _log_scales(f, scales)
+    """sup over t of |f * Phi_t| for a fixed normalized Gaussian Phi."""
     best = np.zeros(f.N)
-    xs = f.grid()
-    for t in ts:
+    for t in _scales(f, t_grid, scales):
         half = min(8.0 * t, 2.0 * f.L)
         m = int(np.ceil(half / f.h))
         ker_x = np.arange(-m, m + 1) * f.h
@@ -190,50 +190,47 @@ def smooth_maximal(f: SampledLine, t_grid=None, scales: int = 64) -> SampledLine
     return SampledLine.from_values(best, f.L, label=f"M_smooth[{f.label}]")
 
 
-def poisson_maximal(f: SampledLine, t_grid=None, scales: int = 64) -> SampledLine:
-    """Nontangential sup of the harmonic extension over |y - x| < t."""
-    ts = np.asarray(t_grid, dtype=float) if t_grid is not None \
-        else _log_scales(f, scales)
-    best = np.zeros(f.N)
-    for t in ts:
-        u = np.abs(_poisson_grid_values(f, float(t)))
-        radius = int(t / f.h)
-        if radius > 0:
-            u = maximum_filter1d(u, size=2 * radius + 1, mode="nearest")
-        best = np.maximum(best, u)
-    return SampledLine.from_values(best, f.L, label=f"M_P[{f.label}]")
+def _poisson_pass(f: SampledLine, ts: np.ndarray) -> tuple:
+    """(M_P, S) of f from one Poisson level u = f * P_t per height t in ts.
 
-
-def square_function(f: SampledLine, t_grid=None, scales: int = 64) -> SampledLine:
-    """Cone aggregate of the extension gradient, discretized.
-
-    u = f * P_t on log-spaced levels; gradients by central differences in
-    x and t; the cone integral collects h * dt cells with |y - x| < t.
-    """
-    ts = np.asarray(t_grid, dtype=float) if t_grid is not None \
-        else _log_scales(f, scales)
+    Levels come in increasing t; each feeds the running max over the cone
+    |y - x| < t and, with its two neighbours (at most three are alive), the
+    cone sum of |grad u|^2 by central differences on h * dt cells."""
     ts = np.sort(ts)
-    levels = [np.real(_poisson_grid_values(f, float(t))) for t in ts] if \
-        np.all(np.abs(f.values.imag) == 0) else \
-        [_poisson_grid_values(f, float(t)) for t in ts]
-    acc = np.zeros(f.N)
+    best, acc = np.zeros(f.N), np.zeros(f.N)
+    part = np.real if np.all(np.abs(f.values.imag) == 0) else np.asarray
+    levels = _poisson_grid_values(f, ts)
+    lo = v = next(levels, None)
+    last = len(ts) - 1
     for i, t in enumerate(ts):
-        u = levels[i]
-        u_x = np.gradient(u, f.h)
-        lo = levels[max(i - 1, 0)]
-        hi = levels[min(i + 1, len(ts) - 1)]
-        dt_span = ts[min(i + 1, len(ts) - 1)] - ts[max(i - 1, 0)]
-        u_t = (hi - lo) / dt_span if dt_span > 0 else np.zeros_like(u)
+        hi = next(levels, v)
+        radius = int(t / f.h)
+        best = np.maximum(best, maximum_filter1d(
+            np.abs(v), size=2 * radius + 1, mode="nearest"))
+        u_x = np.gradient(part(v), f.h)
+        t_prev, t_next = ts[max(i - 1, 0)], ts[min(i + 1, last)]
+        u_t = (part(hi) - part(lo)) / (t_next - t_prev) if t_next > t_prev \
+            else np.zeros_like(u_x)
         dens = np.abs(u_t) ** 2 + np.abs(u_x) ** 2
         # cell thickness in t around this level
-        t_lo = ts[i - 1] if i > 0 else ts[i] / 2.0
-        t_hi = ts[i + 1] if i + 1 < len(ts) else ts[i]
-        dt = 0.5 * (t_hi - t_lo) if len(ts) > 1 else ts[i]
-        radius = int(t / f.h)
+        dt = 0.5 * (t_next - (t_prev if i > 0 else t / 2.0)) if last else t
         cone = uniform_filter1d(dens, size=2 * radius + 1, mode="nearest") \
             * (2 * radius + 1) if radius > 0 else dens
         acc += cone * f.h * dt
-    return SampledLine.from_values(np.sqrt(acc), f.L, label=f"S[{f.label}]")
+        lo, v = v, hi
+    return (SampledLine.from_values(best, f.L, label=f"M_P[{f.label}]"),
+            SampledLine.from_values(np.sqrt(acc), f.L, label=f"S[{f.label}]"))
+
+
+def poisson_maximal(f: SampledLine, t_grid=None, scales: int = 64) -> SampledLine:
+    """Nontangential sup of the harmonic extension over |y - x| < t."""
+    return _poisson_pass(f, _scales(f, t_grid, scales))[0]
+
+
+def square_function(f: SampledLine, t_grid=None, scales: int = 64) -> SampledLine:
+    """Cone aggregate of the extension gradient |grad u|^2 over |y - x| < t,
+    discretized on the levels u = f * P_t (see _poisson_pass)."""
+    return _poisson_pass(f, _scales(f, t_grid, scales))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +283,17 @@ class H1Report:
 
 
 def h1_report(f, L: float = 64.0, N: int = 1 << 12, scales: int = 48) -> H1Report:
-    """All computable H1 quantities for a SampledLine or decomposition."""
+    """All computable H1 quantities for a SampledLine or decomposition;
+    M_P and S come from one Poisson pass over the ``scales`` heights."""
     atomic = None
     if isinstance(f, AtomicDecomposition):
         atomic = f.atomic_bound
         f = f.synthesize(L, N)
+    m_p, s = _poisson_pass(f, _scales(f, None, scales))
     return H1Report(
         smooth_maximal=lp_norm(smooth_maximal(f, scales=scales), 1.0),
-        poisson_maximal=lp_norm(poisson_maximal(f, scales=scales), 1.0),
-        square=lp_norm(square_function(f, scales=scales), 1.0),
+        poisson_maximal=lp_norm(m_p, 1.0),
+        square=lp_norm(s, 1.0),
         proxy=h1_proxy_norm(f),
         atomic_bound=atomic)
 

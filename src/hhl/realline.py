@@ -112,7 +112,8 @@ def eval_at(f: SampledLine, x):
     return out if args.ndim else complex(out)
 
 
-def _fftconvolve(a: np.ndarray, b: np.ndarray, mode: str = "full") -> np.ndarray:
+def _fftconvolve(a: np.ndarray, b: np.ndarray, mode: str = "full",
+                 spectra: dict | None = None) -> np.ndarray:
     """Linear convolution of two 1-D arrays by FFT, in the arithmetic of
     scipy's ``fftconvolve`` bit for bit.
 
@@ -120,17 +121,20 @@ def _fftconvolve(a: np.ndarray, b: np.ndarray, mode: str = "full") -> np.ndarray
     len(a)) or "valid" (centred to the overlap, |len(a) - len(b)| + 1).
     Real inputs take the real transforms.  "valid" puts the longer operand
     first as scipy does: the spectrum product is not commutative bit for
-    bit under fused multiply-add.
+    bit under fused multiply-add.  ``spectra``, a dict a caller keeps over
+    calls sharing the operand transformed second (b; in "valid" mode the
+    shorter one), holds that operand's spectrum so it is computed once.
     """
     if mode == "valid" and a.size < b.size:
         a, b = b, a
     n = a.size + b.size - 1
     real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
     nf = sp_fft.next_fast_len(n, real)
-    if real:
-        out = sp_fft.irfft(sp_fft.rfft(a, nf) * sp_fft.rfft(b, nf), nf)[:n]
-    else:
-        out = sp_fft.ifft(sp_fft.fft(a, nf) * sp_fft.fft(b, nf), nf)[:n]
+    fft, ifft = (sp_fft.rfft, sp_fft.irfft) if real else (sp_fft.fft, sp_fft.ifft)
+    spectra = {} if spectra is None else spectra
+    if (nf, real) not in spectra:
+        spectra[nf, real] = fft(b, nf)
+    out = ifft(fft(a, nf) * spectra[nf, real], nf)[:n]
     if mode == "full":
         return out
     keep = a.size if mode == "same" else a.size - b.size + 1

@@ -216,3 +216,128 @@ def test_bmo_bound_check_both_kernels():
     step_rows = [r for r in rep.rows if r.check == "transform on step"]
     assert step_rows and step_rows[0].computed == pytest.approx(
         step_rows[0].predicted, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# One Poisson pass for M_P and S against the per-function loops
+
+
+def _grid_values_oracle(g, y):
+    """Poisson grid values at one height: the Toeplitz product through
+    scipy's fftconvolve, both edge half-hats always removed."""
+    from scipy.signal import fftconvolve
+    from hhl.halfplane import _halfhat_outer, _poisson_B, _poisson_tail
+    n, h, grid = g.N, g.h, g.grid()
+    k = np.arange(-(n - 1), n) * h
+    w = (_poisson_B(k + h, y) - 2.0 * _poisson_B(k, y) + _poisson_B(k - h, y)) / h
+    out = fftconvolve(g.values, w.astype(complex), mode="valid")
+    out -= g.values[0] * _halfhat_outer(grid, grid[0], -1.0, h, y)
+    out -= g.values[-1] * _halfhat_outer(grid, grid[-1], +1.0, h, y)
+    if g.form is not None:
+        out = out + _poisson_tail(g, y, grid)
+    return out
+
+
+def poisson_maximal_oracle(f, ts):
+    from scipy.ndimage import maximum_filter1d
+    best = np.zeros(f.N)
+    for t in ts:
+        u = np.abs(_grid_values_oracle(f, float(t)))
+        radius = int(t / f.h)
+        if radius > 0:
+            u = maximum_filter1d(u, size=2 * radius + 1, mode="nearest")
+        best = np.maximum(best, u)
+    return best
+
+
+def square_function_oracle(f, ts):
+    from scipy.ndimage import uniform_filter1d
+    ts = np.sort(ts)
+    levels = [np.real(_grid_values_oracle(f, float(t))) for t in ts] if \
+        np.all(np.abs(f.values.imag) == 0) else \
+        [_grid_values_oracle(f, float(t)) for t in ts]
+    acc = np.zeros(f.N)
+    for i, t in enumerate(ts):
+        u = levels[i]
+        u_x = np.gradient(u, f.h)
+        lo = levels[max(i - 1, 0)]
+        hi = levels[min(i + 1, len(ts) - 1)]
+        dt_span = ts[min(i + 1, len(ts) - 1)] - ts[max(i - 1, 0)]
+        u_t = (hi - lo) / dt_span if dt_span > 0 else np.zeros_like(u)
+        dens = np.abs(u_t) ** 2 + np.abs(u_x) ** 2
+        t_lo = ts[i - 1] if i > 0 else ts[i] / 2.0
+        t_hi = ts[i + 1] if i + 1 < len(ts) else ts[i]
+        dt = 0.5 * (t_hi - t_lo) if len(ts) > 1 else ts[i]
+        radius = int(t / f.h)
+        cone = uniform_filter1d(dens, size=2 * radius + 1, mode="nearest") \
+            * (2 * radius + 1) if radius > 0 else dens
+        acc += cone * f.h * dt
+    return np.sqrt(acc)
+
+
+def _sum_line(L, N, *terms):
+    return AtomicDecomposition(terms=terms).synthesize(L, N)
+
+
+@pytest.mark.parametrize("case, t_grid", [
+    ("real", [0.7]),
+    ("real", [0.3, 2.0]),
+    ("real", [0.05, 0.4, 3.0]),
+    ("real", None),                       # the default 48 log-spaced heights
+    ("real", [2.0, 0.05, 9.0, 0.4, 0.4]),  # unsorted, one height repeated
+    ("complex", [0.2, 1.5, 6.0]),
+    ("complex", None),
+    ("crossing", [0.1, 1.0, 5.0]),
+])
+def test_poisson_pass_matches_per_function_loops_bitwise(case, t_grid):
+    L, N = 16.0, 1 << 10
+    if case == "real":
+        f = _sum_line(L, N, (0.6, make_atom(-3.0, 2.0, "sine")),
+                      (0.4, make_atom(5.0, 1.5, "haar")))
+    elif case == "complex":
+        f = _sum_line(L, N, (0.5, make_atom(0.0, 1.0, "haar")),
+                      (0.25j, make_atom(2.0, 0.5, "bump")))
+    else:
+        # the haar atom reaches L: the sum is tagged and its last sample is
+        # nonzero, so the tail integrals and one edge half-hat both run
+        f = _sum_line(L, N, (0.5, make_atom(0.0, 1.0, "sine")),
+                      (0.5, make_atom(14.0, 2.0, "haar")))
+        assert f.form is not None and f.values[0] == 0 and f.values[-1] != 0
+    ts = np.geomspace(f.h, 4.0 * f.L, 48) if t_grid is None else np.array(t_grid)
+    kw = dict(scales=48) if t_grid is None else dict(t_grid=t_grid)
+    assert np.array_equal(poisson_maximal(f, **kw).values.real,
+                          poisson_maximal_oracle(f, ts))
+    assert np.array_equal(square_function(f, **kw).values.real,
+                          square_function_oracle(f, ts))
+
+
+def test_h1_report_computes_each_level_once(monkeypatch):
+    import hhl.halfplane as halfplane
+    heights = []
+    window = halfplane._poisson_window
+
+    def counting(g, y, xs, conv=None):
+        heights.append(y)
+        return window(g, y, xs, conv=conv)
+
+    monkeypatch.setattr(halfplane, "_poisson_window", counting)
+    dec = AtomicDecomposition(terms=((1.0, make_atom(0.0, 1.0, "sine")),))
+    h1_report(dec, L=16.0, N=1 << 10, scales=48)
+    # one level per height for M_P and S together, in increasing height
+    assert len(heights) == 48
+    assert heights == sorted(set(heights))
+
+
+@pytest.mark.parametrize("fn", [smooth_maximal, poisson_maximal, square_function])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_scale_grid_rejects_bad_scales(fn, bad):
+    f = haar_line(L=8.0, N=1 << 8)
+    with pytest.raises(ValueError, match=f"scale {bad!r} "):
+        fn(f, t_grid=[0.5, bad, -2.0])
+
+
+@pytest.mark.parametrize("fn", [smooth_maximal, poisson_maximal, square_function])
+def test_scale_grid_empty_returns_zeros(fn):
+    f = haar_line(L=8.0, N=1 << 8)
+    out = fn(f, t_grid=[])
+    assert out.N == f.N and not np.any(out.values)
