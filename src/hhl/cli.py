@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import numpy.random  # loaded lazily by numpy; load it with the module
 
 from . import hardy_bmo
 from .adjoint import duality_residual, sa_moment, _sa_values
@@ -121,7 +122,6 @@ def _row(suite, check, anchor, computed, predicted, residual, tol):
 
 def _closed_moment(kind: str, alpha: float | None, p: float) -> float:
     """Independent closed forms for the built-in kernel moments."""
-    from scipy.special import beta as beta_fn
     if kind == "cesaro":
         return p if math.isfinite(p) else math.inf
     if kind == "hardy":
@@ -131,7 +131,11 @@ def _closed_moment(kind: str, alpha: float | None, p: float) -> float:
     if kind == "gencesaro":
         if math.isinf(p):
             return math.inf
-        return alpha * beta_fn(1.0 / p, alpha)
+        # B(1/p, alpha) as a Gamma ratio, through lgamma where Gamma overflows
+        a = 1.0 / p
+        if a + alpha < 171.0:
+            return alpha * (math.gamma(a) * math.gamma(alpha) / math.gamma(a + alpha))
+        return alpha * math.exp(math.lgamma(a) + math.lgamma(alpha) - math.lgamma(a + alpha))
     raise ValueError(kind)
 
 

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, uniform_filter1d
 
 from .halfplane import _poisson_grid_values
 from .hausdorff import SweepResult, transform_values
@@ -190,6 +189,32 @@ def smooth_maximal(f: SampledLine, t_grid=None, scales: int = 64) -> SampledLine
     return SampledLine.from_values(best, f.L, label=f"M_smooth[{f.label}]")
 
 
+def _edge_pad(a: np.ndarray, r: int) -> np.ndarray:
+    """a with its end values repeated r times beyond each end."""
+    return np.concatenate((np.full(r, a[0]), a, np.full(r, a[-1])))
+
+
+def _window_max(a: np.ndarray, r: int) -> np.ndarray:
+    """max of a over [i - r, i + r] clamped to the array, at each i: scipy's
+    maximum_filter1d(a, 2r + 1, mode="nearest"), exact.  Maxima over
+    power-of-two spans double until one more doubling would pass 2r + 1."""
+    r = min(r, a.size)
+    m, w, span = _edge_pad(a, r), 2 * r + 1, 1
+    while 2 * span <= w:
+        m, span = np.maximum(m[:-span], m[span:]), 2 * span
+    return np.maximum(m[:a.size], m[w - span:w - span + a.size])
+
+
+def _window_mean(a: np.ndarray, r: int) -> np.ndarray:
+    """Mean of a over [i - r, i + r], edge values repeated beyond the ends,
+    in the arithmetic of scipy's uniform_filter1d(a, 2r + 1, mode="nearest")
+    bit for bit: one running sum, entering and leaving samples differenced
+    first, divided by the width at the end."""
+    w, pad = 2 * r + 1, _edge_pad(a, r)
+    first = np.cumsum(pad[:w])[-1:]
+    return np.cumsum(np.concatenate((first, pad[w:] - pad[:-w]))) / w
+
+
 def _poisson_pass(f: SampledLine, ts: np.ndarray) -> tuple:
     """(M_P, S) of f from one Poisson level u = f * P_t per height t in ts.
 
@@ -205,8 +230,7 @@ def _poisson_pass(f: SampledLine, ts: np.ndarray) -> tuple:
     for i, t in enumerate(ts):
         hi = next(levels, v)
         radius = int(t / f.h)
-        best = np.maximum(best, maximum_filter1d(
-            np.abs(v), size=2 * radius + 1, mode="nearest"))
+        best = np.maximum(best, _window_max(np.abs(v), radius))
         u_x = np.gradient(part(v), f.h)
         t_prev, t_next = ts[max(i - 1, 0)], ts[min(i + 1, last)]
         u_t = (part(hi) - part(lo)) / (t_next - t_prev) if t_next > t_prev \
@@ -214,8 +238,8 @@ def _poisson_pass(f: SampledLine, ts: np.ndarray) -> tuple:
         dens = np.abs(u_t) ** 2 + np.abs(u_x) ** 2
         # cell thickness in t around this level
         dt = 0.5 * (t_next - (t_prev if i > 0 else t / 2.0)) if last else t
-        cone = uniform_filter1d(dens, size=2 * radius + 1, mode="nearest") \
-            * (2 * radius + 1) if radius > 0 else dens
+        cone = _window_mean(dens, radius) * (2 * radius + 1) if radius > 0 \
+            else dens
         acc += cone * f.h * dt
         lo, v = v, hi
     return (SampledLine.from_values(best, f.L, label=f"M_P[{f.label}]"),

@@ -18,13 +18,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .halfplane import CayleyPower, HoloFunction, InverseSquare, hardy_norm, slice_norm
 from .kernels import Kernel, cumulative_moment, eval_kernel, moment
 from .quadrature import (DivergenceError, doubling_panels, geometric_panels,
                          integrate_batched, integrate_halfline)
-from .realline import _TAIL_UMAX, _fftconvolve, _tail_integral
+from .realline import _TAIL_UMAX, _fftconvolve, _spline, _tail_integral
 from .report import CheckRow, VerificationReport
 
 __all__ = [
@@ -182,7 +181,7 @@ def _log_grid_transform(kernels, legs) -> list:
                 F = F.real
             for out, (_, weights, _) in zip(outs, kernels):
                 conv = _fftconvolve(F, weights)[m:2 * m]
-                out[side] = CubicSpline(ws, conv)(s[side])
+                out[side] = _spline(ws[0], d, conv)(s[side])
         results.append(outs)
     return results
 

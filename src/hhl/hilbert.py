@@ -24,12 +24,11 @@ import math
 import warnings
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .hausdorff import _log_grid_kernel, _log_grid_transform
 from .kernels import moment
 from .quadrature import integrate, integrate_halfline
-from .realline import SampledLine, eval_at, lp_norm
+from .realline import SampledLine, _pchip, eval_at, lp_norm
 from .report import CheckRow, VerificationReport
 
 __all__ = [
@@ -332,8 +331,7 @@ def hilbert_with_tails(g: SampledLine, origin: float = 0.0) -> SampledLine:
     sides = {}
     for sgn in (+1.0, -1.0):
         vals = _exterior(sgn * ladder)
-        sides[sgn] = PchipInterpolator(np.log(ladder), sgn * ladder * vals,
-                                       extrapolate=False)
+        sides[sgn] = _pchip(np.log(ladder), sgn * ladder * vals)
 
     def h_res_out(x):
         x = np.asarray(x, dtype=float)

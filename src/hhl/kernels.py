@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .quadrature import (QuadResult, _bisect, _panel_batch, eval_budget,
                          integrate_halfline)
+from .realline import _pchip
 
 __all__ = [
     "Kernel",
@@ -139,7 +139,7 @@ def table_kernel(points) -> Kernel:
         raise ValueError("table abscissas must be strictly increasing")
     if np.any(vs < 0):
         raise ValueError("table values must be nonnegative")
-    interp = PchipInterpolator(np.log(ts), vs, extrapolate=False)
+    interp = _pchip(np.log(ts), vs)
 
     def fn(t):
         t = np.asarray(t, dtype=float)

@@ -14,8 +14,7 @@ import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.interpolate import CubicSpline
+import numpy.fft  # loaded lazily by numpy; load it with the module
 
 from .quadrature import integrate, integrate_batched, geometric_panels
 
@@ -90,32 +89,124 @@ class SampledLine:
                    label=label, _derived=True)
 
     @functools.cached_property
-    def _splines(self):
-        # values are immutable, so the splines are fitted once; real data
-        # has None for the imaginary part
-        imag = self.values.imag
-        return (CubicSpline(self.grid(), self.values.real),
-                CubicSpline(self.grid(), imag) if imag.any() else None)
+    def _spline(self):
+        # values are immutable, so the spline is fitted once; real data
+        # gets a real spline
+        vals = self.values if self.values.imag.any() else self.values.real
+        return _spline(-self.L, self.h, vals)
 
 
 def eval_at(f: SampledLine, x):
     """Point evaluation honoring the tag; grid interpolation otherwise."""
     args = np.asarray(x, dtype=float)
     if f.form is not None:
-        return np.asarray(f.form(args), dtype=complex)
-    out = np.zeros(args.shape, dtype=complex)
-    inside = (args >= -f.L) & (args <= f.L)
-    if np.any(inside):
-        re, im = f._splines
-        xs = args[inside]
-        out[inside] = re(xs) if im is None else re(xs) + 1j * im(xs)
+        out = np.asarray(f.form(args), dtype=complex)
+    else:
+        out = np.zeros(args.shape, dtype=complex)
+        inside = (args >= -f.L) & (args <= f.L)
+        if np.any(inside):
+            out[inside] = f._spline(args[inside])
     return out if args.ndim else complex(out)
+
+
+# Green's function of the (1, 4, 1) slope system: z^|k| / (4 + 2z) with
+# z = sqrt(3) - 2, cut at |k| = 30 where |z|^30 < 1e-17; the end modes
+# z^k are cut there too
+_Z = math.sqrt(3.0) - 2.0
+_ZK = _Z ** np.arange(31.0)
+_GREEN = _Z ** np.abs(np.arange(-30.0, 31.0)) / (4.0 + 2.0 * _Z)
+
+
+def _spline(x0: float, h: float, y: np.ndarray):
+    """Not-a-knot cubic spline through y (real or complex, n >= 4) at the
+    nodes x0 + h*i, as a callable on real arrays of any shape that, like
+    scipy's CubicSpline, extrapolates the end cells.
+
+    The slopes s solve s[i-1] + 4 s[i] + s[i+1] = 3 (y[i+1] - y[i-1]) / h:
+    a particular solution by convolution with the Green's function, plus
+    the end modes z^i and z^(n-1-i), weighted so that the third derivative
+    is continuous at the second and the last-but-one node.
+    """
+    n = y.size
+    d = np.diff(y) / h
+    s = np.convolve(3.0 * (d[:-1] + d[1:]), _GREEN)[29:29 + n]
+    zk = _ZK[:n]
+    a, b = 1.0 - _Z * _Z, _Z ** (n - 1) - _Z ** (n - 3)
+    left = 2.0 * (d[0] - d[1]) - (s[0] - s[2])
+    right = 2.0 * (d[-1] - d[-2]) - (s[-1] - s[-3])
+    det = a * a - b * b
+    s[:zk.size] += (a * left - b * right) / det * zk
+    s[n - zk.size:] += (a * right - b * left) / det * zk[::-1]
+    c2 = (3.0 * d - 2.0 * s[:-1] - s[1:]) / h
+    c3 = (s[:-1] + s[1:] - 2.0 * d) / (h * h)
+
+    def ev(x):
+        x = np.asarray(x, dtype=float)
+        i = np.minimum(np.maximum(np.floor((x - x0) / h), 0.0), n - 2.0).astype(np.intp)
+        t = x - (x0 + h * i)
+        return y[i] + t * (s[i] + t * (c2[i] + t * c3[i]))
+    return ev
+
+
+def _pchip(x: np.ndarray, y: np.ndarray):
+    """Monotone piecewise-cubic interpolant of real y at increasing x
+    (Fritsch & Carlson, SIAM J. Numer. Anal. 17 (1980) 238), NaN outside
+    [x[0], x[-1]]: scipy's PchipInterpolator(extrapolate=False) bit for bit.
+
+    Interior slopes are the weighted harmonic mean of the neighbouring
+    secants (0 at a sign change or a flat secant), end slopes the
+    shape-preserving three-point estimate, and n = 2 is a line.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    dk = np.zeros(y.size)
+    if y.size == 2:
+        dk[:] = m[0]
+    else:
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        ok = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        dk[1:-1][ok] = 1.0 / whmean[ok]
+        for end, h0, h1, m0, m1 in ((0, h[0], h[1], m[0], m[1]),
+                                    (-1, h[-1], h[-2], m[-1], m[-2])):
+            e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            if np.sign(e) != np.sign(m0):
+                e = 0.0
+            elif np.sign(m0) != np.sign(m1) and abs(e) > 3.0 * abs(m0):
+                e = 3.0 * m0
+            dk[end] = e
+    # Hermite coefficients, evaluated in ascending powers as scipy's PPoly
+    t = (dk[:-1] + dk[1:] - 2 * m) / h
+    c0, c1 = t / h, (m - dk[:-1]) / h - t
+
+    def ev(q):
+        q = np.asarray(q, dtype=float)
+        i = np.searchsorted(x[1:-1], q, side="right")  # the cell, end cells clamped
+        s = q - x[i]
+        s2 = s * s
+        out = y[i] + dk[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
+        return np.where((q >= x[0]) & (q <= x[-1]), out, np.nan)
+    return ev
+
+
+@functools.lru_cache(maxsize=None)
+def _next_fast_len(n: int, real: bool) -> int:
+    """Smallest m >= n with no prime factor above 5 (real transforms) or
+    11 (complex ones): scipy.fft.next_fast_len, pocketfft's fast lengths."""
+    odd = [1]
+    for q in (3, 5) if real else (3, 5, 7, 11):
+        for c in list(odd):
+            while c * q < 2 * n:
+                c *= q
+                odd.append(c)
+    return min(c << ((n - 1) // c).bit_length() for c in odd)
 
 
 def _fftconvolve(a: np.ndarray, b: np.ndarray, mode: str = "full",
                  spectra: dict | None = None) -> np.ndarray:
-    """Linear convolution of two 1-D arrays by FFT, in the arithmetic of
-    scipy's ``fftconvolve`` bit for bit.
+    """Linear convolution of two 1-D arrays by FFT (numpy's pocketfft),
+    in the arithmetic of scipy's ``fftconvolve`` bit for bit.
 
     ``mode`` is "full" (length len(a) + len(b) - 1), "same" (centred to
     len(a)) or "valid" (centred to the overlap, |len(a) - len(b)| + 1).
@@ -129,12 +220,14 @@ def _fftconvolve(a: np.ndarray, b: np.ndarray, mode: str = "full",
         a, b = b, a
     n = a.size + b.size - 1
     real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
-    nf = sp_fft.next_fast_len(n, real)
-    fft, ifft = (sp_fft.rfft, sp_fft.irfft) if real else (sp_fft.fft, sp_fft.ifft)
+    nf = _next_fast_len(n, real)
+    fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
     spectra = {} if spectra is None else spectra
     if (nf, real) not in spectra:
         spectra[nf, real] = fft(b, nf)
-    out = ifft(fft(a, nf) * spectra[nf, real], nf)[:n]
+    spec = fft(a, nf)
+    spec *= spectra[nf, real]  # in place: one transform-length array fewer
+    out = ifft(spec, nf)[:n]
     if mode == "full":
         return out
     keep = a.size if mode == "same" else a.size - b.size + 1

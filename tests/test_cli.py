@@ -225,13 +225,52 @@ def test_fuzz_config_parses_or_reports(tmp_path_factory, raw):
     assert (code == 2 and not written) or (code in (0, 1) and written)
 
 
-def test_cli_import_leaves_out_scipy_signal():
-    """``import hhl.cli`` loads neither scipy.signal nor scipy.stats (about
-    0.8 s of start-up); a fresh interpreter, since this one may hold them."""
+_BLOCK_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is imported at run time")
+
+sys.meta_path.insert(0, BlockScipy())
+from hhl.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    """hhl runs on numpy alone: in a fresh interpreter where every scipy
+    import fails, ``import hhl.cli`` and the suites that used scipy run and
+    pass (moment with gencesaro reaches the beta function, h1 the window
+    filters and FFT convolutions, commute the splines and PCHIP)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import hhl.cli, sys; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "[]"
+    gencesaro = tmp_path / "gencesaro.json"
+    gencesaro.write_text(json.dumps({"kernel": {"kind": "gencesaro", "alpha": 2}}))
+    # h1's gates are set for the default kernel, so it runs at the default
+    for suites, config in (("moment", ["--config", str(gencesaro)]), ("h1,commute", [])):
+        out_dir = tmp_path / suites
+        out = subprocess.run([sys.executable, "-c", _BLOCK_SCIPY, *config, "--suite", suites,
+                              "--out", str(out_dir), "--format", "json"],
+                             env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr + out.stdout
+        reports = json.loads((out_dir / "report.json").read_text())["reports"]
+        assert {rep["suite"] for rep in reports} == set(suites.split(","))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
+def test_closed_moment_beta_matches_scipy(alpha, p):
+    from scipy.special import beta
+    want = alpha * beta(1.0 / p, alpha)
+    got = cli._closed_moment("gencesaro", alpha, p)
+    assert abs(got - want) <= 4 * math.ulp(want)
+
+
+def test_closed_moment_beta_where_gamma_overflows():
+    # Gamma(alpha) overflows from alpha = 171.7 on; the lgamma route keeps
+    # the closed form finite there, to a few digits fewer
+    from scipy.special import beta
+    got = cli._closed_moment("gencesaro", 200.0, 2.0)
+    assert got == pytest.approx(200.0 * beta(0.5, 200.0), rel=1e-12)

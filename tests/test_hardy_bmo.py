@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hhl.hardy_bmo import (RATIO_CORRIDOR, Atom, AtomicDecomposition,
-                           bmo_bound_check, bmo_norm,
+                           _window_max, _window_mean, bmo_bound_check, bmo_norm,
                            h1_lowerbound_check, h1_report, make_atom,
                            poisson_maximal, smooth_maximal, square_function)
 from hhl.kernels import cesaro, hardy_type, zero_kernel
@@ -341,3 +341,17 @@ def test_scale_grid_empty_returns_zeros(fn):
     f = haar_line(L=8.0, N=1 << 8)
     out = fn(f, t_grid=[])
     assert out.N == f.N and not np.any(out.values)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 700, 2048, 3000, 4096])
+def test_window_filters_match_scipy_bitwise(radius):
+    """The sliding max and mean against the scipy.ndimage filters they
+    replace, at widths 1, 3, inside the data and wider than it (2r+1 > N)."""
+    from scipy.ndimage import maximum_filter1d, uniform_filter1d
+    rng = np.random.default_rng(radius)
+    a = rng.standard_normal(4096) ** 2 * np.exp(rng.uniform(-20.0, 5.0, 4096))
+    size = 2 * radius + 1
+    assert np.array_equal(_window_max(a, radius),
+                          maximum_filter1d(a, size=size, mode="nearest"))
+    assert _window_mean(a, radius).tobytes() == \
+        uniform_filter1d(a, size=size, mode="nearest").tobytes()

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhl.realline import SampledLine, _fftconvolve, eval_at, lp_norm
+from hhl.realline import (SampledLine, _fftconvolve, _next_fast_len, _pchip,
+                          _spline, eval_at, lp_norm)
 
 
 def indicator01(x):
@@ -50,7 +51,7 @@ def test_derived_form_matches_validating_path():
     # untagged data goes through the cached splines the same way
     plain = [SampledLine.from_values(f.values, L) for f in (checked, derived)]
     assert eval_at(plain[0], probes).tobytes() == eval_at(plain[1], probes).tobytes()
-    assert plain[0]._splines is plain[0]._splines
+    assert plain[0]._spline is plain[0]._spline
     # the probe is the only check skipped
     with pytest.raises(ValueError):
         SampledLine.derived(np.zeros(8), L, fn)
@@ -156,3 +157,74 @@ def test_fftconvolve_matches_scipy_bitwise(la, lb, mode, dtype):
     want = fftconvolve(a, b, mode)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# numpy replacements for scipy routines, each against the routine it replaces
+
+
+_CONV_LENGTHS = (65536 + 131073 - 1, 3000 + 4001 - 1, 4096 + 53 - 1,
+                 4096 + 8193 - 1, 4096 + 8191 - 1)
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+    for n in (*range(1, 10001), *_CONV_LENGTHS):
+        for real in (True, False):
+            assert _next_fast_len(n, real) == next_fast_len(n, real), (n, real)
+
+
+@pytest.mark.parametrize("n", [16, 1 << 16])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_spline_matches_cubicspline(n, dtype):
+    from scipy.interpolate import CubicSpline
+    L = 4.0
+    h = 2.0 * L / n
+    xs = -L + h * np.arange(n)
+    y = np.exp(-xs ** 2) * np.cos(3.0 * xs) + 0.1 * np.sin(7.0 * xs)
+    if dtype is complex:
+        y = y + 1j * np.exp(-0.5 * xs ** 2) * xs
+    rng = np.random.default_rng(n)
+    probe = np.concatenate([xs, [-L, L - 0.5 * h, L - 1e-3 * h, L],
+                            rng.uniform(-L, L, 1000)])
+    want = CubicSpline(xs, y)
+    got = _spline(-L, h, y)
+    tol = 1e-13 * np.max(np.abs(y))
+    assert np.max(np.abs(got(probe) - want(probe))) <= tol
+    grid2 = probe[:1000].reshape(20, 50)   # query arrays of any shape
+    assert got(grid2).shape == grid2.shape
+    assert np.max(np.abs(got(grid2) - want(grid2))) <= tol
+    # eval_at on an untagged line goes through the same spline
+    line = SampledLine.from_values(y, L)
+    assert np.max(np.abs(eval_at(line, grid2) - want(grid2))) <= tol
+
+
+@pytest.mark.parametrize("case", ["random", "two", "flat", "sign_change"])
+def test_pchip_matches_scipy_bitwise(case):
+    from scipy.interpolate import PchipInterpolator
+    rng = np.random.default_rng(len(case))
+    for _ in range(50):
+        n = 2 if case == "two" else int(rng.integers(3, 30))
+        x = np.cumsum(rng.uniform(0.05, 2.0, n)) + rng.normal()
+        y = rng.standard_normal(n)
+        if case == "flat":
+            y[rng.integers(0, n, n // 2)] = 1.0   # zero secants
+        elif case == "sign_change":
+            y = np.round(y)
+        q = np.concatenate([x, rng.uniform(x[0] - 1.0, x[-1] + 1.0, 200),
+                            [x[0] - 1e-9, x[-1] + 1e-9, np.nan]])
+        got = _pchip(x, y)(q)
+        want = PchipInterpolator(x, y, extrapolate=False)(q)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.all(np.isnan(got[(q < x[0]) | (q > x[-1])]))
+
+
+def test_eval_at_scalar_is_complex_on_both_paths():
+    fn = lambda x: np.exp(-np.asarray(x) ** 2) + 0j
+    tagged = SampledLine.from_function(fn, 4.0, 64)
+    plain = SampledLine.from_values(tagged.values, 4.0)
+    for f in (tagged, plain):
+        v = eval_at(f, 0.3)
+        assert type(v) is complex
+        assert v == pytest.approx(math.exp(-0.09), abs=1e-3)
+        assert eval_at(f, np.array([0.3])).shape == (1,)
