@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import integrate_halfline, geometric_panels
+from .quadrature import _per_panel, integrate_halfline, geometric_panels
 from .realline import SampledLine, _fftconvolve, lp_norm_function
 
 __all__ = [
@@ -261,7 +261,9 @@ def _poisson_tail(g: SampledLine, y: float, xs: np.ndarray) -> np.ndarray:
             s = side * (edges[side] + ss)
             py = (y / math.pi) / ((xs[None, :] - s[:, None]) ** 2 + y * y)
             return np.asarray(g.form(s))[:, None] * py
-        res = integrate_halfline(integrand, tol=1e-12, support=(1e-12, math.inf))
+        # g's form may be another extension, whose points share a schedule
+        res = integrate_halfline(_per_panel(integrand), tol=1e-12,
+                                 support=(1e-12, math.inf))
         if res.diverges:
             raise ValueError("tagged tail is not integrable against the Poisson kernel")
         return res.value

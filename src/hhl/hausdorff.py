@@ -21,8 +21,8 @@ import numpy as np
 
 from .halfplane import CayleyPower, HoloFunction, InverseSquare, hardy_norm, slice_norm
 from .kernels import Kernel, cumulative_moment, eval_kernel, moment
-from .quadrature import (DivergenceError, doubling_panels, geometric_panels,
-                         integrate_batched, integrate_halfline)
+from .quadrature import (DivergenceError, _per_panel, doubling_panels,
+                         geometric_panels, integrate_batched, integrate_halfline)
 from .realline import _TAIL_UMAX, _fftconvolve, _spline, _tail_integral
 from .report import CheckRow, VerificationReport
 
@@ -124,8 +124,10 @@ def _hat_weights(k: Kernel) -> np.ndarray:
 
 
 def _log_grid_kernel(k: Kernel):
-    """(k, hat weights, reach u past which its mass is negligible) for
-    ``_log_grid_transform``; ValueError when the reach passes _LOG_REACH."""
+    """(k, hat weights, reach u past which its mass is negligible, spectra)
+    for ``_log_grid_transform``, ``spectra`` the ``_fftconvolve`` cache of
+    the weights' transforms, so each is computed once per kernel;
+    ValueError when the reach passes _LOG_REACH."""
     d, m = _LOG_DELTA, _LOG_M
     weights = _hat_weights(k)
     beyond = np.cumsum(weights[::-1])[::-1]  # weight mass from index i on
@@ -136,12 +138,12 @@ def _log_grid_kernel(k: Kernel):
         raise ValueError(f"kernel mass past t = e^{_LOG_REACH:g} is "
                          f"{far:.2e} of the total; the log grid would "
                          f"truncate it")
-    return k, weights, reach
+    return k, weights, reach, {}
 
 
 def _log_grid_transform(kernels, legs) -> list:
     """(T_phi f)(x) at real points x by one FFT convolution per sign, for
-    each (f_of, xs) pair in ``legs`` and each ``_log_grid_kernel`` triple
+    each (f_of, xs) pair in ``legs`` and each ``_log_grid_kernel`` entry
     in ``kernels``: entry [j][i] is leg j by kernel i.  Each leg's F is
     sampled once per sign for all kernels.
 
@@ -161,7 +163,7 @@ def _log_grid_transform(kernels, legs) -> list:
         xs = np.asarray(xs, dtype=float)
         with np.errstate(divide="ignore"):
             s = np.log(np.abs(xs))
-        for k, _, reach in kernels:
+        for k, _, reach, _ in kernels:
             if not np.all((s >= reach - _LOG_HALF) & (s <= _LOG_HALF - d)):
                 raise ValueError("output point off the log grid: |x| must lie in "
                                  f"[{math.exp(reach - _LOG_HALF):.3g}, "
@@ -179,8 +181,8 @@ def _log_grid_transform(kernels, legs) -> list:
                     f"grid would truncate it")
             if not F.imag.any():
                 F = F.real
-            for out, (_, weights, _) in zip(outs, kernels):
-                conv = _fftconvolve(F, weights)[m:2 * m]
+            for out, (_, weights, _, spectra) in zip(outs, kernels):
+                conv = _fftconvolve(F, weights, spectra=spectra)[m:2 * m]
                 out[side] = _spline(ws[0], d, conv)(s[side])
         results.append(outs)
     return results
@@ -333,7 +335,9 @@ def _power_quotient(k: Kernel, p: float, eps: float, side: str,
     kernel sees through its mass at t < |x|.  side "small": the
     complementary |x|^(-1/p+eps) inside, seeing mass at t > |x|.  Both
     transforms collapse to cumulative kernel moments, and all heavy
-    power tails are closed with measured remainders.
+    power tails are closed with measured remainders.  A cumulative moment
+    integrates between its sorted points, so the numerators' tail
+    quadratures see one panel per call.
     """
     if side == "large":
         s = 1.0 / p + eps
@@ -350,7 +354,7 @@ def _power_quotient(k: Kernel, p: float, eps: float, side: str,
         # 1e-6 floor loses O(1e-8) relative mass
         a0 = max(k.support[0], 1e-6)
         num_mass = float(integrate_batched(num_p, doubling_panels(a0, L), tol=tol).value)
-        num_mass += _tail_integral(num_p, 1.0, L, 1.0 + p * eps, +1, tol)
+        num_mass += _tail_integral(_per_panel(num_p), 1.0, L, 1.0 + p * eps, +1, tol)
         den_mass = float(integrate_batched(den_p, doubling_panels(1.0, L), tol=tol).value)
         den_mass += _tail_integral(den_p, 1.0, L, 1.0 + p * eps, +1, tol)
         return (num_mass / den_mass) ** (1.0 / p)
@@ -367,7 +371,7 @@ def _power_quotient(k: Kernel, p: float, eps: float, side: str,
         return np.power(vv, -(1.0 + p * eps))
 
     num_mass = float(integrate_batched(num_p_v, doubling_panels(1.0, L), tol=tol).value)
-    num_mass += _tail_integral(num_p_v, 1.0, L, 1.0 + p * eps, +1, tol)
+    num_mass += _tail_integral(_per_panel(num_p_v), 1.0, L, 1.0 + p * eps, +1, tol)
 
     if k.support[1] > 1.0:
         # kernel mass beyond t = 1 makes the transform live on x > 1 too
@@ -378,7 +382,7 @@ def _power_quotient(k: Kernel, p: float, eps: float, side: str,
         num_mass += float(integrate_batched(num_p_direct, doubling_panels(1.0, L),
                                             tol=tol).value)
         ei = k.inf_exponent if k.inf_exponent is not None else -1.0
-        num_mass += _tail_integral(num_p_direct, 1.0, L, -p * ei, +1, tol)
+        num_mass += _tail_integral(_per_panel(num_p_direct), 1.0, L, -p * ei, +1, tol)
     den_mass = float(integrate_batched(den_p_v, doubling_panels(1.0, L), tol=tol).value)
     den_mass += _tail_integral(den_p_v, 1.0, L, 1.0 + p * eps, +1, tol)
     return (num_mass / den_mass) ** (1.0 / p)

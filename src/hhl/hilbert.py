@@ -13,9 +13,9 @@ the residual on the requested grid.  Its two transform legs are log-grid
 (Mellin) convolutions, one FFT per sign in log|x|, so the check has no
 tolerance to set; the adaptive t-quadrature serves as their oracle in
 the tests.  It takes a whole corpus of kernels and functions and shares
-the work: hat weights once per kernel; the tail-aware H f, its log-grid
-samples and |f|_p once per function; only the tail-aware H(T f) and the
-residual once per pair.
+the work: hat weights and their spectra once per kernel; the tail-aware
+H f, its log-grid samples and |f|_p once per function; only the
+tail-aware H(T f) and the residual once per pair.
 """
 
 from __future__ import annotations
@@ -381,7 +381,7 @@ def hilbert_with_tails(g: SampledLine, origin: float = 0.0) -> SampledLine:
 
 def _commute_legs(weighted, f: SampledLine) -> list:
     """[T(H f) on f's window, T f on one four times wider], each listed per
-    ``_log_grid_kernel`` triple in ``weighted``: the per-function stage."""
+    ``_log_grid_kernel`` entry in ``weighted``: the per-function stage."""
     # internal midpoint-offset nodes: the transform of anything nonzero at
     # the origin carries a log point at x = 0, which node grids hit exactly
     big_L, big_N = f.L * 4, f.N * 4
@@ -427,9 +427,9 @@ def commutation_check(kernels, fs, p: float = 2.0) -> VerificationReport:
     ValueError rather than truncate, e.g. when f has not decayed by e^40.
 
     Every kernel's moment and every function's realness are checked before
-    any transform runs.  Then hat weights are built once per kernel; H f,
-    its log-grid samples and |f|_p once per function; the convolutions and
-    the tail-aware H(T f) once per pair.
+    any transform runs.  Then hat weights and their spectra are built once
+    per kernel; H f, its log-grid samples and |f|_p once per function; the
+    convolutions and the tail-aware H(T f) once per pair.
     """
     kernels, fs = tuple(kernels), tuple(fs)
     for k in kernels:

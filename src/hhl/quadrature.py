@@ -12,6 +12,15 @@ trailing axes, in which case the whole integral is computed component-wise
 (error estimates use the max-norm across components).  This is how the
 operator transforms evaluate a single adaptive schedule against a full
 grid of output points.
+
+``integrate`` evaluates ahead: the panels its bisection loop is bound to
+split get their halves from one integrand call, and the loop replays
+over them (see its docstring).  An integrand whose value at an abscissa
+depends on the other abscissas of the call (a transform sharing one
+t-schedule among its points, a cumulative moment, a Poisson-extension
+form) is wrapped in ``_per_panel`` where it is integrated:
+``lp_norm_function``'s tails, ``_power_quotient``'s numerator tails and
+``_poisson_tail``.
 """
 
 from __future__ import annotations
@@ -89,6 +98,15 @@ def _kronrod(n: int):
     w = 0.5 * (w + w[::-1])
     return 0.5 * (x - x[::-1]), w * (b[0] / w.sum())
 
+
+# Abscissa-by-component elements per integrand call of ``integrate``'s
+# batched splits, as the chunked loops of halfplane and hilbert bound
+# theirs.  Batching pays where the per-call cost outweighs the work: a
+# scalar integrand gets up to 97 splits per call, while a transform over a
+# 256-point group (5,376 elements a panel) keeps one panel per call; at
+# 2^16 elements it took 6 splits per call and the sweep suites read 6%
+# slower in paired runs.
+_BATCH_ELEMENTS = 1 << 12
 
 # Rounding floor of a reported error, per unit of summed panel magnitude
 # (QUADPACK's 50 eps); it enters ``error`` only, never the adaptive ledger.
@@ -186,6 +204,17 @@ def _panel(g, a: float, b: float):
     return _embedded(np.asarray(g(0.5 * (a + b) + half * _NODES)), half)
 
 
+def _per_panel(fn):
+    """``fn`` called on one panel's abscissas at a time, as ``integrate``
+    calls an integrand too wide to batch: the wrapper for an integrand
+    whose value at an abscissa depends on the others in the call."""
+    def each(xs):
+        parts = [fn(xs[i:i + _EVALS_PER_PANEL])
+                 for i in range(0, len(xs), _EVALS_PER_PANEL)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return each
+
+
 def _collect(segments):
     """Sum of the segment values in canonical (left endpoint) order, and
     the rounding floor of that sum's error."""
@@ -207,6 +236,20 @@ def integrate(g, a: float, b: float, tol: float = 1e-9,
 
     Raises BudgetError (carrying the partial result) if the evaluation
     budget runs out first.
+
+    Batched splits: intervals leave the heap in descending error order,
+    so the loop cannot stop while the largest errors summing to (summed
+    estimate - tol) are in it; unless its noise-floor guard or the budget
+    ends it first, it splits each of those intervals.  When the interval
+    it pops has no known halves, one call of ``g`` evaluates its halves
+    and those of the intervals that follow it in that set and have none
+    yet: at most ``_BATCH_ELEMENTS`` abscissa-by-component elements per
+    call, and never more splits than the budget has left.  An integrand
+    too wide for one split per call gets one panel per call.  The loop
+    then replays unchanged over the known halves, so for a pointwise
+    integrand value, error, evaluation count and a BudgetError's partial
+    result are bit-identical to one call per panel; halves evaluated for
+    a loop that stops early are not counted.
     """
     if not (a < b):
         raise ValueError(f"empty interval [{a}, {b}]")
@@ -229,6 +272,10 @@ def _bisect(g, a: float, b: float, tol: float, budget: int,
     frozen_err = 0.0  # their errors: out of the ledger, still reported
     best_err = err
     stale = 0
+    # splits per integrand call: as many panel pairs as _BATCH_ELEMENTS
+    # holds, none for integrands too wide for one pair
+    pairs = _BATCH_ELEMENTS // (2 * _EVALS_PER_PANEL * max(np.size(val), 1))
+    ahead = {}  # (a, b) -> its halves' (value, error), evaluated ahead
 
     while total_err > tol and heap:
         if evals + 2 * _EVALS_PER_PANEL > budget:
@@ -246,8 +293,26 @@ def _bisect(g, a: float, b: float, tol: float, budget: int,
             frozen_err -= neg_e
             continue
         mid = 0.5 * (ia + ib)
-        v1, e1 = _panel(g, ia, mid)
-        v2, e2 = _panel(g, mid, ib)
+        if not pairs:
+            (v1, e1), (v2, e2) = _panel(g, ia, mid), _panel(g, mid, ib)
+        else:
+            if (ia, ib) not in ahead:
+                # the intervals with the largest errors summing to
+                # total_err - tol, which the loop must split (see above)
+                need = total_err - tol + neg_e
+                limit = min(pairs, (budget - evals) // (2 * _EVALS_PER_PANEL))
+                split = [(ia, ib)]
+                for ne, _, ja, jb, _ in heapq.nsmallest(limit - 1 + len(ahead), heap):
+                    if need <= 0 or len(split) == limit:
+                        break
+                    need += ne
+                    if (ja, jb) not in ahead and not _too_narrow(ja, jb):
+                        split.append((ja, jb))
+                halves = [h for ja, jb in split
+                          for h in ((ja, 0.5 * (ja + jb)), (0.5 * (ja + jb), jb))]
+                estimates, _ = _panel_batch(g, halves)
+                ahead.update(zip(split, zip(estimates[::2], estimates[1::2])))
+            (v1, e1), (v2, e2) = ahead.pop((ia, ib))
         evals += 2 * _EVALS_PER_PANEL
         total_err += neg_e + e1 + e2
         seq += 1

@@ -16,7 +16,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 import numpy.fft  # loaded lazily by numpy; load it with the module
 
-from .quadrature import integrate, integrate_batched, geometric_panels
+from .quadrature import _per_panel, integrate, integrate_batched, geometric_panels
 
 __all__ = ["SampledLine", "lp_norm", "lp_norm_function"]
 
@@ -309,7 +309,9 @@ def lp_norm_function(fn, p: float, L: float, scale: float = 1.0,
         panels = geometric_panels(scale, L)
         win = integrate_batched(
             lambda xs: np.abs(np.asarray(fn(side * xs))) ** p, panels, tol=tol)
-        return float(win.value) + _tail_integral(fn, p, L, tail_power, side, tol)
+        # fn may be a transform, whose points share a schedule
+        return float(win.value) + _tail_integral(_per_panel(fn), p, L, tail_power,
+                                                 side, tol)
 
     if even_modulus:
         total = 2.0 * one_side(+1)

@@ -7,6 +7,7 @@ from hhl.adjoint import _sa_values, duality_residual, sa_moment
 from hhl.halfplane import CayleyPower
 from hhl.hausdorff import transform_values
 from hhl.kernels import adjoint_kernel, cesaro, hardy_type, moment, zero_kernel
+from hhl.quadrature import _BATCH_ELEMENTS
 from hhl.realline import SampledLine, eval_at
 
 
@@ -16,9 +17,18 @@ def test_sa_linear_ramp():
         lambda x: np.where((np.asarray(x) >= 0) & (np.asarray(x) <= 1),
                            np.asarray(x, dtype=float), 0.0), 4.0, 1 << 10)
     xs = f.grid()
-    out = _sa_values(cesaro(), lambda x: eval_at(f, x), xs, 1e-9)
+    sizes = []
+
+    def f_of(x):
+        sizes.append(x.size)
+        return eval_at(f, x)
+
+    out = _sa_values(cesaro(), f_of, xs, 1e-9)
     sel = (xs > 0.05) & (xs < 0.95)
     assert np.max(np.abs(out[sel] - xs[sel] / 2.0)) < 1e-8
+    # a 1,024-point integrand is too wide to batch within the element
+    # budget: one panel (21 abscissas) per call
+    assert max(sizes) <= max(_BATCH_ELEMENTS, 21 * xs.size)
 
 
 def test_sa_zero_weight():

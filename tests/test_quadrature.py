@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -273,6 +274,121 @@ def test_batched_chain_replay_matches_plain_loop(name):
     assert len(new_calls) <= chain_calls
     # speculative panels past the settling point are evaluated, not counted
     assert sum(new_calls) >= new.evaluations
+
+
+def _bisect_by_pairs(g, a, b, tol, budget=None, exits=None):
+    """Reference for ``integrate``: its bisection loop with one integrand
+    call per new panel, two per split.  ``exits`` collects how the loop
+    ended: "tol", "stall" or "budget", and "frozen" when it froze a panel
+    too narrow to split."""
+    from hhl.quadrature import (_EVALS_PER_PANEL, _collect, _panel,
+                                _too_narrow, eval_budget)
+    exits = set() if exits is None else exits
+    budget = eval_budget() if budget is None else budget
+    val, err = _panel(g, a, b)
+    evals = _EVALS_PER_PANEL
+    seq = 0
+    heap = [(-err, seq, a, b, val)]
+    done = []
+    total_err, frozen_err, best_err, stale = err, 0.0, err, 0
+    while total_err > tol and heap:
+        if evals + 2 * _EVALS_PER_PANEL > budget:
+            exits.add("budget")
+            value, rounding = _collect([(e[2], e[3], e[4]) for e in heap] + done)
+            raise BudgetError("budget", QuadResult(
+                value, total_err + frozen_err + rounding, evals))
+        neg_e, _, ia, ib, ival = heapq.heappop(heap)
+        if _too_narrow(ia, ib):
+            exits.add("frozen")
+            done.append((ia, ib, ival))
+            total_err += neg_e
+            frozen_err -= neg_e
+            continue
+        mid = 0.5 * (ia + ib)
+        v1, e1 = _panel(g, ia, mid)
+        v2, e2 = _panel(g, mid, ib)
+        evals += 2 * _EVALS_PER_PANEL
+        total_err += neg_e + e1 + e2
+        seq += 1
+        heapq.heappush(heap, (-e1, seq, ia, mid, v1))
+        seq += 1
+        heapq.heappush(heap, (-e2, seq, mid, ib, v2))
+        if total_err < best_err * (1.0 - 1e-3):
+            best_err, stale = total_err, 0
+        else:
+            stale += 1
+            if stale >= 24:
+                exits.add("stall")
+                break
+    else:
+        exits.add("tol")
+    value, rounding = _collect([(e[2], e[3], e[4]) for e in heap] + done)
+    return QuadResult(value, max(total_err, 0.0) + frozen_err + rounding, evals)
+
+
+def _ladder():
+    # a 200-knot C1 piecewise cubic on a log ladder with a decaying
+    # modulus: the shape of the tail closures of a tail-aware transform
+    from hhl.realline import _pchip
+    u = np.linspace(0.0, 30.0, 200)
+    ev = _pchip(u, np.exp(-0.7 * u) * (1.5 + np.sin(2.3 * u)) * (1 + 0.1 * u))
+    return lambda us: np.abs(ev(us))
+
+
+# (integrand, a, b, keyword arguments, the reference loop's exits)
+BISECT_CASES = {
+    "smooth": (lambda x: np.exp(-x) * np.sin(3 * x), 0.0, 10.0,
+               {"tol": 1e-13}, {"tol"}),
+    "pchip ladder": (_ladder(), 0.0, 30.0, {"tol": 1e-12}, {"tol"}),
+    "rsqrt at 0": (lambda x: x ** -0.5, 0.0, 1.0, {"tol": 1e-10}, {"tol"}),
+    "complex n x 3": (lambda x: np.stack([np.exp(5j * x), np.sqrt(x) + 0j,
+                                          np.log1p(x) * 1j], axis=1),
+                      0.0, 2.0, {"tol": 1e-12}, {"tol"}),
+    "noise floor": (lambda x: np.exp(x) + 1e-9 * np.sin(1e13 * x), 0.0, 1.0,
+                    {"tol": 1e-15}, {"stall"}),
+    "frozen jump": (lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0), 0.0, 1.0,
+                    {"tol": 1e-17}, {"frozen", "tol"}),
+    "budget": (lambda x: np.log(x) ** 2 * np.sin(50 * x), 0.0, 1.0,
+               {"tol": 1e-14, "budget": 21 * 41}, {"budget"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BISECT_CASES))
+def test_integrate_replays_pair_loop_bitwise(name):
+    g, a, b, kwargs, ref_exits = BISECT_CASES[name]
+    g_ref, ref_calls = _counting(g)
+    g_new, new_calls = _counting(g)
+    exits = set()
+    kind_ref, ref = _result_or_partial(_bisect_by_pairs, g_ref, a, b,
+                                       exits=exits, **kwargs)
+    kind_new, new = _result_or_partial(integrate, g_new, a, b, **kwargs)
+    assert exits == ref_exits
+    assert kind_new == kind_ref
+    assert np.asarray(new.value).dtype == np.asarray(ref.value).dtype
+    assert np.asarray(new.value).tobytes() == np.asarray(ref.value).tobytes()
+    assert new.error == ref.error
+    assert new.evaluations == ref.evaluations
+    assert sum(new_calls) >= new.evaluations
+    if "tol" in exits:
+        # every split evaluated ahead was one the loop made
+        assert sum(new_calls) == new.evaluations
+        assert len(new_calls) < len(ref_calls)
+    if name == "pchip ladder":
+        assert len(new_calls) <= len(ref_calls) / 5
+
+
+def test_integrate_batches_within_element_budget():
+    # a call holds at most _BATCH_ELEMENTS abscissa-by-component elements;
+    # an integrand too wide for a split's two panels gets one per call
+    from hhl.quadrature import _BATCH_ELEMENTS
+    for width in (1, 40, 97, 98, 4000):
+        g, calls = _counting(lambda x, w=width: np.multiply.outer(
+            x ** -0.5, np.ones(w)))
+        integrate(g, 0.0, 1.0, tol=1e-10)
+        if 42 * width <= _BATCH_ELEMENTS:
+            assert 42 <= max(calls) <= _BATCH_ELEMENTS // width
+        else:
+            assert set(calls) == {21}
 
 
 def test_budget_env_override(monkeypatch):
