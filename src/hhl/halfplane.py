@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import _per_panel, integrate_halfline, geometric_panels
-from .realline import SampledLine, _fftconvolve, lp_norm_function
+from .realline import _FFT_ROWS, SampledLine, _fftconvolve, lp_norm_function
 
 __all__ = [
     "HoloFunction",
@@ -241,7 +241,7 @@ def _poisson_window(g: SampledLine, y: float, xs: np.ndarray,
                  + _poisson_B(d - h, y)) / h
             out[start:start + chunk] = w.astype(complex) @ g.values
     else:
-        out = conv.copy()
+        out = conv.astype(complex)  # a copy; real-valued g convolves as real
     for v, c, side in ((g.values[0], grid[0], -1.0), (g.values[-1], grid[-1], +1.0)):
         if v != 0:
             out -= v * _halfhat_outer(xs, c, side, h, y)
@@ -283,19 +283,34 @@ def _poisson_values(g: SampledLine, y: float, xs: np.ndarray) -> np.ndarray:
 
 def _poisson_grid_values(g: SampledLine, ys):
     """As _poisson_values on g's own grid, via the Toeplitz structure: one
-    array per height in ys, in order, with g's spectrum computed once."""
+    array per height in ys, in order.  The hat-integrated weights of a few
+    heights at a time are real rows convolved in one stacked transform
+    against g's samples (their real part when g is real), whose spectrum
+    is computed once."""
     n = g.N
     h = g.h
-    k = np.arange(-(n - 1), n) * h
+    k = np.arange(-n, n + 1) * h
     grid = g.grid()
+    data = g.values if g.values.imag.any() else g.values.real
     spectra = {}
-    for y in ys:
-        w = (_poisson_B(k + h, y) - 2.0 * _poisson_B(k, y) + _poisson_B(k - h, y)) / h
-        conv = _fftconvolve(g.values, w.astype(complex), mode="valid", spectra=spectra)
-        out = _poisson_window(g, y, grid, conv=conv)
-        if g.form is not None:
-            out = out + _poisson_tail(g, y, grid)
-        yield out
+    for first in range(0, len(ys), _FFT_ROWS):
+        chunk = ys[first:first + _FFT_ROWS]
+        w = np.empty((len(chunk), 2 * n - 1))
+        for row, y in zip(w, chunk):
+            b = _poisson_B(k, y)
+            # the second difference of B at k - h, k, k + h
+            np.divide(b[2:] - 2.0 * b[1:-1] + b[:-2], h, out=row)
+        convs = _fftconvolve(w, data, mode="valid", spectra=spectra)
+        # drop the weights before the levels go out, and the transform's
+        # buffer before the next stack is made: either would add to the
+        # peak memory
+        del w
+        for conv, y in zip(convs, chunk):
+            out = _poisson_window(g, y, grid, conv=conv)
+            if g.form is not None:
+                out = out + _poisson_tail(g, y, grid)
+            yield out
+        del convs, conv
 
 
 def poisson_extend(g: SampledLine, y: float) -> SampledLine:

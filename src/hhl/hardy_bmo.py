@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .halfplane import _poisson_grid_values
+from .halfplane import CayleyPower, _poisson_grid_values
 from .hausdorff import SweepResult, transform_values
 from .kernels import Kernel, moment, truncate_below
-from .realline import SampledLine, _fftconvolve, lp_norm, lp_norm_function
+from .realline import _FFT_ROWS, SampledLine, _fftconvolve, lp_norm, lp_norm_function
 from .report import CheckRow, VerificationReport
 
 __all__ = [
@@ -176,16 +176,33 @@ def _scales(f: SampledLine, t_grid, count: int) -> np.ndarray:
 
 
 def smooth_maximal(f: SampledLine, t_grid=None, scales: int = 64) -> SampledLine:
-    """sup over t of |f * Phi_t| for a fixed normalized Gaussian Phi."""
+    """sup over t of |f * Phi_t| for a fixed normalized Gaussian Phi.
+
+    A scale below the grid step h raises: the sampled Gaussian is then
+    too narrow for its Riemann sum, which inflates |f * Phi_t| past
+    max |f|.  Each Gaussian is a row zero-padded to the widest one, so all
+    scales share one transform length and f's spectrum (its real part's
+    when f is real) is computed once; rows go through in stacks.
+    """
+    ts = _scales(f, t_grid, scales)
+    fine = ts[ts < f.h]
+    if fine.size:
+        raise ValueError(f"scale {float(fine[0])!r} is below the grid step {f.h!r}")
     best = np.zeros(f.N)
-    for t in _scales(f, t_grid, scales):
-        half = min(8.0 * t, 2.0 * f.L)
-        m = int(np.ceil(half / f.h))
-        ker_x = np.arange(-m, m + 1) * f.h
-        ker = np.exp(-0.5 * (ker_x / t) ** 2) / (t * math.sqrt(2 * math.pi))
-        ker *= f.h
-        conv = _fftconvolve(f.values, ker.astype(complex), mode="same")
-        best = np.maximum(best, np.abs(conv))
+    ms = np.ceil(np.minimum(8.0 * ts, 2.0 * f.L) / f.h).astype(int)
+    width = int(ms.max(initial=0))
+    data = f.values if f.values.imag.any() else f.values.real
+    spectra = {}
+    for first in range(0, ts.size, _FFT_ROWS):
+        chunk = slice(first, first + _FFT_ROWS)
+        rows = np.zeros((ts[chunk].size, 2 * width + 1))
+        for row, t, m in zip(rows, ts[chunk], ms[chunk]):
+            ker_x = np.arange(-m, m + 1) * f.h
+            ker = np.exp(-0.5 * (ker_x / t) ** 2) / (t * math.sqrt(2 * math.pi))
+            row[width - m:width + m + 1] = ker * f.h
+        conv = _fftconvolve(rows, data, spectra=spectra)
+        best = np.maximum(best, np.abs(conv[:, width:width + f.N]).max(axis=0))
+        del conv  # else its buffer stays alive while the next stack is made
     return SampledLine.from_values(best, f.L, label=f"M_smooth[{f.label}]")
 
 
@@ -375,13 +392,7 @@ def h1_lowerbound_check(k: Kernel, epsilons, delta: float = 0.1,
     residuals = []
     for eps in eps_list:
         s = 1.0 + eps
-
-        def f_star(x):
-            x = np.asarray(x, dtype=float)
-            with np.errstate(over="ignore", invalid="ignore"):
-                v = (x + 1j) ** (-s)
-            return np.nan_to_num(v)
-
+        f_star = CayleyPower(s, 1.0).eval_batch  # on the real axis
         if mass == 0.0:
             residuals.append(0.0)
             continue

@@ -203,6 +203,11 @@ def _next_fast_len(n: int, real: bool) -> int:
     return min(c << ((n - 1) // c).bit_length() for c in odd)
 
 
+# rows per stacked _fftconvolve call where one operand meets many: more
+# rows save little time and cost memory
+_FFT_ROWS = 4
+
+
 def _fftconvolve(a: np.ndarray, b: np.ndarray, mode: str = "full",
                  spectra: dict | None = None) -> np.ndarray:
     """Linear convolution of two 1-D arrays by FFT (numpy's pocketfft),
@@ -215,10 +220,16 @@ def _fftconvolve(a: np.ndarray, b: np.ndarray, mode: str = "full",
     bit under fused multiply-add.  ``spectra``, a dict a caller keeps over
     calls sharing the operand transformed second (b; in "valid" mode the
     shorter one), holds that operand's spectrum so it is computed once.
+
+    ``a`` may also be 2-D: each row is convolved with b along the last
+    axis, as one stacked transform each way.  Rows stay first in every
+    mode, so a row gives the bits of its own 1-D call whenever that call
+    would not swap the operands.
     """
-    if mode == "valid" and a.size < b.size:
+    if mode == "valid" and a.ndim == 1 and a.size < b.size:
         a, b = b, a
-    n = a.size + b.size - 1
+    la = a.shape[-1]
+    n = la + b.size - 1
     real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
     nf = _next_fast_len(n, real)
     fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
@@ -227,12 +238,12 @@ def _fftconvolve(a: np.ndarray, b: np.ndarray, mode: str = "full",
         spectra[nf, real] = fft(b, nf)
     spec = fft(a, nf)
     spec *= spectra[nf, real]  # in place: one transform-length array fewer
-    out = ifft(spec, nf)[:n]
+    out = ifft(spec, nf)[..., :n]
     if mode == "full":
         return out
-    keep = a.size if mode == "same" else a.size - b.size + 1
+    keep = la if mode == "same" else abs(la - b.size) + 1
     start = (n - keep) // 2
-    return out[start:start + keep]
+    return out[..., start:start + keep]
 
 
 def _window_trapezoid(f: SampledLine, p: float) -> float:

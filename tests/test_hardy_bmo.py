@@ -118,6 +118,50 @@ def test_smooth_maximal_youngs_bound():
     assert np.max(ms.values.real) <= bound * (1 + 1e-6)
 
 
+def smooth_maximal_oracle(f, ts):
+    """sup over the scales of |f * Phi_t|, one scipy fftconvolve per scale
+    on the Gaussian's own support."""
+    from scipy.signal import fftconvolve
+    best = np.zeros(f.N)
+    for t in ts:
+        m = int(np.ceil(min(8.0 * t, 2.0 * f.L) / f.h))
+        ker_x = np.arange(-m, m + 1) * f.h
+        ker = np.exp(-0.5 * (ker_x / t) ** 2) / (t * math.sqrt(2 * math.pi)) * f.h
+        best = np.maximum(best, np.abs(fftconvolve(f.values, ker, mode="same")))
+    return best
+
+
+@pytest.mark.parametrize("case, t_grid", [
+    ("real", None),                  # the default 48 log-spaced scales
+    ("real", [0.3, 2.0, 0.05, 40.0, 0.3]),
+    ("complex", None),
+    ("complex", [1.0 / 32, 0.7, 9.0]),
+])
+def test_smooth_maximal_matches_per_scale_oracle(case, t_grid):
+    L, N = 16.0, 1 << 10
+    terms = [(0.6, make_atom(-3.0, 2.0, "sine")), (0.4, make_atom(5.0, 1.5, "haar"))]
+    if case == "complex":
+        terms.append((0.3j, make_atom(1.0, 0.5, "bump")))
+    f = AtomicDecomposition(terms=tuple(terms)).synthesize(L, N)
+    ts = np.geomspace(f.h, 4.0 * f.L, 48) if t_grid is None else np.array(t_grid)
+    kw = dict(scales=48) if t_grid is None else dict(t_grid=t_grid)
+    got = smooth_maximal(f, **kw).values
+    want = smooth_maximal_oracle(f, ts)
+    assert np.all(got.imag == 0.0)
+    assert np.max(np.abs(got.real - want)) <= 1e-13 * np.max(want)
+
+
+def test_smooth_maximal_rejects_scales_below_grid_step():
+    """A Gaussian narrower than h is undersampled and would inflate
+    |f * Phi_t| past max |f| (3.99 at h/10 here); from h up it does not."""
+    f = SampledLine.from_function(lambda x: np.exp(-np.asarray(x) ** 2), 16.0, 1 << 10)
+    for bad in (f.h / 10, f.h / 4):
+        with pytest.raises(ValueError, match=f"scale {bad!r} is below the grid step"):
+            smooth_maximal(f, t_grid=[1.0, bad, f.h / 8])
+    ms = smooth_maximal(f, t_grid=[f.h, 2 * f.h, 1.0])
+    assert np.max(ms.values.real) <= 1.0 + 1e-8
+
+
 def test_poisson_maximal_nonneg_data_dominates_extension():
     from hhl.halfplane import poisson_extend
     g = SampledLine.from_function(
@@ -224,13 +268,17 @@ def test_bmo_bound_check_both_kernels():
 
 def _grid_values_oracle(g, y):
     """Poisson grid values at one height: the Toeplitz product through
-    scipy's fftconvolve, both edge half-hats always removed."""
+    scipy's fftconvolve (of real operands when g is real-valued), both
+    edge half-hats always removed."""
     from scipy.signal import fftconvolve
     from hhl.halfplane import _halfhat_outer, _poisson_B, _poisson_tail
     n, h, grid = g.N, g.h, g.grid()
     k = np.arange(-(n - 1), n) * h
     w = (_poisson_B(k + h, y) - 2.0 * _poisson_B(k, y) + _poisson_B(k - h, y)) / h
-    out = fftconvolve(g.values, w.astype(complex), mode="valid")
+    if g.values.imag.any():
+        out = fftconvolve(g.values, w.astype(complex), mode="valid")
+    else:
+        out = fftconvolve(g.values.real, w, mode="valid").astype(complex)
     out -= g.values[0] * _halfhat_outer(grid, grid[0], -1.0, h, y)
     out -= g.values[-1] * _halfhat_outer(grid, grid[-1], +1.0, h, y)
     if g.form is not None:
@@ -326,6 +374,24 @@ def test_h1_report_computes_each_level_once(monkeypatch):
     # one level per height for M_P and S together, in increasing height
     assert len(heights) == 48
     assert heights == sorted(set(heights))
+
+
+def test_h1_report_fft_call_count(monkeypatch):
+    """Stacked real transforms: at most 52 numpy.fft calls for one input
+    (25 for the Poisson levels, 25 for the smooth maximal function, 2 for
+    the Hilbert transform), and only the Hilbert transform's are complex;
+    one complex transform per level and scale made 243."""
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn",
+                 "irfftn", "fft2", "ifft2", "rfft2", "irfft2", "hfft", "ihfft"):
+        def counting(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counting)
+    dec = AtomicDecomposition(terms=((1.0, make_atom(0.0, 1.0, "sine")),))
+    h1_report(dec, L=16.0, N=1 << 10, scales=48)
+    assert 0 < len(calls) <= 52
+    assert sorted(c for c in calls if "rfft" not in c) == ["fft", "ifft"]
 
 
 @pytest.mark.parametrize("fn", [smooth_maximal, poisson_maximal, square_function])

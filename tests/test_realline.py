@@ -159,6 +159,30 @@ def test_fftconvolve_matches_scipy_bitwise(la, lb, mode, dtype):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("rows, la, lb, mode", [
+    (4, 8191, 4096, "valid"),   # Poisson weights against the data
+    (3, 53, 4096, "full"),      # smooth-maximal rows against the data
+    (4, 4096, 53, "same"),
+    (1, 200, 300, "full"),
+])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_fftconvolve_rows_match_per_row_calls_bitwise(rows, la, lb, mode, dtype):
+    """A stacked 2-D call gives each row the bits of its own 1-D call,
+    real and complex, with the kept spectrum of b computed once."""
+    rng = np.random.default_rng(rows * la + lb)
+    a, b = rng.standard_normal((rows, la)), rng.standard_normal(lb)
+    if dtype is complex:
+        b = b + 1j * rng.standard_normal(lb)
+    spectra = {}
+    got = _fftconvolve(a, b, mode, spectra=spectra)
+    assert len(spectra) == 1
+    want = np.stack([_fftconvolve(row, b, mode) for row in a])
+    assert got.dtype == want.dtype and np.iscomplexobj(got) == (dtype is complex)
+    assert np.array_equal(got, want)
+    # the kept spectrum serves a second stack unchanged
+    assert np.array_equal(_fftconvolve(a[::-1], b, mode, spectra=spectra), want[::-1])
+
+
 # ---------------------------------------------------------------------------
 # numpy replacements for scipy routines, each against the routine it replaces
 
