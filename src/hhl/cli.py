@@ -63,8 +63,8 @@ class RunConfig:
         n = self.N
         if n < 16 or n & (n - 1):
             raise ValueError("N must be a power of two >= 16")
-        if not (0 < self.L < math.inf and 0 < self.sweep_L < math.inf):
-            raise ValueError("window sizes must be positive and finite")
+        if not (0 < self.L < math.inf and 1 < self.sweep_L < math.inf):
+            raise ValueError("L must be positive, sweep_L above 1, both finite")
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if self.fmt not in ("csv", "json", "both"):

@@ -265,7 +265,7 @@ def cumulative_moment(k: Kernel, s: float, xs: np.ndarray,
         firsts, _ = _panel_batch(g, [(a, b) for _, a, b in bounded])
         budget = eval_budget()
         for (i, a, b), first in zip(bounded, firsts):
-            pieces[i] = float(_bisect(g, a, b, tol, budget, *first).value)
+            pieces[i] = float(_bisect(g, [(a, b, *first)], tol, budget).value)
     cums = np.cumsum(pieces[:sx.size])
     if upper:
         cums = (cums[-1] - cums) + pieces[-1]

@@ -13,14 +13,16 @@ trailing axes, in which case the whole integral is computed component-wise
 operator transforms evaluate a single adaptive schedule against a full
 grid of output points.
 
-``integrate`` evaluates ahead: the panels its bisection loop is bound to
-split get their halves from one integrand call, and the loop replays
-over them (see its docstring).  An integrand whose value at an abscissa
-depends on the other abscissas of the call (a transform sharing one
-t-schedule among its points, a cumulative moment, a Poisson-extension
-form) is wrapped in ``_per_panel`` where it is integrated:
-``lp_norm_function``'s tails, ``_power_quotient``'s numerator tails and
-``_poisson_tail``.
+``integrate`` (one interval) and ``integrate_batched`` (breakpoints) run
+one bisection loop, ``_bisect``, with one heap and one stopping test.  It
+evaluates ahead: the panels it is bound to split, and the bisections an
+endpoint singularity predicts, get their halves from one integrand call,
+and the loop replays over them (see its docstring).  An integrand whose
+value at an abscissa depends on the other abscissas of the call (a
+transform sharing one t-schedule among its points, a cumulative moment, a
+Poisson-extension form) is wrapped in ``_per_panel`` where it is
+integrated: ``lp_norm_function``'s tails, ``_power_quotient``'s numerator
+tails and ``_poisson_tail``.
 """
 
 from __future__ import annotations
@@ -235,7 +237,20 @@ def integrate(g, a: float, b: float, tol: float = 1e-9,
     singularities that are integrable are handled by the open node set.
 
     Raises BudgetError (carrying the partial result) if the evaluation
-    budget runs out first.
+    budget runs out first.  The loop is ``_bisect``.
+    """
+    if not (a < b):
+        raise ValueError(f"empty interval [{a}, {b}]")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    budget = eval_budget() if budget is None else budget
+    return _bisect(g, [(a, b, *_panel(g, a, b))], tol, budget)
+
+
+def _bisect(g, seeds, tol: float, budget: int) -> QuadResult:
+    """The bisection loop of ``integrate`` and ``integrate_batched``, over
+    the consecutive intervals ``seeds``: (a, b, value, error) of each, its
+    first panel evaluated by the caller.  One heap holds every interval.
 
     Batched splits: intervals leave the heap in descending error order,
     so the loop cannot stop while the largest errors summing to (summed
@@ -243,38 +258,39 @@ def integrate(g, a: float, b: float, tol: float = 1e-9,
     ends it first, it splits each of those intervals.  When the interval
     it pops has no known halves, one call of ``g`` evaluates its halves
     and those of the intervals that follow it in that set and have none
-    yet: at most ``_BATCH_ELEMENTS`` abscissa-by-component elements per
-    call, and never more splits than the budget has left.  An integrand
+    yet.
+
+    Endpoint chain: an integrable singularity at an end of the range
+    costs one bisection per level there.  So when the popped interval
+    touches an end, its error is 1/4 to 1 times its parent's, that ratio
+    is at least 0.9 times the parent's own, and its sibling holds at most
+    1/4 of its error, the same call also evaluates the bisections toward
+    that end that the ratio predicts it needs to reach ``tol``.
+
+    A call holds at most ``_BATCH_ELEMENTS`` abscissa-by-component
+    elements and never more splits than the budget has left; an integrand
     too wide for one split per call gets one panel per call.  The loop
     then replays unchanged over the known halves, so for a pointwise
     integrand value, error, evaluation count and a BudgetError's partial
     result are bit-identical to one call per panel; halves evaluated for
     a loop that stops early are not counted.
     """
-    if not (a < b):
-        raise ValueError(f"empty interval [{a}, {b}]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    budget = eval_budget() if budget is None else budget
-    return _bisect(g, a, b, tol, budget, *_panel(g, a, b))
-
-
-def _bisect(g, a: float, b: float, tol: float, budget: int,
-            val, err: float) -> QuadResult:
-    """``integrate``'s bisection loop on [a, b], started from the value and
-    error of its first panel (evaluated by the caller)."""
-    evals = _EVALS_PER_PANEL
-    # heap entries: (-error, seq, a, b, value); seq makes ordering total.
-    seq = 0
-    heap = [(-err, seq, a, b, val)]
+    lo, hi = seeds[0][0], seeds[-1][1]
+    evals = _EVALS_PER_PANEL * len(seeds)
+    # heap entries: (-error, seq, a, b, value, error / parent's error,
+    # whether a pop starts an endpoint chain); seq makes ordering total
+    heap = [(-e, seq, a, b, v, math.nan, False)
+            for seq, (a, b, v, e) in enumerate(seeds)]
+    heapq.heapify(heap)
+    seq = len(seeds)
     done = []  # intervals too narrow to split further
-    total_err = err
+    total_err = sum(e for *_, e in seeds)
     frozen_err = 0.0  # their errors: out of the ledger, still reported
-    best_err = err
+    best_err = total_err
     stale = 0
     # splits per integrand call: as many panel pairs as _BATCH_ELEMENTS
     # holds, none for integrands too wide for one pair
-    pairs = _BATCH_ELEMENTS // (2 * _EVALS_PER_PANEL * max(np.size(val), 1))
+    pairs = _BATCH_ELEMENTS // (2 * _EVALS_PER_PANEL * max(np.size(seeds[0][2]), 1))
     ahead = {}  # (a, b) -> its halves' (value, error), evaluated ahead
 
     while total_err > tol and heap:
@@ -282,10 +298,10 @@ def _bisect(g, a: float, b: float, tol: float, budget: int,
             value, rounding = _collect([(e[2], e[3], e[4]) for e in heap] + done)
             partial = QuadResult(value, total_err + frozen_err + rounding, evals)
             raise BudgetError(
-                f"quadrature budget {budget} exhausted on [{a}, {b}] "
+                f"quadrature budget {budget} exhausted on [{lo}, {hi}] "
                 f"(error estimate {total_err:.3e} > tol {tol:.3e})",
                 partial)
-        neg_e, _, ia, ib, ival = heapq.heappop(heap)
+        neg_e, _, ia, ib, ival, ratio, chain = heapq.heappop(heap)
         if _too_narrow(ia, ib):
             # cannot be refined at double precision; freeze it
             done.append((ia, ib, ival))
@@ -302,12 +318,21 @@ def _bisect(g, a: float, b: float, tol: float, budget: int,
                 need = total_err - tol + neg_e
                 limit = min(pairs, (budget - evals) // (2 * _EVALS_PER_PANEL))
                 split = [(ia, ib)]
-                for ne, _, ja, jb, _ in heapq.nsmallest(limit - 1 + len(ahead), heap):
+                for ne, _, ja, jb, *_ in heapq.nsmallest(limit - 1 + len(ahead), heap):
                     if need <= 0 or len(split) == limit:
                         break
                     need += ne
                     if (ja, jb) not in ahead and not _too_narrow(ja, jb):
                         split.append((ja, jb))
+                if chain:
+                    # the end panel's error shrinks by ``ratio`` per level
+                    levels = math.ceil(math.log(-neg_e / tol) / -math.log(ratio)) - 1
+                    ca, cb = ia, ib
+                    for _ in range(min(levels, limit - len(split))):
+                        ca, cb = (ca, 0.5 * (ca + cb)) if ia == lo else (0.5 * (ca + cb), cb)
+                        if _too_narrow(ca, cb):
+                            break
+                        split.append((ca, cb))
                 halves = [h for ja, jb in split
                           for h in ((ja, 0.5 * (ja + jb)), (0.5 * (ja + jb), jb))]
                 estimates, _ = _panel_batch(g, halves)
@@ -315,10 +340,12 @@ def _bisect(g, a: float, b: float, tol: float, budget: int,
             (v1, e1), (v2, e2) = ahead.pop((ia, ib))
         evals += 2 * _EVALS_PER_PANEL
         total_err += neg_e + e1 + e2
-        seq += 1
-        heapq.heappush(heap, (-e1, seq, ia, mid, v1))
-        seq += 1
-        heapq.heappush(heap, (-e2, seq, mid, ib, v2))
+        for ja, jb, v, e, e_sib in ((ia, mid, v1, e1, e2), (mid, ib, v2, e2, e1)):
+            r = -e / neg_e if neg_e else math.nan
+            chain = ((ja == lo or jb == hi) and 0.25 <= r < 1.0
+                     and r >= 0.9 * ratio and e_sib <= 0.25 * e)
+            seq += 1
+            heapq.heappush(heap, (-e, seq, ja, jb, v, r, chain))
         # noise-floor guard: interpolated data carries an estimator floor
         # refinement cannot beat; stop once splits no longer pay
         if total_err < best_err * (1.0 - 1e-3):
@@ -544,115 +571,26 @@ def _panel_batch(g_batch, pending):
     return [_embedded(v, half) for v, half in zip(vals, halfs)], xs.size
 
 
-def _chain(a: float, b: float, toward_lo: bool, levels: int):
-    """The panels of ``levels`` successive bisections of [a, b] toward one
-    end, both halves of each level, as the round loop would create them."""
-    out = []
-    for _ in range(levels):
-        if _too_narrow(a, b):
-            break
-        m = 0.5 * (a + b)
-        out += [(a, m), (m, b)]
-        a, b = (a, m) if toward_lo else (m, b)
-    return out
-
-
 def integrate_batched(g_batch, panels, tol: float = 1e-9,
-                      budget: int | None = None, max_rounds: int = 24) -> QuadResult:
-    """Panel quadrature with batched evaluation.
+                      budget: int | None = None) -> QuadResult:
+    """Adaptive quadrature of ``g_batch`` over the breakpoints ``panels``.
 
-    ``panels`` is a list of breakpoints.  A panel settles once its error
-    estimate is at most tol / max(n, 8), n the number of starting panels,
-    once it is too narrow to bisect, or at depth ``max_rounds`` (the
-    bisections from its starting panel); otherwise it is bisected.  Every
-    round gathers the abscissas of all open panels into one array and
-    calls ``g_batch`` once.  Intended for integrands whose every
-    evaluation is itself expensive (inner quadratures) but vectorizes
-    across points.
-
-    Chain replay: an endpoint singularity forces one bisection per depth
-    at the end it sits on.  So when a failing panel touches an end of the
-    range and its error is at least 1/4 of its parent's, the round that
-    evaluates its halves also evaluates the next bisection levels toward
-    that end, both halves of each, as many as the observed error ratio
-    predicts the end panel needs to settle (capped at depth
-    ``max_rounds``).  The rule above is replayed over those levels, and
-    levels past the settling point are dropped uncounted.  The settled
-    panels are then those of the plain loop that evaluates one depth per
-    round, and so are the BudgetError raised (at the first depth below
-    ``max_rounds`` whose panels would exceed the budget) and its partial
-    result: for a pointwise integrand, one whose value at an abscissa
-    does not depend on the others in the batch, value, error and
-    evaluation count are bit-identical to it.
+    ``integrate``'s loop, seeded with every panel: one call of ``g_batch``
+    evaluates the first panels, and the bisection loop then runs over all
+    of them with one heap and one stopping test (summed estimate below
+    ``tol``).  Raises BudgetError if the first panels alone exceed the
+    budget.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     budget = eval_budget() if budget is None else budget
     intervals = [(panels[i], panels[i + 1]) for i in range(len(panels) - 1)
                  if panels[i + 1] > panels[i]]
     if not intervals:
         raise ValueError("need at least one non-empty panel")
-    lo, hi = intervals[0][0], intervals[-1][1]
-    cut = tol / max(len(intervals), 8)
-    depth_cap = max(max_rounds, 0)
-
-    known = {}  # (a, b) -> (value, error) of every panel evaluated
-    counts = [len(intervals)] + [0] * depth_cap  # panels created per depth
-    checked = 0  # depths below this one have passed the budget check
-    settled = []  # (depth, a, b, value, error)
-    # open panels: (a, b, depth, parent's error, grandparent's error)
-    pending = [(a, b, 0, math.nan, math.nan) for a, b in intervals]
-    while pending:
-        # every panel at or above the shallowest open depth exists now, so
-        # the depth-by-depth budget check can run that far
-        top = min(p[2] for p in pending)
-        for d in range(checked, min(top + 1, max_rounds)):
-            if _EVALS_PER_PANEL * sum(counts[:d + 1]) > budget:
-                done = [s for s in settled if s[0] < d]
-                segs = [(a, b, v) for _, a, b, v, _ in done]
-                err = sum(e for *_, e in done) + math.inf
-                raise BudgetError("batched quadrature budget exhausted",
-                                  QuadResult(_collect(segs)[0] if segs else 0.0,
-                                             err, _EVALS_PER_PANEL * sum(counts[:d])))
-        checked = min(top + 1, max_rounds)  # ``top`` never decreases
-
-        committed = _EVALS_PER_PANEL * sum(counts)
-        if committed > budget:
-            # near the budget: one depth per round, nothing speculative
-            fetch = [p for p in pending if p[2] == top]
-            pending = [p for p in pending if p[2] != top]
-            extra = []
-        else:
-            fetch, pending, extra = pending, [], []
-            for a, b, d, pe, gpe in fetch:
-                ratio = pe / gpe if gpe > 0 else math.nan
-                if not ratio >= 0.25 or (a != lo and b != hi):
-                    continue
-                # the end panel's error shrinks by ``ratio`` per level;
-                # evaluate down to the level predicted to settle
-                levels = depth_cap - d
-                if ratio < 1.0 and cut > 0:
-                    need = math.ceil(math.log(pe / cut) / -math.log(ratio)) - 1
-                    levels = min(levels, need)
-                extra += _chain(a, b, a == lo, levels)
-            if committed + _EVALS_PER_PANEL * len(extra) > budget:
-                extra = []
-
-        batch = [(a, b) for a, b, *_ in fetch] + extra
-        estimates, _ = _panel_batch(g_batch, batch)
-        known.update(zip(batch, estimates))
-
-        # replay the per-panel rule, descending into evaluated halves
-        while fetch:
-            a, b, d, pe, _ = fetch.pop()
-            v, e = known.pop((a, b))
-            if d >= max_rounds or e <= cut or _too_narrow(a, b):
-                settled.append((d, a, b, v, e))
-                continue
-            m = 0.5 * (a + b)
-            counts[d + 1] += 2
-            for half in ((a, m, d + 1, e, pe), (m, b, d + 1, e, pe)):
-                (fetch if half[:2] in known else pending).append(half)
-
-    settled.sort(key=lambda s: (s[0], s[1]))  # the plain loop's order
-    value, rounding = _collect([(a, b, v) for _, a, b, v, _ in settled])
-    err = float(sum(e for *_, e in settled)) + rounding
-    return QuadResult(value, err, _EVALS_PER_PANEL * sum(counts))
+    if _EVALS_PER_PANEL * len(intervals) > budget:
+        raise BudgetError(f"budget {budget} is below {len(intervals)} first panels",
+                          QuadResult(0.0, math.inf, 0))
+    estimates, _ = _panel_batch(g_batch, intervals)
+    return _bisect(g_batch, [(a, b, v, e) for (a, b), (v, e)
+                             in zip(intervals, estimates)], tol, budget)

@@ -128,6 +128,8 @@ def test_main_moment_run(tmp_path, capsys):
     {"y_seq": [0.1, 0.5]},
     {"y_seq": [0.5, 0.0]},
     {"deltas": [0.1, 0.25, 0.5]},
+    {"sweep_L": 1.0},
+    {"sweep_L": 0.5},
 ])
 def test_main_rejects_malformed_config(tmp_path, capsys, fields):
     bad = tmp_path / "bad.json"
@@ -191,7 +193,7 @@ _VALID_FIELDS = {
                        max_size=2),
     "L": st.floats(1.0, 100.0),
     "N": st.sampled_from([16, 1 << 12]),
-    "sweep_L": st.floats(1.0, 1e4),
+    "sweep_L": st.floats(1.0, 1e4, exclude_min=True),
     "epsilons": st.sampled_from([[0.2, 0.1], [0.3, 0.2, 0.02]]),
     "y_seq": st.sampled_from([[0.5, 0.1], [2e-3]]),
     "suites": st.sampled_from([["moment"], []]),

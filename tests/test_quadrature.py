@@ -175,68 +175,49 @@ def test_batched_matches_plain():
 
 
 @pytest.mark.parametrize("shape", [(3, 2), (1,)])
-def test_batched_round_cap_keeps_value_shape(shape):
+def test_batched_keeps_value_shape(shape):
     g = lambda x: np.multiply.outer(np.exp(-x), np.ones(shape))
     converged = integrate_batched(g, [0.0, 1.0, 2.0], tol=1e-9)
-    capped = integrate_batched(g, [0.0, 1.0, 2.0], tol=1e-300, max_rounds=2)
-    assert np.shape(converged.value) == np.shape(capped.value) == shape
-    assert np.allclose(capped.value, 1.0 - math.exp(-2.0), atol=1e-12)
+    with pytest.raises(BudgetError) as exc:
+        integrate_batched(g, [0.0, 1.0, 2.0], tol=1e-300, budget=21 * 6)
+    partial = exc.value.partial
+    assert np.shape(converged.value) == np.shape(partial.value) == shape
+    assert partial.evaluations == 21 * 6
+    assert np.allclose(partial.value, 1.0 - math.exp(-2.0), atol=1e-12)
 
 
-def _batched_by_depth(g_batch, panels, tol, budget=None, max_rounds=24):
-    """Reference for ``integrate_batched``: the plain round loop, one call
-    of ``g_batch`` per depth."""
-    from hhl.quadrature import (_EVALS_PER_PANEL, QuadResult, _collect,
-                                _panel_batch, _too_narrow, eval_budget)
-    budget = eval_budget() if budget is None else budget
-    intervals = [(panels[i], panels[i + 1]) for i in range(len(panels) - 1)
-                 if panels[i + 1] > panels[i]]
-    evals = 0
-    settled = []
-    pending = intervals
-    for _ in range(max_rounds):
-        if not pending:
-            break
-        if evals + len(pending) * _EVALS_PER_PANEL > budget:
-            segs = [(a, b, v) for a, b, v, _ in settled]
-            err = sum(e for *_, e in settled) + math.inf
-            raise BudgetError("batched quadrature budget exhausted",
-                              QuadResult(_collect(segs)[0] if segs else 0.0,
-                                         err, evals))
-        estimates, n = _panel_batch(g_batch, pending)
-        evals += n
-        new_pending = []
-        for (a, b), (hi, e) in zip(pending, estimates):
-            if e <= tol / max(len(intervals), 8) or _too_narrow(a, b):
-                settled.append((a, b, hi, e))
-            else:
-                m = 0.5 * (a + b)
-                new_pending.extend([(a, m), (m, b)])
-        pending = new_pending
-    else:
-        if pending:
-            estimates, n = _panel_batch(g_batch, pending)
-            evals += n
-            settled.extend((a, b, hi, e)
-                           for (a, b), (hi, e) in zip(pending, estimates))
-    value, rounding = _collect([(a, b, v) for a, b, v, _ in settled])
-    err = float(sum(e for *_, e in settled)) + rounding
-    return QuadResult(value, err, evals)
+def test_batched_rejects_nonpositive_tol():
+    g, calls = _counting(lambda x: np.exp(-x))
+    for tol in (0.0, -1e-9):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            integrate_batched(g, [0.0, 1.0], tol=tol)
+    assert not calls
 
 
-# (integrand, breakpoints, keyword arguments, g_batch calls of the plain
-# loop, at most this many with chain replay)
+def test_batched_budget_below_first_panels():
+    g, calls = _counting(lambda x: np.exp(-x))
+    with pytest.raises(BudgetError) as exc:
+        integrate_batched(g, [0.0, 1.0, 2.0, 3.0], budget=21 * 3 - 1)
+    assert exc.value.partial.evaluations == 0
+    assert not calls
+    # the first panels alone fit: the loop runs on them
+    assert integrate_batched(g, [0.0, 1.0, 2.0, 3.0], tol=1e-3,
+                             budget=21 * 3).evaluations == 21 * 3
+
+
+# (integrand, breakpoints, keyword arguments, integrand calls of the
+# reference loop, at most this many for integrate_batched)
 CHAIN_CASES = {
     "log squared": (lambda x: np.log(x) ** 2 + np.sqrt(x),
-                    geometric_panels(1e-3, 1e4), {}, 22, 8),
-    "rsqrt round cap": (lambda x: x ** -0.5, [0.0, 1.0], {}, 25, 8),
+                    geometric_panels(1e-3, 1e4), {}, 69, 6),
+    "rsqrt": (lambda x: x ** -0.5, [0.0, 1.0], {}, 117, 4),
+    "x^-0.9": (lambda x: x ** -0.9, [0.0, 1.0], {}, 665, 7),
     "vector valued": (lambda x: np.stack([np.log(x), np.sqrt(x), np.exp(-x)], axis=1),
-                      [0.0, 0.5, 1.0, 2.0], {}, 25, 8),
-    "log4 five rounds": (lambda x: np.log(x) ** 4, [0.0, 1.0],
-                         {"max_rounds": 5}, 6, 6),
-    "right end log": (lambda x: np.log(1.0 - x), [0.0, 0.5, 1.0], {}, 25, 8),
-    "smooth gaussian": (lambda x: np.exp(-x * x), [-5.0, 0.0, 5.0], {}, 2, 2),
-    "budget": (lambda x: np.log(x) ** 2, [0.0, 1.0], {"budget": 21 * 30}, 15, 15),
+                      [0.0, 0.5, 1.0, 2.0], {}, 53, 4),
+    "log4": (lambda x: np.log(x) ** 4, [0.0, 1.0], {}, 89, 4),
+    "right end log": (lambda x: np.log(1.0 - x), [0.0, 0.5, 1.0], {}, 52, 4),
+    "smooth gaussian": (lambda x: np.exp(-x * x), [-5.0, 0.0, 5.0], {}, 6, 2),
+    "budget": (lambda x: np.log(x) ** 2, [0.0, 1.0], {"budget": 21 * 30}, 29, 4),
 }
 
 
@@ -256,41 +237,50 @@ def _result_or_partial(fn, *args, **kwargs):
         return "budget", exc.partial
 
 
+def _assert_bitwise(new, ref):
+    assert np.asarray(new.value).dtype == np.asarray(ref.value).dtype
+    assert np.asarray(new.value).tobytes() == np.asarray(ref.value).tobytes()
+    assert new.error == ref.error
+    assert new.evaluations == ref.evaluations
+
+
 @pytest.mark.parametrize("name", sorted(CHAIN_CASES))
 def test_batched_chain_replay_matches_plain_loop(name):
-    g, panels, kwargs, plain_calls, chain_calls = CHAIN_CASES[name]
+    g, panels, kwargs, ref_count, new_count = CHAIN_CASES[name]
     g_ref, ref_calls = _counting(g)
     g_new, new_calls = _counting(g)
-    kind_ref, ref = _result_or_partial(_batched_by_depth, g_ref, panels,
+    spans = list(zip(panels, panels[1:]))
+    kind_ref, ref = _result_or_partial(_bisect_by_pairs, g_ref, spans,
                                        1e-10, **kwargs)
     kind_new, new = _result_or_partial(integrate_batched, g_new, panels,
                                        tol=1e-10, **kwargs)
     assert kind_new == kind_ref
-    # bit for bit: the same settled panels, summed in the same order
-    assert np.array_equal(new.value, ref.value)
-    assert new.error == ref.error
-    assert new.evaluations == ref.evaluations
-    assert len(ref_calls) == plain_calls
-    assert len(new_calls) <= chain_calls
-    # speculative panels past the settling point are evaluated, not counted
+    _assert_bitwise(new, ref)
+    assert len(ref_calls) == ref_count
+    assert len(new_calls) <= new_count
+    # halves evaluated ahead for a loop that stopped are not counted
     assert sum(new_calls) >= new.evaluations
 
 
-def _bisect_by_pairs(g, a, b, tol, budget=None, exits=None):
-    """Reference for ``integrate``: its bisection loop with one integrand
-    call per new panel, two per split.  ``exits`` collects how the loop
-    ended: "tol", "stall" or "budget", and "frozen" when it froze a panel
-    too narrow to split."""
+def _bisect_by_pairs(g, spans, tol, budget=None, exits=None):
+    """Reference for ``integrate`` and ``integrate_batched``: their
+    bisection loop over the consecutive intervals ``spans``, with one
+    integrand call per panel, two per split.  ``exits`` collects how the
+    loop ended: "tol", "stall" or "budget", and "frozen" when it froze a
+    panel too narrow to split."""
     from hhl.quadrature import (_EVALS_PER_PANEL, _collect, _panel,
                                 _too_narrow, eval_budget)
     exits = set() if exits is None else exits
     budget = eval_budget() if budget is None else budget
-    val, err = _panel(g, a, b)
-    evals = _EVALS_PER_PANEL
-    seq = 0
-    heap = [(-err, seq, a, b, val)]
+    firsts = [_panel(g, a, b) for a, b in spans]
+    heap = [(-err, seq, a, b, val)
+            for seq, ((a, b), (val, err)) in enumerate(zip(spans, firsts))]
+    heapq.heapify(heap)
+    evals = _EVALS_PER_PANEL * len(spans)
+    seq = len(spans)
     done = []
-    total_err, frozen_err, best_err, stale = err, 0.0, err, 0
+    total_err = sum(err for _, err in firsts)
+    frozen_err, best_err, stale = 0.0, total_err, 0
     while total_err > tol and heap:
         if evals + 2 * _EVALS_PER_PANEL > budget:
             exits.add("budget")
@@ -359,15 +349,12 @@ def test_integrate_replays_pair_loop_bitwise(name):
     g_ref, ref_calls = _counting(g)
     g_new, new_calls = _counting(g)
     exits = set()
-    kind_ref, ref = _result_or_partial(_bisect_by_pairs, g_ref, a, b,
+    kind_ref, ref = _result_or_partial(_bisect_by_pairs, g_ref, [(a, b)],
                                        exits=exits, **kwargs)
     kind_new, new = _result_or_partial(integrate, g_new, a, b, **kwargs)
     assert exits == ref_exits
     assert kind_new == kind_ref
-    assert np.asarray(new.value).dtype == np.asarray(ref.value).dtype
-    assert np.asarray(new.value).tobytes() == np.asarray(ref.value).tobytes()
-    assert new.error == ref.error
-    assert new.evaluations == ref.evaluations
+    _assert_bitwise(new, ref)
     assert sum(new_calls) >= new.evaluations
     if "tol" in exits:
         # every split evaluated ahead was one the loop made
