@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from hhl.halfplane import CayleyPower, InverseSquare
+from hhl.halfplane import CayleyPower, InverseSquare, hardy_norm, slice_norm
 from scipy.special import erf, exp1
 
 from hhl.hausdorff import (_LOG_DELTA, _LOG_M, KernelImage, SweepResult,
-                           WindowTooSmallError, _hat_weights,
+                           WindowTooSmallError, _extremizer, _hat_weights,
                            _log_grid_kernel, _log_grid_transform,
                            boundary_identity_check,
                            norm_lower_bound_sweep, transform_values)
@@ -143,6 +143,18 @@ def test_kernel_image_boundary_continuity():
     assert np.isfinite(v)
 
 
+def test_kernel_image_tail_power():
+    # hardy's phi ~ t^-1 at infinity carries the base's bulk out to |x| ~ t,
+    # so the image of (z+i)^-2 is -i/(x+i), which decays as |x|^-1
+    img = KernelImage(kernel=hardy_type(), base=CayleyPower(2.0, 1.0))
+    assert img.tail_power == 1.0
+    assert KernelImage(kernel=hardy_type(), base=CayleyPower(0.5, 1.0)).tail_power == 0.5
+    assert KernelImage(kernel=cesaro(), base=CayleyPower(2.0, 1.0)).tail_power == 2.0
+    # |-i/(x+i)|^2 = 1/(1+x^2) integrates to pi over the line
+    norm = slice_norm(img, 0.0, 2.0, L=16.0)
+    assert abs(norm / math.sqrt(math.pi) - 1.0) < 5e-8
+
+
 def test_sweep_result_invariants():
     with pytest.raises(ValueError):
         SweepResult(p=2.0, epsilons=(0.1, 0.2), quotients=(1.0, 1.0),
@@ -158,6 +170,26 @@ def test_sweep_quick():
     assert sw.best <= 2.0 * (1 + 1e-6)
     assert sw.best >= 1.88
     assert sw.family == "unit-shift"
+
+
+@pytest.mark.parametrize("kernel, p, eps", [
+    (cesaro, 2.0, 0.2),                   # unit shift
+    (lambda: gen_cesaro(2.0), 4.0, 0.02),
+    (hardy_type, 2.0, 0.2),               # shrinking shift
+], ids=["cesaro", "gencesaro2", "hardy"])
+def test_sweep_boundary_slice_is_the_norm(kernel, p, eps):
+    # the sweep reads only the boundary slice: adding the slices at 0.25
+    # sigma and 0.05 sigma leaves the quotient the same bit for bit, as
+    # both interior image slices read below the boundary one
+    k = kernel()
+    sw = norm_lower_bound_sweep(k, p, (eps,), L=1e4)
+    f, _ = _extremizer(k, p, eps)
+    ys = (0.25 * f.sigma, 0.05 * f.sigma, 0.0)
+    num = hardy_norm(KernelImage(kernel=k, base=f, tol=1e-10), p, y_grid=ys,
+                     L=1e4, tol=1e-10)
+    den = hardy_norm(f, p, y_grid=ys, L=1e4, tol=1e-10)
+    assert sw.quotients == (num.estimate / den.estimate,)
+    assert max(num.slice_norms[:2]) < num.slice_norms[2]
 
 
 def test_sweep_rejects_unbounded():
@@ -181,6 +213,42 @@ def test_boundary_identity_quick():
     assert rep.passed
     errs = rep.environment["errors"]
     assert all(a > b for a, b in zip(errs, errs[1:]))
+
+
+# T(f*) of the two reference pairs in closed form: cesaro on (z+i)^-2 and
+# hardy on (z+i)^-1, on the principal branch
+BOUNDARY_CLOSED = {
+    "cesaro": (cesaro, InverseSquare(), 1.0,
+               lambda x: 1j / (x + 1j) - np.log(1 + 1j / x)),
+    "hardy": (hardy_type, CayleyPower(1.0, 1.0), 2.0,
+              lambda x: np.log(1 + x / 1j) / x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_CLOSED))
+def test_boundary_identity_transforms_each_abscissa_once(name, monkeypatch):
+    # the heights' dyadic panels share abscissas, and T(f*) is computed
+    # once per abscissa; the values it gets match the closed form
+    from hhl import hausdorff
+    kernel, f, p, exact = BOUNDARY_CLOSED[name]
+    calls = []
+    real = hausdorff.transform_values
+
+    def spy(k, f_of, zs, *args, **kwargs):
+        out = real(k, f_of, zs, *args, **kwargs)
+        if not np.iscomplexobj(zs):
+            calls.append((np.array(zs), np.array(out)))
+        return out
+
+    monkeypatch.setattr(hausdorff, "transform_values", spy)
+    rep = boundary_identity_check(kernel(), f, p, (0.5, 0.1, 0.02, 2e-3, 2e-4, 2e-5),
+                                  L=64.0)
+    assert rep.passed
+    xs = np.concatenate([c[0] for c in calls])
+    vals = np.concatenate([c[1] for c in calls])
+    assert np.unique(xs).size == xs.size
+    ref = exact(xs)
+    assert np.max(np.abs(vals - ref) / np.abs(ref)) <= 1e-9
 
 
 @pytest.mark.parametrize("kernel", [cesaro, hardy_type, lambda: gen_cesaro(2.0)],
