@@ -23,7 +23,7 @@ from .halfplane import CayleyPower, HoloFunction, InverseSquare, hardy_norm, sli
 from .kernels import Kernel, cumulative_moment, eval_kernel, moment
 from .quadrature import (DivergenceError, _per_panel, doubling_panels,
                          geometric_panels, integrate_batched, integrate_halfline)
-from .realline import _TAIL_UMAX, _fftconvolve, _spline, _tail_integral
+from .realline import _TAIL_UMAX, _spline, _tail_integral
 from .report import CheckRow, VerificationReport
 
 __all__ = [
@@ -124,10 +124,10 @@ def _hat_weights(k: Kernel) -> np.ndarray:
 
 
 def _log_grid_kernel(k: Kernel):
-    """(k, hat weights, reach u past which its mass is negligible, spectra)
-    for ``_log_grid_transform``, ``spectra`` the ``_fftconvolve`` cache of
-    the weights' transforms, so each is computed once per kernel;
-    ValueError when the reach passes _LOG_REACH."""
+    """(k, reach u past which its mass is negligible, spectrum) for
+    ``_log_grid_transform``, ``spectrum`` the real transform of the hat
+    weights W[:2M], computed once per kernel; ValueError when the reach
+    passes _LOG_REACH."""
     d, m = _LOG_DELTA, _LOG_M
     weights = _hat_weights(k)
     beyond = np.cumsum(weights[::-1])[::-1]  # weight mass from index i on
@@ -138,23 +138,28 @@ def _log_grid_kernel(k: Kernel):
         raise ValueError(f"kernel mass past t = e^{_LOG_REACH:g} is "
                          f"{far:.2e} of the total; the log grid would "
                          f"truncate it")
-    return k, weights, reach, {}
+    return k, reach, np.fft.rfft(weights[:2 * m])
 
 
 def _log_grid_transform(kernels, legs) -> list:
     """(T_phi f)(x) at real points x by one FFT convolution per sign, for
     each (f_of, xs) pair in ``legs`` and each ``_log_grid_kernel`` entry
     in ``kernels``: entry [j][i] is leg j by kernel i.  Each leg's F is
-    sampled once per sign for all kernels.
+    sampled and transformed once per sign for all kernels.
 
     Product integration of phi against the piecewise-linear model of
-    F(w) = f(+-e^w), read off at log|x| by a cubic spline; values agree
-    with ``transform_values`` to about 2e-7 of their maximum.  Raises
-    ValueError instead of truncating: when F has not decayed at the
-    large-|x| end, and when an output point lies off the grid: |x| >=
-    e^_LOG_HALF, or |x| below e^(reach - _LOG_HALF), with a reach of 0
-    for kernels supported in (0, 1] and about 27.6 for hardy (|x| >=
-    4.2e-6).
+    F(w) = f(+-e^w), read off at log|x| by a cubic spline.  The kept
+    window [M, 2M) of the convolution reads only W[1..2M-1], so a
+    circular one of length 2M against weights[:2M] has no wrap-around
+    there (overlap-save).  The spline is fitted on the cells the points
+    read plus a 40-node margin, past the 30-node reach of its Green's cut
+    and end modes, so those cells get the full-grid fit's coefficients.
+    Values agree with ``transform_values`` to about 2e-7 of their
+    maximum.  Raises ValueError instead of truncating: when F has not
+    decayed at the large-|x| end, and when an output point lies off the
+    grid: |x| >= e^_LOG_HALF, or |x| below e^(reach - _LOG_HALF), with a
+    reach of 0 for kernels supported in (0, 1] and about 27.6 for hardy
+    (|x| >= 4.2e-6).
     """
     d, m = _LOG_DELTA, _LOG_M
     ws = -_LOG_HALF + d * np.arange(m)
@@ -163,7 +168,7 @@ def _log_grid_transform(kernels, legs) -> list:
         xs = np.asarray(xs, dtype=float)
         with np.errstate(divide="ignore"):
             s = np.log(np.abs(xs))
-        for k, _, reach, _ in kernels:
+        for k, reach, _ in kernels:
             if not np.all((s >= reach - _LOG_HALF) & (s <= _LOG_HALF - d)):
                 raise ValueError("output point off the log grid: |x| must lie in "
                                  f"[{math.exp(reach - _LOG_HALF):.3g}, "
@@ -179,11 +184,15 @@ def _log_grid_transform(kernels, legs) -> list:
                     f"input has not decayed at x = {sign * math.exp(ws[-1]):.3g} "
                     f"(|f| = {abs(F[-1]):.2e} of peak {peak:.2e}); the log "
                     f"grid would truncate it")
-            if not F.imag.any():
-                F = F.real
-            for out, (_, weights, _, spectra) in zip(outs, kernels):
-                conv = _fftconvolve(F, weights, spectra=spectra)[m:2 * m]
-                out[side] = _spline(ws[0], d, conv)(s[side])
+            # a complex F is convolved as its real and imaginary parts
+            spec = np.fft.rfft(np.stack((F.real, F.imag)) if F.imag.any() else F.real, 2 * m)
+            cells = np.clip(np.floor((s[side] - ws[0]) / d), 0, m - 2)
+            lo, hi = max(int(cells.min()) - 40, 0), min(int(cells.max()) + 42, m)
+            for out, (_, _, spectrum) in zip(outs, kernels):
+                conv = np.fft.irfft(spec * spectrum, 2 * m)[..., lo + m:hi + m]
+                if conv.ndim == 2:
+                    conv = conv[0] + 1j * conv[1]
+                out[side] = _spline(ws[lo], d, conv)(s[side])
         results.append(outs)
     return results
 

@@ -14,12 +14,15 @@ the residual on the requested grid.  Its two transform legs are log-grid
 tolerance to set; the adaptive t-quadrature serves as their oracle in
 the tests.  It takes a whole corpus of kernels and functions and shares
 the work: hat weights and their spectra once per kernel; the tail-aware
-H f, its log-grid samples and |f|_p once per function; only the
-tail-aware H(T f) and the residual once per pair.
+H f, its log-grid samples and their spectrum, and |f|_p once per
+function; only the tail-aware H(T f) and the residual once per pair.
+The residual reads H(T f) on the grid alone, so only H f, sampled out to
+e^40, builds the exterior ladder of its form.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -246,6 +249,11 @@ def hilbert_with_tails(g: SampledLine, origin: float = 0.0) -> SampledLine:
     subtracted in closed form, out-of-window queries answered by direct
     quadrature.  ``origin`` locates dilation-induced features (log points)
     when the data lives on a shifted coordinate.
+
+    The exterior ladder behind out-of-window queries (two quadratures)
+    is built at the form's first call outside the window and kept; a
+    caller reading only ``values`` never builds it, and a ladder error
+    surfaces at that first call, not here.
     """
     if np.max(np.abs(g.values.imag)) > 1e-13 * max(float(np.max(np.abs(g.values))), 1e-300):
         raise ValueError("tail-aware transform expects real-valued input")
@@ -298,8 +306,10 @@ def hilbert_with_tails(g: SampledLine, origin: float = 0.0) -> SampledLine:
                 pass
 
             def integrand(ss):
+                # in place: this panel sets the commutation check's memory peak
                 y = side * (g.L + ss)
-                return res_tag(y)[:, None] / (xs[None, :] - y[:, None])
+                panel = np.subtract(xs[None, :], y[:, None])
+                return np.divide(res_tag(y)[:, None], panel, out=panel)
             r = integrate_halfline(integrand, tol=1e-10,
                                    support=(1e-9, math.inf))
             if r.diverges:
@@ -317,47 +327,52 @@ def hilbert_with_tails(g: SampledLine, origin: float = 0.0) -> SampledLine:
 
     # the remainder's transform outside the window is a pole-free
     # quadrature; precompute x*H(res)(x) on a log ladder once per side and
-    # interpolate, with the mass/dipole asymptote beyond the ladder
-    # ladder starts a hair outside the window: at x = L the integrand has
-    # an endpoint pole the adaptive scheme must not be asked to resolve
-    ladder = np.geomspace(g.L * (1.0 + 1e-4), 1e7 * g.L, 200)
-    log_lo, log_hi = math.log(ladder[0]), math.log(ladder[-1])
+    # interpolate, with the mass/dipole asymptote beyond the ladder; built
+    # at the form's first query outside the window
+    @functools.cache
+    def h_res_out_stitched():
+        # ladder starts a hair outside the window: at x = L the integrand
+        # has an endpoint pole the adaptive scheme must not be asked to
+        # resolve
+        ladder = np.geomspace(g.L * (1.0 + 1e-4), 1e7 * g.L, 200)
+        log_lo, log_hi = math.log(ladder[0]), math.log(ladder[-1])
 
-    def _exterior(points):
-        quad = integrate(lambda ys: eval_at(res, ys)[:, None].real
-                         / (points[None, :] - ys[:, None]), -g.L, g.L, tol=1e-9)
-        return np.asarray(quad.value) / math.pi
+        def _exterior(points):
+            quad = integrate(lambda ys: eval_at(res, ys)[:, None].real
+                             / (points[None, :] - ys[:, None]), -g.L, g.L, tol=1e-9)
+            return np.asarray(quad.value) / math.pi
 
-    sides = {}
-    for sgn in (+1.0, -1.0):
-        vals = _exterior(sgn * ladder)
-        sides[sgn] = _pchip(np.log(ladder), sgn * ladder * vals)
+        sides = {}
+        for sgn in (+1.0, -1.0):
+            vals = _exterior(sgn * ladder)
+            sides[sgn] = _pchip(np.log(ladder), sgn * ladder * vals)
 
-    def h_res_out(x):
-        x = np.asarray(x, dtype=float)
-        lg = np.clip(np.log(np.abs(x)), log_lo, log_hi)
-        out = np.empty_like(x)
-        far = lg >= log_hi
-        with np.errstate(divide="ignore"):
-            out[far] = (m0w / math.pi) / x[far] + (m1w / math.pi) / (x[far] * x[far])
-        for sgn, side in ((1.0, x >= 0), (-1.0, x < 0)):
-            near = side & ~far
-            out[near] = sides[sgn](lg[near]) / x[near]
-        return out
+        def h_res_out(x):
+            x = np.asarray(x, dtype=float)
+            lg = np.clip(np.log(np.abs(x)), log_lo, log_hi)
+            out = np.empty_like(x)
+            far = lg >= log_hi
+            with np.errstate(divide="ignore"):
+                out[far] = (m0w / math.pi) / x[far] + (m1w / math.pi) / (x[far] * x[far])
+            for sgn, side in ((1.0, x >= 0), (-1.0, x < 0)):
+                near = side & ~far
+                out[near] = sides[sgn](lg[near]) / x[near]
+            return out
 
-    # stitch the spline/ladder seam: residual mismatch there would plant a
-    # kink at t = |x|/L of every downstream dilation integral, fragmenting
-    # the adaptive schedule node by node
-    seam = {}
-    for sgn in (+1.0, -1.0):
-        v_in = complex(eval_at(hres, np.array([sgn * g.L]))[0]).real
-        v_out = float(h_res_out(np.array([sgn * g.L * (1.0 + 1e-4)]))[0])
-        seam[sgn] = v_in - v_out
+        # stitch the spline/ladder seam: residual mismatch there would
+        # plant a kink at t = |x|/L of every downstream dilation integral,
+        # fragmenting the adaptive schedule node by node
+        seam = {}
+        for sgn in (+1.0, -1.0):
+            v_in = complex(eval_at(hres, np.array([sgn * g.L]))[0]).real
+            v_out = float(h_res_out(np.array([sgn * g.L * (1.0 + 1e-4)]))[0])
+            seam[sgn] = v_in - v_out
 
-    def h_res_out_stitched(x):
-        base = h_res_out(x)
-        ratio = (g.L / np.abs(x)) ** 2
-        return base + np.where(x >= 0, seam[1.0], seam[-1.0]) * ratio
+        def stitched(x):
+            base = h_res_out(x)
+            ratio = (g.L / np.abs(x)) ** 2
+            return base + np.where(x >= 0, seam[1.0], seam[-1.0]) * ratio
+        return stitched
 
     def form(x):
         x = np.asarray(x, dtype=float)
@@ -366,7 +381,7 @@ def hilbert_with_tails(g: SampledLine, origin: float = 0.0) -> SampledLine:
         if np.any(inside):
             out[inside] += eval_at(hres, x[inside])
         if np.any(~inside):
-            out[~inside] += h_res_out_stitched(x[~inside])
+            out[~inside] += h_res_out_stitched()(x[~inside])
         return out
 
     # 1/x content of the transform is driven by the input's mass; grid
@@ -426,12 +441,15 @@ def commutation_check(kernels, fs, p: float = 2.0) -> VerificationReport:
     window.  The log-grid legs (``hausdorff._log_grid_transform``) raise
     ValueError rather than truncate, e.g. when f has not decayed by e^40.
 
-    Every kernel's moment and every function's realness are checked before
-    any transform runs.  Then hat weights and their spectra are built once
+    The corpus must be non-empty, and every kernel's moment and every
+    function's realness are checked, before any transform runs; ValueError
+    otherwise.  Then hat weights and their spectra are built once
     per kernel; H f, its log-grid samples and |f|_p once per function; the
     convolutions and the tail-aware H(T f) once per pair.
     """
     kernels, fs = tuple(kernels), tuple(fs)
+    if not kernels or not fs:
+        raise ValueError("commutation needs at least one kernel and one function")
     for k in kernels:
         if not moment(k, p).finite:
             raise ValueError(f"{k.label}: commutation requires a finite moment at p={p:g}")

@@ -3,7 +3,8 @@
 Provides adaptive quadrature on bounded intervals, improper integration on
 the half-line (0, inf) under the substitution t = e^u with divergence
 detection, and symmetric principal-value integration for simple-pole
-singularities.
+singularities.  Every panel takes the Gauss-Kronrod 10/21 rule, whose
+nodes and weights are a literal table (``_K21``).
 
 All routines accept integrands that are vectorized over the quadrature
 nodes: ``g`` is called with a 1-d array of abscissas and must return an
@@ -53,54 +54,6 @@ DEFAULT_BUDGET = 1_000_000
 _U_CAP = 690.0
 
 
-def _kronrod(n: int):
-    """Nodes and weights of the (2n+1)-point Gauss-Kronrod extension of the
-    n-point Gauss-Legendre rule on [-1, 1], ascending.
-
-    Laurie's algorithm (Math. Comp. 66 (1997) 1133) turns the Legendre
-    recurrence coefficients into the Jacobi-Kronrod matrix; its eigenvalues
-    are the nodes and its first eigenvector components give the weights.
-    """
-    k = np.arange(3 * n // 2 + 2, dtype=float)
-    beta = np.empty_like(k)
-    beta[0] = 2.0  # total mass of the Legendre weight
-    beta[1:] = k[1:] ** 2 / (4.0 * k[1:] ** 2 - 1.0)
-    a = np.zeros(2 * n + 1)  # Legendre diagonal is zero
-    b = np.zeros(2 * n + 1)
-    b[:(3 * n + 1) // 2 + 1] = beta[:(3 * n + 1) // 2 + 1]
-    s = np.zeros(n // 2 + 2)
-    t = np.zeros(n // 2 + 2)
-    t[1] = b[n + 1]
-    for m in range(n - 1):
-        kk = np.arange((m + 1) // 2, -1, -1)
-        ll = m - kk
-        s[kk + 1] = np.cumsum((a[kk + n + 1] - a[ll]) * t[kk + 1]
-                              + b[kk + n + 1] * s[kk] - b[ll] * s[kk + 1])
-        s, t = t, s
-    s[1:n // 2 + 2] = s[:n // 2 + 1].copy()
-    for m in range(n - 1, 2 * n - 2):
-        kk = np.arange(m + 1 - n, (m - 1) // 2 + 1)
-        ll = m - kk
-        jj = n - 1 - ll
-        s[jj + 1] = np.cumsum(-(a[kk + n + 1] - a[ll]) * t[jj + 1]
-                              - b[kk + n + 1] * s[jj + 1] + b[ll] * s[jj + 2])
-        j, k1 = jj[-1], (m + 1) // 2
-        if m % 2 == 0:
-            a[k1 + n + 1] = a[k1] + (s[j + 1] - b[k1 + n + 1] * s[j + 2]) / t[j + 2]
-        else:
-            b[k1 + n + 1] = s[j + 1] / s[j + 2]
-        s, t = t, s
-    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
-    off = np.sqrt(b[1:])
-    x, vecs = np.linalg.eigh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
-    w = b[0] * vecs[0] ** 2
-    # the Legendre weight is even: remove the eigensolver's asymmetry; then
-    # scale to the exact total mass, as leggauss does, so that no integral
-    # carries the weights' few-ulp bias
-    w = 0.5 * (w + w[::-1])
-    return 0.5 * (x - x[::-1]), w * (b[0] / w.sum())
-
-
 # Abscissa-by-component elements per integrand call of ``integrate``'s
 # batched splits, as the chunked loops of halfplane and hilbert bound
 # theirs.  Batching pays where the per-call cost outweighs the work: a
@@ -115,9 +68,25 @@ _BATCH_ELEMENTS = 1 << 12
 _ROUNDING = 50.0 * np.finfo(float).eps
 
 # Gauss-Kronrod 10/21 panel rule: the 21-point Kronrod value, with the
-# 10-point Gauss rule on its odd-indexed nodes as error reference.  Nodes
-# are generated at import so no hand-typed constants enter the scheme.
-_NODES, _W_KRONROD = _kronrod(10)
+# 10-point Gauss rule on its odd-indexed nodes as error reference.  The
+# non-negative nodes and weights of Laurie's algorithm (Math. Comp. 66
+# (1997) 1133, weights scaled to total mass 2), mirrored so the rule is
+# exactly symmetric; the tests check its degree and its Gauss subset.
+_K21 = np.array([
+    (0.0, 0.14944555400291765),
+    (0.14887433898163122, 0.1477391049013378),
+    (0.2943928627014604, 0.14277593857705992),
+    (0.4333953941292473, 0.1347092173114742),
+    (0.5627571346686044, 0.12349197626206561),
+    (0.6794095682990242, 0.10938715880229792),
+    (0.7808177265864169, 0.09312545458369731),
+    (0.8650633666889842, 0.07503967481091972),
+    (0.9301574913557082, 0.05475589657435177),
+    (0.9739065285171717, 0.03255816230796483),
+    (0.995657163025808, 0.011694638867372112),
+])
+_NODES = np.concatenate((-_K21[:0:-1, 0], _K21[:, 0]))
+_W_KRONROD = np.concatenate((_K21[:0:-1, 1], _K21[:, 1]))
 _W_GAUSS = np.polynomial.legendre.leggauss(10)[1]
 _EVALS_PER_PANEL = _NODES.size
 _ROW_GAUSS, _ROW_KRONROD = _W_GAUSS[None, :], _W_KRONROD[None, :]

@@ -6,7 +6,7 @@ import pytest
 from hhl.halfplane import CayleyPower, InverseSquare, hardy_norm, slice_norm
 from scipy.special import erf, exp1
 
-from hhl.hausdorff import (_LOG_DELTA, _LOG_M, KernelImage, SweepResult,
+from hhl.hausdorff import (_LOG_DELTA, _LOG_HALF, _LOG_M, KernelImage, SweepResult,
                            WindowTooSmallError, _extremizer, _hat_weights,
                            _log_grid_kernel, _log_grid_transform,
                            boundary_identity_check,
@@ -14,7 +14,7 @@ from hhl.hausdorff import (_LOG_DELTA, _LOG_M, KernelImage, SweepResult,
 from hhl.kernels import (Kernel, cesaro, eval_kernel, gen_cesaro, hardy_type,
                          moment, moment_exponent, truncate_below, zero_kernel)
 from hhl.quadrature import DivergenceError, integrate_halfline
-from hhl.realline import SampledLine, eval_at, lp_norm
+from hhl.realline import SampledLine, _fftconvolve, _spline, eval_at, lp_norm
 
 
 def test_apply_real_log_profile():
@@ -320,6 +320,37 @@ def test_log_grid_matches_adaptive(kernel, fname):
     got = _log_grid_one(k, fn, xs)
     ref = transform_values(k, fn, xs, tol=1e-10)
     assert np.max(np.abs(got - ref)) <= 5e-7 * np.max(np.abs(ref))
+
+
+def _log_grid_linear(k, fn, xs):
+    """The log-grid transform as a linear convolution of length 3M and a
+    spline fitted on the whole grid: the oracle of the circular length-2M
+    convolution and the windowed fit."""
+    weights = _hat_weights(k)
+    d, m = _LOG_DELTA, _LOG_M
+    ws = -_LOG_HALF + d * np.arange(m)
+    out = np.zeros(xs.shape, dtype=complex)
+    for sign, side in ((1.0, xs > 0), (-1.0, xs < 0)):
+        F = np.asarray(fn(sign * np.exp(ws)), dtype=complex)
+        conv = _fftconvolve(F if F.imag.any() else F.real, weights)[m:2 * m]
+        out[side] = _spline(ws[0], d, conv)(np.log(np.abs(xs[side])))
+    return out
+
+
+@pytest.mark.parametrize("fn", [_gauss, lambda x: _gauss(x) * np.exp(1j * np.asarray(x))],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("kernel", [cesaro, hardy_type], ids=["cesaro", "hardy"])
+def test_log_grid_matches_linear_convolution(kernel, fn):
+    # points at both ends of the allowed |x| range, so that the spline's
+    # fit window reaches the grid's first node (cesaro) and its last
+    k = kernel()
+    d = _LOG_DELTA
+    reach = _log_grid_kernel(k)[1]
+    pos = np.exp(np.linspace(reach - _LOG_HALF + 2 * d, _LOG_HALF - 2 * d, 41))
+    xs = np.concatenate([-pos[::-1], pos])
+    got = _log_grid_one(k, fn, xs)
+    ref = _log_grid_linear(k, fn, xs)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_log_grid_hat_weights_closed_forms():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import dawsn
 
+from hhl.cli import _line_corpus
 from hhl.hausdorff import lp_lower_bound_sweep
 from hhl.hilbert import (EdgeDecayWarning, commutation_check, hilbert,
                          hilbert_with_tails)
@@ -183,6 +184,30 @@ def test_tails_scan_live_remainder(monkeypatch):
     np.testing.assert_allclose(hf.form(probes).real, before, rtol=1e-12, atol=0)
 
 
+def test_tails_ladder_built_at_first_exterior_read(monkeypatch):
+    # on untagged data the ladder's quadratures are the only integrate calls
+    g = gaussian_line()
+    calls = _count_calls(monkeypatch, hilbert_mod, "integrate")
+    hf = hilbert_with_tails(SampledLine.from_values(g.values, g.L))
+    hf.form(np.array([-64.0, -3.0, 0.5, 63.5]))
+    assert calls == []
+    outside = np.array([-1e5, -64.5, 0.5, 100.0, 1e9])
+    first = hf.form(outside)
+    assert len(calls) == 2  # one ladder quadrature per side
+    assert np.array_equal(hf.form(outside), first)
+    hf.form(np.array([200.0]))
+    assert len(calls) == 2
+
+
+def test_commutation_builds_ladders_of_h_f_only(monkeypatch):
+    # the residual reads H(T f) on the grid only: 2 ladder quadratures per
+    # function (H f), none for the 6 pairs
+    calls = _count_calls(monkeypatch, hilbert_mod, "integrate")
+    rep = commutation_check((cesaro(), hardy_type()), _line_corpus(64.0, 1 << 12), 2.0)
+    assert len(rep.rows) == 6
+    assert len(calls) == 6
+
+
 def test_commutation_zero_kernel():
     f = gaussian_line(N=1 << 10)
     rep = commutation_check((zero_kernel(),), (f,), 2.0)
@@ -244,6 +269,7 @@ def test_commutation_shares_work(monkeypatch):
 
 def test_commutation_validates_before_work(monkeypatch):
     hwt = _count_calls(monkeypatch, sys.modules["hhl.hilbert"], "hilbert_with_tails")
+    hat = _count_calls(monkeypatch, sys.modules["hhl.hausdorff"], "_hat_weights")
     fs = _corpus(1 << 10)
     bent = SampledLine.from_values(fs[0].values * (1 + 1e-3j), 64.0, label="bent")
     with pytest.raises(ValueError, match="bent"):
@@ -254,7 +280,11 @@ def test_commutation_validates_before_work(monkeypatch):
     assert not moment(steep, 2.0).finite
     with pytest.raises(ValueError, match="steep"):
         commutation_check((cesaro(), steep), fs, 2.0)
-    assert hwt == []
+    # an empty corpus would report zero rows that pass
+    for kernels, corpus in (((cesaro(),), ()), ((), fs)):
+        with pytest.raises(ValueError, match="at least one kernel and one function"):
+            commutation_check(kernels, corpus, 2.0)
+    assert hwt == [] and hat == []
 
 
 def test_lp_sweep_floors_and_sandwich():

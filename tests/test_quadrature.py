@@ -392,6 +392,9 @@ def test_budget_env_override(monkeypatch):
 def test_kronrod_rule_degrees():
     # K21 is exact through degree 3*10 + 1 = 31, its G10 subset through 19
     from hhl.quadrature import _NODES, _W_GAUSS, _W_KRONROD
+    assert np.array_equal(_NODES, -_NODES[::-1])
+    assert np.array_equal(_W_KRONROD, _W_KRONROD[::-1])
+    assert _W_KRONROD.sum() == 2.0
     for k in range(32):
         exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
         assert abs(_W_KRONROD @ _NODES ** k - exact) <= 1e-14
