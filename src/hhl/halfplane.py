@@ -260,7 +260,7 @@ def _poisson_tail(g: SampledLine, y: float, xs: np.ndarray) -> np.ndarray:
         def integrand(ss):
             s = side * (edges[side] + ss)
             py = (y / math.pi) / ((xs[None, :] - s[:, None]) ** 2 + y * y)
-            return np.asarray(g.form(s))[:, None] * py
+            return np.asarray(g.form(s)), py
         # g's form may be another extension, whose points share a schedule
         res = integrate_halfline(_per_panel(integrand), tol=1e-12,
                                  support=(1e-12, math.inf))
@@ -281,18 +281,19 @@ def _poisson_values(g: SampledLine, y: float, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poisson_grid_values(g: SampledLine, ys):
+def _poisson_grid_values(g: SampledLine, ys, spectra: dict | None = None):
     """As _poisson_values on g's own grid, via the Toeplitz structure: one
     array per height in ys, in order.  The hat-integrated weights of a few
     heights at a time are real rows convolved in one stacked transform
     against g's samples (their real part when g is real), whose spectrum
-    is computed once."""
+    is computed once, or taken from the caller's ``spectra`` cache
+    (``realline._fftconvolve``)."""
     n = g.N
     h = g.h
     k = np.arange(-n, n + 1) * h
     grid = g.grid()
     data = g.values if g.values.imag.any() else g.values.real
-    spectra = {}
+    spectra = {} if spectra is None else spectra
     for first in range(0, len(ys), _FFT_ROWS):
         chunk = ys[first:first + _FFT_ROWS]
         w = np.empty((len(chunk), 2 * n - 1))

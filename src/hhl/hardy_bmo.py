@@ -175,7 +175,8 @@ def _scales(f: SampledLine, t_grid, count: int) -> np.ndarray:
     return ts
 
 
-def smooth_maximal(f: SampledLine, t_grid=None, scales: int = 64) -> SampledLine:
+def smooth_maximal(f: SampledLine, t_grid=None, scales: int = 64,
+                   spectra: dict | None = None) -> SampledLine:
     """sup over t of |f * Phi_t| for a fixed normalized Gaussian Phi.
 
     A scale below the grid step h raises: the sampled Gaussian is then
@@ -183,6 +184,8 @@ def smooth_maximal(f: SampledLine, t_grid=None, scales: int = 64) -> SampledLine
     max |f|.  Each Gaussian is a row zero-padded to the widest one, so all
     scales share one transform length and f's spectrum (its real part's
     when f is real) is computed once; rows go through in stacks.
+    ``spectra`` is ``realline._fftconvolve``'s cache of f's spectra, which
+    a caller may share with other convolutions against f.
     """
     ts = _scales(f, t_grid, scales)
     fine = ts[ts < f.h]
@@ -192,7 +195,7 @@ def smooth_maximal(f: SampledLine, t_grid=None, scales: int = 64) -> SampledLine
     ms = np.ceil(np.minimum(8.0 * ts, 2.0 * f.L) / f.h).astype(int)
     width = int(ms.max(initial=0))
     data = f.values if f.values.imag.any() else f.values.real
-    spectra = {}
+    spectra = {} if spectra is None else spectra
     for first in range(0, ts.size, _FFT_ROWS):
         chunk = slice(first, first + _FFT_ROWS)
         rows = np.zeros((ts[chunk].size, 2 * width + 1))
@@ -232,16 +235,17 @@ def _window_mean(a: np.ndarray, r: int) -> np.ndarray:
     return np.cumsum(np.concatenate((first, pad[w:] - pad[:-w]))) / w
 
 
-def _poisson_pass(f: SampledLine, ts: np.ndarray) -> tuple:
+def _poisson_pass(f: SampledLine, ts: np.ndarray, spectra: dict | None = None) -> tuple:
     """(M_P, S) of f from one Poisson level u = f * P_t per height t in ts.
 
     Levels come in increasing t; each feeds the running max over the cone
     |y - x| < t and, with its two neighbours (at most three are alive), the
-    cone sum of |grad u|^2 by central differences on h * dt cells."""
+    cone sum of |grad u|^2 by central differences on h * dt cells.
+    ``spectra`` caches f's spectra as in ``smooth_maximal``."""
     ts = np.sort(ts)
     best, acc = np.zeros(f.N), np.zeros(f.N)
     part = np.real if np.all(np.abs(f.values.imag) == 0) else np.asarray
-    levels = _poisson_grid_values(f, ts)
+    levels = _poisson_grid_values(f, ts, spectra)
     lo = v = next(levels, None)
     last = len(ts) - 1
     for i, t in enumerate(ts):
@@ -325,14 +329,17 @@ class H1Report:
 
 def h1_report(f, L: float = 64.0, N: int = 1 << 12, scales: int = 48) -> H1Report:
     """All computable H1 quantities for a SampledLine or decomposition;
-    M_P and S come from one Poisson pass over the ``scales`` heights."""
+    M_P and S come from one Poisson pass over the ``scales`` heights, and
+    that pass and the smooth maximal function share f's spectrum (both
+    transform at length 3N)."""
     atomic = None
     if isinstance(f, AtomicDecomposition):
         atomic = f.atomic_bound
         f = f.synthesize(L, N)
-    m_p, s = _poisson_pass(f, _scales(f, None, scales))
+    spectra = {}
+    m_p, s = _poisson_pass(f, _scales(f, None, scales), spectra)
     return H1Report(
-        smooth_maximal=lp_norm(smooth_maximal(f, scales=scales), 1.0),
+        smooth_maximal=lp_norm(smooth_maximal(f, scales=scales, spectra=spectra), 1.0),
         poisson_maximal=lp_norm(m_p, 1.0),
         square=lp_norm(s, 1.0),
         proxy=h1_proxy_norm(f),

@@ -9,7 +9,9 @@ operator norm on the p-scale is exactly the kernel moment integral of
 t^(1/p-1) phi(t); the machinery here witnesses that constant from below
 with a Rayleigh sweep over the extremizer family (z + i*sigma)^(-1/p-eps),
 and on the line with the power families |x|^(-1/p+-eps), and verifies the
-boundary-value identity (T f)* = T(f*).
+boundary-value identity (T f)* = T(f*).  The t-quadrature's integrand is
+the row-weighted pair (phi(t)/t, f(z/t)): the quadrature folds the
+weight into its rule instead of scaling the panel of dilated values.
 """
 
 from __future__ import annotations
@@ -65,11 +67,9 @@ def transform_values(k: Kernel, f_of, zs, tol: float = 1e-10,
         group = zs[idx]
 
         def integrand(ts):
-            w = eval_kernel(k, ts) / ts
             with np.errstate(over="ignore"):
                 args = group[None, :] / ts[:, None]
-            vals = np.asarray(f_of(args), dtype=complex)
-            return vals * w[:, None]
+            return eval_kernel(k, ts) / ts, np.asarray(f_of(args), dtype=complex)
 
         res = integrate_halfline(integrand, tol=tol, budget=budget,
                                  support=k.support)
@@ -97,6 +97,21 @@ _LOG_NEGLIGIBLE = 1e-12
 _GAUSS8 = np.polynomial.legendre.leggauss(8)
 
 
+def _hat_edges(k: Kernel) -> np.ndarray:
+    """Cell edges of ``_hat_weights``: [a, the grid nodes strictly inside
+    (a, b), b] for the log-support [a, b] of k clipped to
+    [-2*_LOG_HALF, 2*_LOG_HALF], sorted and distinct by construction;
+    empty when that range is."""
+    d = _LOG_DELTA
+    lo, hi = k.support
+    a = max(-2.0 * _LOG_HALF, math.log(lo)) if lo > 0 else -2.0 * _LOG_HALF
+    b = min(2.0 * _LOG_HALF, math.log(hi))
+    if a >= b:
+        return np.empty(0)
+    nodes = d * np.arange(math.ceil(a / d), math.floor(b / d) + 1)
+    return np.concatenate(([a], nodes[(nodes > a) & (nodes < b)], [b]))
+
+
 def _hat_weights(k: Kernel) -> np.ndarray:
     """W_m = integral of phi(e^u) times the hat centred at u = m*delta,
     for m = -M..M (u in [-2*_LOG_HALF, 2*_LOG_HALF]).
@@ -105,13 +120,9 @@ def _hat_weights(k: Kernel) -> np.ndarray:
     hold the log of a support end split there, so any kernel kind works.
     """
     d, m = _LOG_DELTA, _LOG_M
-    lo, hi = k.support
-    a = max(-2.0 * _LOG_HALF, math.log(lo)) if lo > 0 else -2.0 * _LOG_HALF
-    b = min(2.0 * _LOG_HALF, math.log(hi))
-    if a >= b:
+    edges = _hat_edges(k)
+    if not edges.size:
         return np.zeros(2 * m + 1)
-    nodes = d * np.arange(math.ceil(a / d), math.floor(b / d) + 1)
-    edges = np.unique(np.concatenate(([a, b], nodes)))
     left, width = edges[:-1], np.diff(edges)
     cell = np.floor(left / d)
     gx, gw = _GAUSS8

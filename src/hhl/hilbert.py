@@ -17,7 +17,10 @@ the work: hat weights and their spectra once per kernel; the tail-aware
 H f, its log-grid samples and their spectrum, and |f|_p once per
 function; only the tail-aware H(T f) and the residual once per pair.
 The residual reads H(T f) on the grid alone, so only H f, sampled out to
-e^40, builds the exterior ladder of its form.
+e^40, builds the exterior ladder of its form.  The live tail scan of a
+tagged input integrates the row-weighted pair (r(y), 1/(x - y)): the
+quadrature folds the remainder r into its rule, and the one panel it
+reads is the reciprocal, formed in place.
 """
 
 from __future__ import annotations
@@ -306,10 +309,11 @@ def hilbert_with_tails(g: SampledLine, origin: float = 0.0) -> SampledLine:
                 pass
 
             def integrand(ss):
-                # in place: this panel sets the commutation check's memory peak
+                # the remainder is a row weight, and 1/(x - y) is formed in
+                # place: this panel sets the commutation check's memory peak
                 y = side * (g.L + ss)
                 panel = np.subtract(xs[None, :], y[:, None])
-                return np.divide(res_tag(y)[:, None], panel, out=panel)
+                return res_tag(y), np.reciprocal(panel, out=panel)
             r = integrate_halfline(integrand, tol=1e-10,
                                    support=(1e-9, math.inf))
             if r.diverges:

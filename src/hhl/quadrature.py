@@ -6,13 +6,20 @@ detection, and symmetric principal-value integration for simple-pole
 singularities.  Every panel takes the Gauss-Kronrod 10/21 rule, whose
 nodes and weights are a literal table (``_K21``).
 
-All routines accept integrands that are vectorized over the quadrature
-nodes: ``g`` is called with a 1-d array of abscissas and must return an
-array whose leading axis matches.  The return value may carry extra
-trailing axes, in which case the whole integral is computed component-wise
-(error estimates use the max-norm across components).  This is how the
-operator transforms evaluate a single adaptive schedule against a full
-grid of output points.
+Integrand protocol.  ``g`` is called with a 1-d array of abscissas and
+returns either an array whose leading axis matches them, or a row-weighted
+pair ``(w, P)``: a 1-d weight per abscissa and such an array, meaning
+``w[:, None] * P``.  The values may carry extra trailing axes, in which
+case the whole integral is computed component-wise (error estimates use
+the max-norm across components); this is how the operator transforms
+evaluate a single adaptive schedule against a full grid of output points.
+A pair is never multiplied out: the panel rule folds ``w`` into its
+Kronrod and Gauss weights (``_embedded``) and reduces ``P`` with both in
+one dot product, the way QUADPACK's rules meet the integrand values.
+``integrate_halfline`` folds its e^u Jacobian into ``w`` too, so a
+weighted panel (a kernel weight against a grid of dilated values, a tail
+remainder against 1/(x - y)) costs one array, not two.  ``integrate_pv``
+adds values at mirrored abscissas and takes plain arrays only.
 
 ``integrate`` (one interval) and ``integrate_batched`` (breakpoints) run
 one bisection loop, ``_bisect``, with one heap and one stopping test.  It
@@ -90,6 +97,10 @@ _W_KRONROD = np.concatenate((_K21[:0:-1, 1], _K21[:, 1]))
 _W_GAUSS = np.polynomial.legendre.leggauss(10)[1]
 _EVALS_PER_PANEL = _NODES.size
 _ROW_GAUSS, _ROW_KRONROD = _W_GAUSS[None, :], _W_KRONROD[None, :]
+# both rules as rows over all 21 nodes (Gauss 0 at the Kronrod-only ones),
+# for row-weighted panels
+_ROWS_21 = np.stack((_W_KRONROD, np.zeros(_NODES.size)))
+_ROWS_21[1, 1::2] = _W_GAUSS
 
 
 def eval_budget() -> int:
@@ -151,12 +162,23 @@ def _rule(row, vals):
     return np.dot(row, vals.reshape(row.shape[1], -1)).reshape(vals.shape[1:])
 
 
-def _embedded(vals, half):
-    """Kronrod value and error estimate |K21 - G10| of one panel from the
-    values at its ``_NODES`` (leading axis), for a panel of half-width
-    ``half``."""
-    gauss = _rule(_ROW_GAUSS, vals[1::2]) * half
-    kronrod = _rule(_ROW_KRONROD, vals) * half
+def _embedded(out, half):
+    """Kronrod value and error estimate |K21 - G10| of one panel of
+    half-width ``half`` from the integrand's output at its ``_NODES``:
+    values (leading axis), or a pair (w, P).  A pair's weights ``w`` fold
+    into both rule rows, which meet P in one dot product: P is read once,
+    and never copied or multiplied out."""
+    if isinstance(out, tuple):
+        vals = np.asarray(out[1])
+        both = np.dot(_ROWS_21 * np.asarray(out[0]), vals.reshape(_NODES.size, -1))
+        kronrod = both[0].reshape(vals.shape[1:]) * half
+        gauss = both[1].reshape(vals.shape[1:]) * half
+    else:
+        # plain values keep one dot per rule, whose bits are tensordot's;
+        # the stacked product rounds differently
+        vals = np.asarray(out)
+        gauss = _rule(_ROW_GAUSS, vals[1::2]) * half
+        kronrod = _rule(_ROW_KRONROD, vals) * half
     return kronrod, _abs_max(kronrod - gauss)
 
 
@@ -172,7 +194,7 @@ def _panel(g, a: float, b: float):
     """(value, error) of the Gauss-Kronrod rule on [a, b] from one call of
     ``g`` with its 21 abscissas."""
     half = 0.5 * (b - a)
-    return _embedded(np.asarray(g(0.5 * (a + b) + half * _NODES)), half)
+    return _embedded(g(0.5 * (a + b) + half * _NODES), half)
 
 
 def _per_panel(fn):
@@ -182,7 +204,11 @@ def _per_panel(fn):
     def each(xs):
         parts = [fn(xs[i:i + _EVALS_PER_PANEL])
                  for i in range(0, len(xs), _EVALS_PER_PANEL)]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if len(parts) == 1:
+            return parts[0]
+        if isinstance(parts[0], tuple):
+            return tuple(np.concatenate(side) for side in zip(*parts))
+        return np.concatenate(parts)
     return each
 
 
@@ -419,6 +445,9 @@ def integrate_halfline(g, tol: float = 1e-9, budget: int | None = None,
     raising; callers decide whether divergence is an error.  A scan cut
     off at the exponent cap with contributions still live adds its last
     block to ``error``.
+
+    The Jacobian dt = t du joins the row weights of ``g``'s output (unit
+    weights for a plain array), so no panel is multiplied by it.
     """
     lo, hi = support
     if lo < 0 or hi <= lo:
@@ -427,9 +456,9 @@ def integrate_halfline(g, tol: float = 1e-9, budget: int | None = None,
 
     def h(us):
         ts = np.exp(us)
-        vals = np.asarray(g(ts))
-        w = ts if vals.ndim <= 1 else ts.reshape(ts.shape + (1,) * (vals.ndim - 1))
-        return vals * w
+        out = g(ts)
+        w, vals = out if isinstance(out, tuple) else (1.0, out)
+        return np.asarray(w) * ts, vals
 
     u_lo = -math.inf if lo == 0.0 else math.log(lo)
     u_hi = math.inf if math.isinf(hi) else math.log(hi)
@@ -464,7 +493,9 @@ def integrate_pv(g, x0: float, a: float, b: float, tol: float = 1e-9,
     like half-line blocks; a running total that keeps growing with
     undamped shells signals a non-cancelling singularity and raises
     DivergenceError.  A scan that uses up its 200 shells while they are
-    still live adds the last one to ``error``.
+    still live adds the last one to ``error``.  ``g`` returns plain arrays:
+    the shells add its values at mirrored abscissas, and a row-weighted
+    pair raises TypeError.
     """
     if not (a < x0 < b):
         raise ValueError(f"x0={x0} must lie strictly inside [{a}, {b}]")
@@ -476,9 +507,14 @@ def integrate_pv(g, x0: float, a: float, b: float, tol: float = 1e-9,
     # rounding drift (which reads as a non-decaying shell)
     away = 1.0 if x0 >= 0 else -1.0
 
+    def plain(out):
+        if isinstance(out, tuple):
+            raise TypeError("integrate_pv takes plain arrays, not (w, P) pairs")
+        return np.asarray(out)
+
     def sym(ss):
         ss = away * ((x0 + away * ss) - x0)
-        return np.asarray(g(x0 + ss)) + np.asarray(g(x0 - ss))
+        return plain(g(x0 + ss)) + plain(g(x0 - ss))
 
     scan = _BlockScan(budget)
     shells = ((math.ldexp(s0, -k - 1), math.ldexp(s0, -k)) for k in range(200))
@@ -535,9 +571,14 @@ def _panel_batch(g_batch, pending):
     mids = np.array([0.5 * (a + b) for a, b in pending])
     halfs = np.array([0.5 * (b - a) for a, b in pending])
     xs = (mids[:, None] + halfs[:, None] * _NODES[None, :]).ravel()
-    vals = np.asarray(g_batch(xs))
-    vals = vals.reshape(len(pending), _EVALS_PER_PANEL, *vals.shape[1:])
-    return [_embedded(v, half) for v, half in zip(vals, halfs)], xs.size
+    out = g_batch(xs)
+    w, vals = out if isinstance(out, tuple) else (None, out)
+    vals = np.asarray(vals)
+    shape = (len(pending), _EVALS_PER_PANEL)
+    parts = vals.reshape(*shape, *vals.shape[1:])
+    if w is not None:
+        parts = zip(np.reshape(w, shape), parts)
+    return [_embedded(part, half) for part, half in zip(parts, halfs)], xs.size
 
 
 def integrate_batched(g_batch, panels, tol: float = 1e-9,

@@ -103,3 +103,23 @@ def test_duality_requires_common_grid():
     g = SampledLine.from_function(lambda x: np.exp(-np.asarray(x) ** 2), 8.0, 1 << 10)
     with pytest.raises(ValueError):
         duality_residual(cesaro(), f, g, 2.0)
+
+
+def test_duality_residual_pairs_once_for_all_exponents(monkeypatch):
+    import hhl.hausdorff as hausdorff
+    f = SampledLine.from_function(lambda x: np.exp(-np.asarray(x) ** 2),
+                                  16.0, 1 << 10)
+    g = SampledLine.from_function(lambda x: np.exp(-0.5 * (np.asarray(x) - 1.0) ** 2),
+                                  16.0, 1 << 10)
+    singles = [duality_residual(cesaro(), f, g, p) for p in (2.0, 4.0, 1.5)]
+    calls = []
+    real = hausdorff.transform_values
+    monkeypatch.setattr(hausdorff, "transform_values",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    duality_residual(cesaro(), f, g, 2.0)
+    per_pairing = len(calls)
+    calls.clear()
+    assert duality_residual(cesaro(), f, g, (2.0, 4.0, 1.5)) == singles
+    assert len(calls) == per_pairing
+    with pytest.raises(ValueError):
+        duality_residual(cesaro(), f, g, (2.0, math.inf))

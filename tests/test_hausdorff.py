@@ -7,12 +7,13 @@ from hhl.halfplane import CayleyPower, InverseSquare, hardy_norm, slice_norm
 from scipy.special import erf, exp1
 
 from hhl.hausdorff import (_LOG_DELTA, _LOG_HALF, _LOG_M, KernelImage, SweepResult,
-                           WindowTooSmallError, _extremizer, _hat_weights,
+                           WindowTooSmallError, _extremizer, _hat_edges, _hat_weights,
                            _log_grid_kernel, _log_grid_transform,
                            boundary_identity_check,
                            norm_lower_bound_sweep, transform_values)
 from hhl.kernels import (Kernel, cesaro, eval_kernel, gen_cesaro, hardy_type,
-                         moment, moment_exponent, truncate_below, zero_kernel)
+                         moment, moment_exponent, table_kernel, truncate_below,
+                         zero_kernel)
 from hhl.quadrature import DivergenceError, integrate_halfline
 from hhl.realline import SampledLine, _fftconvolve, _spline, eval_at, lp_norm
 
@@ -351,6 +352,25 @@ def test_log_grid_matches_linear_convolution(kernel, fn):
     got = _log_grid_one(k, fn, xs)
     ref = _log_grid_linear(k, fn, xs)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kernel", [
+    cesaro, hardy_type, lambda: gen_cesaro(2.0), lambda: gen_cesaro(0.5),
+    lambda: table_kernel([(0.05, 0.3), (0.4, 1.0), (3.0, 0.2), (20.0, 0.01)]),
+    lambda: truncate_below(cesaro(), 0.1)],
+    ids=["cesaro", "hardy", "gencesaro2", "gencesaro0.5", "table", "truncated"])
+def test_hat_edges_match_unique(kernel):
+    # np.unique of the support ends and the grid nodes between them is the
+    # oracle of the directly built edges
+    k = kernel()
+    d = _LOG_DELTA
+    lo, hi = k.support
+    a = max(-2.0 * _LOG_HALF, math.log(lo)) if lo > 0 else -2.0 * _LOG_HALF
+    b = min(2.0 * _LOG_HALF, math.log(hi))
+    nodes = d * np.arange(math.ceil(a / d), math.floor(b / d) + 1)
+    expected = np.unique(np.concatenate(([a, b], nodes)))
+    got = _hat_edges(k)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 def test_log_grid_hat_weights_closed_forms():

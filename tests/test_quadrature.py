@@ -449,3 +449,114 @@ def test_embedded_matches_tensordot_bitwise(name):
         assert np.asarray(got_v).dtype == np.asarray(ref_v).dtype
         assert np.asarray(got_v).tobytes() == np.asarray(ref_v).tobytes()
         assert got_e == ref_e
+
+
+def _row_weight_cases():
+    rng = np.random.default_rng(11)
+    vals = _panel_values()
+    return {
+        "real": (rng.uniform(0.1, 3.0, 21), vals["real"]),
+        "complex": (rng.uniform(0.1, 3.0, 21), vals["complex"]),
+        "3d": (rng.standard_normal(21), vals["3d"]),
+        "1d": (rng.uniform(0.1, 3.0, 21), vals["1d"]),
+        "complex_weight": (rng.standard_normal(21) + 1j * rng.standard_normal(21),
+                           vals["real"]),
+    }
+
+
+def _multiplied(pair):
+    """The plain integrand w[:, None] * P of the row-weighted ``pair``."""
+    def product(xs):
+        w, vals = pair(xs)
+        return w.reshape(-1, *(1,) * (np.ndim(vals) - 1)) * vals
+    return product
+
+
+def _close_to_product(got, ref, w, P, half):
+    # (value, error) of a folded panel against those of its product: the
+    # rows round differently, by about an ulp per term, so the bound is
+    # the Kronrod sum of the terms' magnitudes
+    from hhl.quadrature import _W_KRONROD
+    scale = np.tensordot(_W_KRONROD * np.abs(w), np.abs(P), axes=(0, 0)) * half
+    assert np.shape(got[0]) == np.shape(ref[0])
+    assert np.asarray(got[0]).dtype == np.asarray(ref[0]).dtype
+    assert np.all(np.abs(np.asarray(got[0]) - np.asarray(ref[0])) <= 1e-15 * scale)
+    assert abs(got[1] - ref[1]) <= 2e-15 * np.max(scale)
+
+
+@pytest.mark.parametrize("name", sorted(_row_weight_cases()))
+def test_embedded_row_weights_match_product(name):
+    from hhl.quadrature import _embedded
+    w, P = _row_weight_cases()[name]
+    product = _multiplied(lambda xs: (w, P))(None)
+    for half in (0.5, 3.0e-7, 1.25e5):
+        _close_to_product(_embedded((w, P), half), _embedded(product, half), w, P, half)
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_panel_batch_and_per_panel_carry_row_weights(cplx):
+    from hhl.quadrature import _NODES, _panel_batch, _per_panel
+    cols = np.linspace(-2.0, 3.0, 17)
+
+    def pair(xs):
+        vals = np.cos(np.outer(xs, cols))
+        return np.exp(-xs), vals + 1j * np.sin(np.outer(xs, cols)) if cplx else vals
+
+    pending = [(0.0, 0.5), (0.5, 2.0), (2.0, 2.25)]
+    ref, n_ref = _panel_batch(_multiplied(pair), pending)
+    for g in (pair, _per_panel(pair)):
+        got, n = _panel_batch(g, pending)
+        assert n == n_ref
+        for got_panel, ref_panel, (a, b) in zip(got, ref, pending):
+            w, vals = pair(0.5 * (a + b) + 0.5 * (b - a) * _NODES)
+            _close_to_product(got_panel, ref_panel, w, vals, 0.5 * (b - a))
+
+
+def test_row_weighted_integrand_costs_what_its_product_costs():
+    cols = np.array([0.5, 1.0, 2.0, 7.5])
+
+    def pair(xs):
+        return np.exp(-xs) / np.sqrt(xs + 1e-3), np.cos(np.outer(xs, cols))
+
+    powers = np.array([0.5, 1.0, 2.0, 3.5])
+
+    def halfline_pair(ts):
+        return np.exp(-ts), ts[:, None] ** (powers - 1.0)
+
+    runs = [
+        (lambda g: integrate(g, 0.0, 3.0, tol=1e-11), pair),
+        (lambda g: integrate_batched(g, geometric_panels(1e-3, 3.0), tol=1e-11), pair),
+        (lambda g: integrate_halfline(g, tol=1e-10), halfline_pair),
+    ]
+    for run, g_pair in runs:
+        got, ref = run(g_pair), run(_multiplied(g_pair))
+        assert got.evaluations == ref.evaluations
+        assert np.max(np.abs(got.value - ref.value)) <= 1e-13 * np.max(np.abs(ref.value))
+    exact = np.array([math.gamma(s) for s in powers])
+    res = integrate_halfline(halfline_pair, tol=1e-10)
+    assert np.max(np.abs(res.value - exact)) <= 1e-9
+
+
+def test_integrate_pv_rejects_row_weighted_pairs():
+    with pytest.raises(TypeError):
+        integrate_pv(lambda x: (np.ones_like(x), 1.0 / x), 0.0, -1.0, 1.0)
+
+
+def test_halfline_wide_panel_peak_memory():
+    # the Jacobian joins the row weights, so a wide integrand's panel is
+    # never copied into a product: the peak stays near one panel
+    import tracemalloc
+    xs = np.linspace(-1.0, 1.0, 1 << 16)
+    panel_bytes = 21 * xs.size * 8
+
+    def integrand(ts):
+        panel = np.subtract(xs[None, :], ts[:, None] + 2.0)
+        return np.exp(-ts), np.reciprocal(panel, out=panel)
+
+    tracemalloc.start()
+    try:
+        integrate_halfline(integrand, tol=1e-6, support=(1.0, 2.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * panel_bytes
