@@ -1,11 +1,14 @@
 """Holomorphic functions on the upper half-plane.
 
 The built-in family is what the verification suites need: shifted Cayley
-powers (z + i*sigma)^-beta on the principal branch and the fixed inverse
-square (z+i)^-2.  On top of the family sits the Hardy-norm estimator
-(supremum of horizontal slice norms).  The Poisson extension of sampled
-boundary data to a height y > 0 is computed from the exact convolution of
-its piecewise-linear model, plus the tagged tails by quadrature.
+powers (z + i*sigma)^-beta on the principal branch, families of them
+evaluated together on a trailing member axis, and the fixed inverse
+square (z+i)^-2.  All Cayley values come from one polar kernel,
+``_cayley_powers``.  On top of the family sits the Hardy-norm estimator
+(supremum of horizontal slice norms); ``slice_norm`` gives a family one
+norm per member.  The Poisson extension of sampled boundary data to a
+height y > 0 is computed from the exact convolution of its
+piecewise-linear model, plus the tagged tails by quadrature.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .realline import _FFT_ROWS, SampledLine, _fftconvolve, lp_norm_function
 __all__ = [
     "HoloFunction",
     "CayleyPower",
+    "CayleyFamily",
     "InverseSquare",
     "HardyNormEstimate",
     "hardy_norm",
@@ -88,19 +92,82 @@ class CayleyPower(HoloFunction):
     even_slice_modulus = True
 
     def eval_batch(self, z):
-        zeta = np.asarray(z, dtype=complex) + 1j * self.sigma
-        # the principal power in real polar form, |zeta|^-beta
-        # (cos + i sin)(-beta arg zeta): cheaper than the complex power
-        out = np.empty(zeta.shape, dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            mod = np.power(np.hypot(zeta.real, zeta.imag), -self.beta)
-            ang = -self.beta * np.arctan2(zeta.imag, zeta.real)
-            out.real = mod * np.cos(ang)
-            out.imag = mod * np.sin(ang)
-        if np.isfinite(out).all():
-            return out
-        # |zeta| beyond double range means the value underflowed to zero
-        return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
+        return _cayley_powers(z, ((self.beta, self.sigma),))[..., 0]
+
+
+def _cayley_powers(z, members) -> np.ndarray:
+    """(z + i*sigma)^-beta for each (beta, sigma) in ``members``, on a
+    trailing member axis: shape z.shape + (len(members),).
+
+    Real polar form on the principal branch: the modulus |zeta|^-beta, and
+    the phase e^(i phi), phi = -beta arg zeta, from the one tangent
+    h = tan(phi/2) as ((1 - h^2) + 2ih) / (1 + h^2).  Where |h| > 1 the
+    same formula runs in 1/h, which flips the sign of the real part, so h^2
+    cannot overflow at the tangent's pole (phi = -pi).  |zeta| and arg zeta
+    are computed once per distinct sigma.  Each member's transcendentals
+    run on contiguous arrays of z's shape, so a member's values do not
+    depend on the others in the family.  Non-finite values (|zeta| beyond
+    double range, where the value underflowed) become zero.
+    """
+    zs = np.asarray(z, dtype=complex)
+    out = np.empty(zs.shape + (len(members),), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for sigma in dict.fromkeys(s for _, s in members):
+            zeta = zs + 1j * sigma
+            mod = np.abs(zeta)
+            theta = np.arctan2(zeta.imag, zeta.real)
+            for j, (beta, s) in enumerate(members):
+                if s != sigma:
+                    continue
+                h = np.tan((-0.5 * beta) * theta)
+                flip = np.abs(h) > 1.0
+                h = np.where(flip, 1.0 / h, h)
+                h2 = h * h
+                den = 1.0 + h2
+                re = np.where(flip, h2 - 1.0, 1.0 - h2)
+                re /= den
+                h += h
+                h /= den
+                r = np.power(mod, -beta)
+                np.multiply(r, re, out=out[..., j].real)
+                np.multiply(r, h, out=out[..., j].imag)
+    if np.isfinite(out).all():
+        return out
+    return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
+
+
+@dataclass(frozen=True)
+class CayleyFamily(HoloFunction):
+    """The CayleyPower ``members`` evaluated together: values carry a
+    trailing member axis, and so do the slice norms of ``slice_norm``.
+
+    ``tail_power`` is the array of member exponents, ``feature_scale``
+    the finest member's.  Member j's values are
+    ``members[j].eval_batch``'s bit for bit.
+    """
+
+    members: tuple = ()
+
+    def __post_init__(self):
+        if not self.members or not all(isinstance(m, CayleyPower) for m in self.members):
+            raise ValueError("a Cayley family needs one or more CayleyPower members")
+
+    @property
+    def boundary_ok(self) -> bool:  # type: ignore[override]
+        return all(m.boundary_ok for m in self.members)
+
+    @property
+    def tail_power(self) -> np.ndarray:  # type: ignore[override]
+        return np.array([m.beta for m in self.members])
+
+    @property
+    def feature_scale(self) -> float:  # type: ignore[override]
+        return min(m.feature_scale for m in self.members)
+
+    even_slice_modulus = True
+
+    def eval_batch(self, z):
+        return _cayley_powers(z, tuple((m.beta, m.sigma) for m in self.members))
 
 
 @dataclass(frozen=True)
@@ -148,8 +215,10 @@ class HardyNormEstimate:
 
 
 def slice_norm(f: HoloFunction, y: float, p: float, L: float,
-               tol: float = 1e-10) -> float:
-    """L^p norm of x -> f(x + iy) with graded panels and analytic tails."""
+               tol: float = 1e-10):
+    """L^p norm of x -> f(x + iy) with graded panels and analytic tails: a
+    float, or one norm per member for a family (``CayleyFamily`` or its
+    image), all under one quadrature schedule."""
     if y < 0 or (y == 0 and not f.boundary_ok):
         raise ValueError("slice height must be positive (or 0 for boundary-continuous forms)")
 
@@ -161,7 +230,8 @@ def slice_norm(f: HoloFunction, y: float, p: float, L: float,
         mids = 0.5 * (panels[1:] + panels[:-1])
         probe = np.concatenate([panels[1:], mids])
         vals = np.abs(fn(np.concatenate([probe, -probe, np.array([0.0])])))
-        return float(np.max(vals))
+        peak = np.max(vals, axis=0)
+        return float(peak) if np.ndim(peak) == 0 else peak
 
     return lp_norm_function(fn, p, L, max(f.feature_scale, 1e-12), f.tail_power,
                             tol, f.even_slice_modulus)

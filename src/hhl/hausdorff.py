@@ -8,10 +8,12 @@ it keeps the argument in the upper half-plane (Im(z/t) = y/t > 0).  Its
 operator norm on the p-scale is exactly the kernel moment integral of
 t^(1/p-1) phi(t); the machinery here witnesses that constant from below
 with a Rayleigh sweep over the extremizer family (z + i*sigma)^(-1/p-eps),
-and on the line with the power families |x|^(-1/p+-eps), and verifies the
+all epsilons of one p evaluated together as one ``CayleyFamily``, and on
+the line with the power families |x|^(-1/p+-eps), and verifies the
 boundary-value identity (T f)* = T(f*).  The t-quadrature's integrand is
 the row-weighted pair (phi(t)/t, f(z/t)): the quadrature folds the
-weight into its rule instead of scaling the panel of dilated values.
+weight into its rule instead of scaling the panel of dilated values, and
+integrates a family's trailing member axis component-wise.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .halfplane import CayleyPower, HoloFunction, InverseSquare, hardy_norm, slice_norm
+from .halfplane import CayleyFamily, CayleyPower, HoloFunction, slice_norm
 from .kernels import Kernel, cumulative_moment, eval_kernel, moment
 from .quadrature import (DivergenceError, _per_panel, doubling_panels,
                          geometric_panels, integrate_batched, integrate_halfline)
@@ -55,31 +57,53 @@ def transform_values(k: Kernel, f_of, zs, tol: float = 1e-10,
     so the schedule refines only for the scales its points share, and
     node-by-group intermediates stay small.  A point's value depends on
     the set of points passed, never on their order.  ``f_of`` must be
-    vectorized over arbitrary-shape arrays.
+    vectorized over arbitrary-shape arrays; its values may carry trailing
+    axes (a family of functions, such as ``CayleyFamily``), which the
+    quadrature integrates component-wise under one schedule with a
+    max-norm error, and the result has shape zs.shape + those axes.
+
+    Dilation multiplies by the reciprocal row 1/t, which for a real t is
+    complex division by t bit for bit; the kernel row phi(t)/t and that
+    reciprocal are computed once per panel for all the groups.
     """
     zs = np.asarray(zs)
     scalar = zs.ndim == 0
     zs = np.atleast_1d(zs)
-    out = np.empty(zs.shape, dtype=complex)
+    out = None
+    rows = {}  # panel abscissas -> (phi(t)/t, column of 1/t)
+
+    def row(ts):
+        key = ts.tobytes()
+        if key not in rows:
+            rows[key] = eval_kernel(k, ts) / ts, (1.0 / ts)[:, None]
+        return rows[key]
+
     order = np.lexsort((zs.imag, zs.real, np.abs(zs)))
     for start in range(0, zs.size, _GROUP):
         idx = order[start:start + _GROUP]
         group = zs[idx]
 
         def integrand(ts):
+            weight, inverse = row(ts)
             with np.errstate(over="ignore"):
-                args = group[None, :] / ts[:, None]
-            return eval_kernel(k, ts) / ts, np.asarray(f_of(args), dtype=complex)
+                args = group[None, :] * inverse
+            return weight, np.asarray(f_of(args), dtype=complex)
 
         res = integrate_halfline(integrand, tol=tol, budget=budget,
                                  support=k.support)
         if res.diverges:
-            probe = np.abs(np.asarray(f_of(group)))
-            worst = group[int(np.argmax(probe))]
+            probe = np.abs(np.asarray(f_of(group))).reshape(group.size, -1)
+            worst = group[int(np.argmax(probe.max(axis=1)))]
             raise DivergenceError(
                 f"transform integral diverges near output point {worst}")
+        if out is None:
+            out = np.empty(zs.shape + np.shape(res.value)[1:], dtype=complex)
         out[idx] = res.value
-    return complex(out[0]) if scalar else out
+    if out is None:  # no points
+        return np.empty(zs.shape, dtype=complex)
+    if scalar:
+        return complex(out[0]) if out.ndim == 1 else out[0]
+    return out
 
 
 # Log-grid (Mellin) convolution.  With x = +-e^s and t = e^u the transform
@@ -228,9 +252,10 @@ class KernelImage(HoloFunction):
     @property
     def tail_power(self):  # type: ignore[override]
         # kernel mass phi ~ t^e at t -> inf carries the base's bulk out to
-        # |x| ~ t, so the image decays no faster than |x|^e
+        # |x| ~ t, so the image decays no faster than |x|^e (per member of
+        # a family base)
         beta, e = self.base.tail_power, self.kernel.inf_exponent
-        return beta if beta is None or e is None else min(beta, -e)
+        return beta if beta is None or e is None else np.minimum(beta, -e)
 
     @property
     def feature_scale(self) -> float:  # type: ignore[override]
@@ -247,7 +272,7 @@ class KernelImage(HoloFunction):
         z = np.asarray(z, dtype=complex)
         flat = transform_values(self.kernel, self.base.eval_batch, z.ravel(),
                                 tol=self.tol)
-        return np.asarray(flat).reshape(z.shape)
+        return flat.reshape(z.shape + flat.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +313,8 @@ def _extremizer(k: Kernel, p: float, eps: float):
     Kernels supported in (0, 1] use the unit-shift family; kernels with
     mass at large t need the shift to shrink with epsilon (valid for
     eps < 1 - 1/p).  At p = 1 with unbounded-support mass the fixed
-    inverse square stands in (non-sharp witness).
+    inverse square (z + i)^-2 stands in (non-sharp witness), as the
+    Cayley power it is, so every extremizer is a ``CayleyFamily`` member.
     """
     compact = k.support[1] <= 1.0
     if compact:
@@ -298,7 +324,7 @@ def _extremizer(k: Kernel, p: float, eps: float):
             raise ValueError(
                 f"eps={eps} outside (0, {1 - 1/p:g}) for the shrinking-shift family")
         return CayleyPower(1.0 / p + eps, eps), "shrinking-shift"
-    return InverseSquare(), "fixed-witness"
+    return CayleyPower(2.0, 1.0), "fixed-witness"
 
 
 def norm_lower_bound_sweep(k: Kernel, p: float, epsilons,
@@ -309,9 +335,12 @@ def norm_lower_bound_sweep(k: Kernel, p: float, epsilons,
     norm on the window [-L, L] plus closed tails.  The extremizers and
     their images extend continuously to the axis, and Poisson
     convolution is an L^p contraction, so the slice norms rise as y -> 0
-    and the norm is the boundary slice's: ``hardy_norm`` reads that one
-    slice, and by (T f)* = T(f*) it is a transform on the real axis.
-    Quotients approach the moment from below as epsilon shrinks.
+    and the norm is the boundary slice's: by (T f)* = T(f*) it is a
+    transform on the real axis.  All epsilons are one ``CayleyFamily``
+    (distinct extremizers once each), so one ``slice_norm`` of its image
+    and one of the family give every quotient: a single quadrature
+    schedule serves the whole family, with a max-norm error.  Quotients
+    approach the moment from below as epsilon shrinks.
     """
     if math.isinf(p) or p < 1:
         raise ValueError("sweep requires p in [1, inf)")
@@ -319,17 +348,17 @@ def norm_lower_bound_sweep(k: Kernel, p: float, epsilons,
     m = moment(k, p)
     if not m.finite:
         raise ValueError("sweep requires a finite moment (bounded operator)")
-    quotients = []
-    family = ""
-    for eps in eps_list:
-        _check_window(p, eps)
-        f_eps, family = _extremizer(k, p, eps)
-        image = KernelImage(kernel=k, base=f_eps, tol=1e-10)
-        num = hardy_norm(image, p, y_grid=(0.0,), L=L, tol=1e-10)
-        den = hardy_norm(f_eps, p, y_grid=(0.0,), L=L, tol=1e-10)
-        quotients.append(num.estimate / den.estimate)
-    return SweepResult(p=p, epsilons=eps_list, quotients=tuple(quotients),
-                       moment=m.value, best=max(quotients), family=family)
+    _check_window(p, min(eps_list))
+    picks = [_extremizer(k, p, eps) for eps in eps_list]
+    members = tuple(dict.fromkeys(f for f, _ in picks))
+    family = CayleyFamily(members)
+    num = slice_norm(KernelImage(kernel=k, base=family, tol=1e-10), 0.0, p, L,
+                     tol=1e-10)
+    den = slice_norm(family, 0.0, p, L, tol=1e-10)
+    ratio = [float(n) / float(d) for n, d in zip(num, den)]
+    quotients = tuple(ratio[members.index(f)] for f, _ in picks)
+    return SweepResult(p=p, epsilons=eps_list, quotients=quotients,
+                       moment=m.value, best=max(quotients), family=picks[-1][1])
 
 
 def _check_window(p: float, eps: float):

@@ -167,10 +167,18 @@ def _embedded(out, half):
     half-width ``half`` from the integrand's output at its ``_NODES``:
     values (leading axis), or a pair (w, P).  A pair's weights ``w`` fold
     into both rule rows, which meet P in one dot product: P is read once,
-    and never copied or multiplied out."""
+    and never copied or multiplied out (a complex P with real weights
+    through its real view, a real product of twice the width)."""
     if isinstance(out, tuple):
         vals = np.asarray(out[1])
-        both = np.dot(_ROWS_21 * np.asarray(out[0]), vals.reshape(_NODES.size, -1))
+        rows = _ROWS_21 * np.asarray(out[0])
+        flat = vals.reshape(_NODES.size, -1)
+        if np.iscomplexobj(flat) and not np.iscomplexobj(rows):
+            # real rows meet a complex panel through its real view: one real
+            # product, not a complex one against rows cast to complex
+            both = np.dot(rows, np.ascontiguousarray(flat).view(float)).view(complex)
+        else:
+            both = np.dot(rows, flat)
         kronrod = both[0].reshape(vals.shape[1:]) * half
         gauss = both[1].reshape(vals.shape[1:]) * half
     else:

@@ -5,6 +5,9 @@ outputs, and Hilbert transforms.  A sample set may carry a closed-form
 tag: a vectorized callable that regenerates the values exactly and keeps
 windowed norms honest through analytic tail handling (power-law tails are
 integrated out to the representable range instead of being cut at L).
+``lp_norm_function`` takes the norm of a callable the same way, and of a
+family of callables at once: values with a trailing axis give one norm
+per component, under one quadrature schedule and one tail integral.
 """
 
 from __future__ import annotations
@@ -263,29 +266,44 @@ def _window_trapezoid(f: SampledLine, p: float) -> float:
     return s
 
 
-def _tail_integral(fn, p: float, L: float, tail_power: float | None,
-                   side: int, tol: float) -> float:
+def _tail_integral(fn, p: float, L: float, tail_power, side: int,
+                   tol: float):
     """integral of |fn|^p over (L, inf) on one side (sign via ``side``).
 
     Substitutes x = L e^u, integrates the representable range, and closes
     with the exact power-law remainder measured at the far endpoint.
     Requires p*tail_power > 1 (membership in L^p).
+
+    Component-wise for an ``fn`` whose values carry trailing axes, with
+    ``tail_power`` an array of that shape (one power per component): one
+    substituted integral runs out to the largest U any component needs,
+    and each component is closed with its own remainder there.  A float
+    comes back for a scalar ``tail_power``, else an array, inf where a
+    component is not in L^p.
     """
     if tail_power is None:
         return 0.0
-    ps1 = p * tail_power - 1.0
-    if ps1 <= 0:
-        return math.inf
-    U = min(_TAIL_UMAX, max(6.0, 30.0 / ps1))
+    ps1 = p * np.asarray(tail_power, dtype=float) - 1.0
+    live = ps1 > 0
+    if not live.any():
+        return math.inf if ps1.ndim == 0 else np.full(ps1.shape, math.inf)
+    U = min(_TAIL_UMAX, max(6.0, 30.0 / float(ps1[live].min())))
 
     def integrand(us):
         xs = side * L * np.exp(us)
-        return np.abs(np.asarray(fn(xs))) ** p * (L * np.exp(us))
+        vals = np.abs(np.asarray(fn(xs))) ** p
+        if ps1.ndim:
+            vals[:, ~live] = 0.0  # components not in L^p come out inf
+        return vals * (L * np.exp(us)).reshape(-1, *(1,) * ps1.ndim)
 
     res = integrate(integrand, 0.0, U, tol=tol)
     xU = L * math.exp(U)
-    rem = float(np.abs(np.asarray(fn(np.array([side * xU]))))[0]) ** p * xU / ps1
-    return float(res.value) + rem
+    far = np.abs(np.asarray(fn(np.array([side * xU]))))[0]
+    if ps1.ndim == 0:
+        return float(res.value) + float(far) ** p * xU / float(ps1)
+    # the remainders in Python floats, as the scalar closure takes them
+    rem = np.array([float(a) ** p * xU / float(s) for a, s in zip(far, ps1)])
+    return np.where(live, res.value + rem, math.inf)
 
 
 def lp_norm(f: SampledLine, p: float) -> float:
@@ -307,26 +325,30 @@ def lp_norm(f: SampledLine, p: float) -> float:
 
 
 def lp_norm_function(fn, p: float, L: float, scale: float = 1.0,
-                     tail_power: float | None = None, tol: float = 1e-10,
-                     even_modulus: bool = False) -> float:
+                     tail_power=None, tol: float = 1e-10,
+                     even_modulus: bool = False):
     """L^p norm of a callable over the line by graded-panel quadrature.
 
     The window (0, L] is covered by panels doubling from ``scale`` (the
     smallest feature width), the tails by the substituted integral plus a
     measured power remainder.  With ``even_modulus`` only x > 0 is
-    integrated and doubled.
+    integrated and doubled.  A callable whose values carry a trailing
+    axis (a family) gets one norm per component, under one schedule with
+    a max-norm error, and ``tail_power`` then holds one power per
+    component (see ``_tail_integral``); the result is an array.
     """
-    def one_side(side: int) -> float:
+    def one_side(side: int):
         panels = geometric_panels(scale, L)
         win = integrate_batched(
             lambda xs: np.abs(np.asarray(fn(side * xs))) ** p, panels, tol=tol)
         # fn may be a transform, whose points share a schedule
-        return float(win.value) + _tail_integral(_per_panel(fn), p, L, tail_power,
-                                                 side, tol)
+        return win.value + _tail_integral(_per_panel(fn), p, L, tail_power,
+                                          side, tol)
 
     if even_modulus:
         total = 2.0 * one_side(+1)
     else:
         total = one_side(+1) + one_side(-1)
-    return total ** (1.0 / p)
-
+    # each root in Python floats, as one member alone takes it
+    roots = [float(t) ** (1.0 / p) for t in np.ravel(total)]
+    return roots[0] if np.ndim(total) == 0 else np.array(roots)

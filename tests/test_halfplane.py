@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hhl.halfplane import (CayleyPower, InverseSquare, hardy_norm,
+from hhl.halfplane import (CayleyFamily, CayleyPower, InverseSquare, hardy_norm,
                            poisson_extend, slice_norm)
 from hhl.realline import SampledLine
 
@@ -75,6 +75,58 @@ def test_eval_batch_non_finite_to_zero(f):
     mixed = f.eval_batch(np.concatenate([z, odd]))
     assert mixed[:z.size].tobytes() == got.tobytes()
     assert np.all(mixed[z.size:] == 0.0)
+
+
+KERNEL_BETAS = (0.27, 0.52, 1.0, 1.5, 2.0, 2.5, 3.7)
+
+
+def _kernel_points(beta, sigma):
+    """|x| from 1e-12 to 1e12 on both sides at heights 0 to 1e3, and the
+    points where beta * arg(z + i sigma) crosses a multiple of pi (the
+    phase tangent's pole), on both sides of each crossing."""
+    mag = np.logspace(-12, 12, 97)
+    xs = np.concatenate([-mag[::-1], [0.0], mag])
+    grid = (xs[None, :] + 1j * np.array([0.0, 1e-9, 1e-3, 0.5, 1.0, 30.0, 1e3])[:, None]).ravel()
+    crossings = []
+    for k in range(1, math.ceil(beta)):
+        theta = k * math.pi / beta
+        if theta >= math.pi:
+            break
+        for rho in (1.5, 10.0, 1e4):
+            r = rho * sigma / math.sin(theta)  # keeps Im z >= 0.5 sigma
+            for d in (0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-6, -1e-6):
+                crossings.append(r * np.exp(1j * (theta + d)) - 1j * sigma)
+    return np.concatenate([grid, np.array(crossings, dtype=complex)])
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1e-3])
+@pytest.mark.parametrize("beta", KERNEL_BETAS)
+def test_cayley_kernel_against_long_double(beta, sigma):
+    # the one-tangent polar kernel against the principal complex power in
+    # extended precision, from the same double points
+    z = _kernel_points(beta, sigma)
+    got = CayleyPower(beta, sigma).eval_batch(z)
+    zeta = z.astype(np.clongdouble) + np.clongdouble(1j) * np.longdouble(sigma)
+    ref = zeta ** np.longdouble(-beta)
+    rel = np.abs(got.astype(np.clongdouble) - ref) / np.abs(ref)
+    assert float(np.max(rel)) <= 4e-15
+
+
+def test_cayley_family_members_bit_for_bit():
+    # each member of a family, shared sigma or not, on a 2-d batch as the
+    # transform hands it over, is its own CayleyPower's values bit for bit
+    members = tuple(CayleyPower(b, s) for b, s in
+                    ((0.7, 1.0), (3.7, 1.0), (0.52, 1e-3), (2.0, 0.25), (1.0, 1.0)))
+    fam = CayleyFamily(members)
+    z = _kernel_points(3.7, 1e-3).reshape(-1, 7)
+    got = fam.eval_batch(z)
+    assert got.shape == z.shape + (len(members),)
+    for j, m in enumerate(members):
+        assert got[..., j].tobytes() == m.eval_batch(z).tobytes()
+    assert fam.tail_power.tolist() == [m.beta for m in members]
+    assert fam.feature_scale == 1e-3 and fam.boundary_ok
+    with pytest.raises(ValueError):
+        CayleyFamily(())
 
 
 def test_eval_rejects_lower_halfplane():

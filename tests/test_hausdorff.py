@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hhl.halfplane import CayleyPower, InverseSquare, hardy_norm, slice_norm
+from hhl.halfplane import CayleyFamily, CayleyPower, InverseSquare, hardy_norm, slice_norm
 from scipy.special import erf, exp1
 
 from hhl.hausdorff import (_LOG_DELTA, _LOG_HALF, _LOG_M, KernelImage, SweepResult,
@@ -15,7 +15,8 @@ from hhl.kernels import (Kernel, cesaro, eval_kernel, gen_cesaro, hardy_type,
                          moment, moment_exponent, table_kernel, truncate_below,
                          zero_kernel)
 from hhl.quadrature import DivergenceError, integrate_halfline
-from hhl.realline import SampledLine, _fftconvolve, _spline, eval_at, lp_norm
+from hhl.realline import (SampledLine, _fftconvolve, _spline, eval_at, lp_norm,
+                          lp_norm_function)
 
 
 def test_apply_real_log_profile():
@@ -191,6 +192,76 @@ def test_sweep_boundary_slice_is_the_norm(kernel, p, eps):
     den = hardy_norm(f, p, y_grid=ys, L=1e4, tol=1e-10)
     assert sw.quotients == (num.estimate / den.estimate,)
     assert max(num.slice_norms[:2]) < num.slice_norms[2]
+
+
+# one family per sweep: unit shift, a steeper kernel at p = 4, and the
+# shrinking shift, whose members differ in sigma too
+FAMILY_SWEEPS = {
+    "cesaro": (cesaro, 2.0, (0.2, 0.1, 0.05, 0.02)),
+    "gencesaro2": (lambda: gen_cesaro(2.0), 4.0, (0.2, 0.1, 0.05, 0.02)),
+    "hardy": (hardy_type, 2.0, (0.4, 0.2, 0.1, 0.05)),
+}
+# two 256-point groups of output points, on and off the axis
+FAMILY_POINTS = np.concatenate([-np.geomspace(1e-6, 1e6, 150),
+                                np.geomspace(1e-6, 1e6, 150)]) + np.repeat([0.0, 0.01j], 150)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_SWEEPS))
+def test_one_member_family_is_the_scalar_path_bitwise(name):
+    kernel, p, eps = FAMILY_SWEEPS[name]
+    k = kernel()
+    f, _ = _extremizer(k, p, eps[0])
+    fam = CayleyFamily((f,))
+    one = transform_values(k, fam.eval_batch, FAMILY_POINTS, tol=1e-10)
+    assert one.shape == FAMILY_POINTS.shape + (1,)
+    assert one[:, 0].tobytes() == transform_values(k, f.eval_batch, FAMILY_POINTS,
+                                                   tol=1e-10).tobytes()
+    image, image_1 = (KernelImage(kernel=k, base=g, tol=1e-10) for g in (f, fam))
+    for g, g_1 in ((f, fam), (image, image_1)):
+        norm = lp_norm_function(lambda xs: g.eval_batch(xs + 0.0j), p, 1e4,
+                                g.feature_scale, g.tail_power)
+        norm_1 = lp_norm_function(lambda xs: g_1.eval_batch(xs + 0.0j), p, 1e4,
+                                  g_1.feature_scale, g_1.tail_power)
+        assert norm_1.tolist() == [norm]
+    sw = norm_lower_bound_sweep(k, p, eps[:1], L=1e4)
+    q = slice_norm(image, 0.0, p, 1e4) / slice_norm(f, 0.0, p, 1e4)
+    assert sw.quotients == (q,) and type(sw.quotients[0]) is float
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_SWEEPS))
+def test_family_members_match_their_scalar_calls(name):
+    # one schedule for four members refines to the worst of them, so each
+    # member lands within rounding of its own call
+    kernel, p, eps = FAMILY_SWEEPS[name]
+    k = kernel()
+    members = tuple(_extremizer(k, p, e)[0] for e in eps)
+    fam = CayleyFamily(members)
+    together = transform_values(k, fam.eval_batch, FAMILY_POINTS, tol=1e-10)
+    norms = slice_norm(fam, 0.0, p, 1e4)
+    for j, f in enumerate(members):
+        alone = transform_values(k, f.eval_batch, FAMILY_POINTS, tol=1e-10)
+        assert np.max(np.abs(together[:, j] - alone) / np.abs(alone)) <= 1e-11
+        assert norms[j] == pytest.approx(slice_norm(f, 0.0, p, 1e4), rel=1e-11, abs=0)
+
+
+def test_sweep_evaluates_each_distinct_extremizer_once(monkeypatch):
+    # the p = 1 witness is the same (z + i)^-2 for every epsilon: one
+    # family member serves them all
+    from hhl import hausdorff
+    k = Kernel(kind="table", label="wide", fn=lambda t: np.exp(-np.asarray(t)),
+               support=(0.0, math.inf), zero_exponent=0.0)
+    seen = []
+    real = hausdorff.slice_norm
+
+    def spy(f, *args, **kwargs):
+        seen.append(f)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(hausdorff, "slice_norm", spy)
+    sw = norm_lower_bound_sweep(k, 1.0, (0.2, 0.1), L=1e3)
+    assert sw.family == "fixed-witness" and len(set(sw.quotients)) == 1
+    assert [type(f).__name__ for f in seen] == ["KernelImage", "CayleyFamily"]
+    assert seen[1].members == (CayleyPower(2.0, 1.0),)
 
 
 def test_sweep_rejects_unbounded():
