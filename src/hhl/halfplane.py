@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import _per_panel, integrate_halfline, geometric_panels
+from .quadrature import integrate_halfline, geometric_panels
 from .realline import _FFT_ROWS, SampledLine, _fftconvolve, lp_norm_function
 
 __all__ = [
@@ -331,9 +331,7 @@ def _poisson_tail(g: SampledLine, y: float, xs: np.ndarray) -> np.ndarray:
             s = side * (edges[side] + ss)
             py = (y / math.pi) / ((xs[None, :] - s[:, None]) ** 2 + y * y)
             return np.asarray(g.form(s)), py
-        # g's form may be another extension, whose points share a schedule
-        res = integrate_halfline(_per_panel(integrand), tol=1e-12,
-                                 support=(1e-12, math.inf))
+        res = integrate_halfline(integrand, tol=1e-12, support=(1e-12, math.inf))
         if res.diverges:
             raise ValueError("tagged tail is not integrable against the Poisson kernel")
         return res.value

@@ -25,8 +25,8 @@ import numpy as np
 
 from .halfplane import CayleyFamily, CayleyPower, HoloFunction, slice_norm
 from .kernels import Kernel, cumulative_moment, eval_kernel, moment
-from .quadrature import (DivergenceError, _per_panel, doubling_panels,
-                         geometric_panels, integrate_batched, integrate_halfline)
+from .quadrature import (DivergenceError, doubling_panels, geometric_panels,
+                         integrate_batched, integrate_halfline)
 from .realline import _TAIL_UMAX, _spline, _tail_integral
 from .report import CheckRow, VerificationReport
 
@@ -283,8 +283,9 @@ class KernelImage(HoloFunction):
 class SweepResult:
     """Rayleigh quotients against the sharp constant.
 
-    Every quotient must sit under the moment (the proven upper bound);
-    ``best`` is the largest quotient, the witnessed lower bound.
+    ``best`` is the largest quotient, the witnessed lower bound.  Whether
+    the quotients sit under the moment (the proven upper bound) is for the
+    report rows to judge, so an excess fails its row rather than the suite.
     """
 
     p: float
@@ -298,11 +299,6 @@ class SweepResult:
         eps = self.epsilons
         if any(eps[i] <= eps[i + 1] for i in range(len(eps) - 1)):
             raise ValueError("epsilons must be strictly decreasing")
-        if math.isfinite(self.moment):
-            for q in self.quotients:
-                if q > self.moment * (1.0 + 1e-6):
-                    raise ValueError(
-                        f"quotient {q} exceeds the sharp bound {self.moment}")
         if self.quotients and self.best != max(self.quotients):
             raise ValueError("best must equal the maximal quotient")
 
@@ -387,11 +383,12 @@ def _power_quotient(k: Kernel, p: float, eps: float, side: str,
     side "large": |x|^(-1/p-eps) outside the unit interval, which the
     kernel sees through its mass at t < |x|.  side "small": the
     complementary |x|^(-1/p+eps) inside, seeing mass at t > |x|.  Both
-    transforms collapse to cumulative kernel moments, and all heavy
-    power tails are closed with measured remainders.  A cumulative moment
-    integrates between its sorted points, so the numerators' tail
-    quadratures see one panel per call.
+    transforms collapse to cumulative kernel moments, and the numerators'
+    heavy power tails are closed with measured remainders.  Both test
+    functions carry the p-mass of |x|^(-1-p*eps) on (1, inf), which is
+    1/(p*eps) in closed form.
     """
+    den_mass = 1.0 / (p * eps)
     if side == "large":
         s = 1.0 / p + eps
 
@@ -399,17 +396,12 @@ def _power_quotient(k: Kernel, p: float, eps: float, side: str,
             w = cumulative_moment(k, s, xv, upper=False, tol=tol)
             return np.power(xv, -p * s) * np.power(w, p)
 
-        def den_p(xv):
-            return np.where(xv > 1.0, np.power(np.abs(xv), -(1.0 + p * eps)), 0.0)
-
         # the transform plateaus below the kernel's support floor (it sees
         # only mass at t < x), so the integrand is bounded toward 0 and a
         # 1e-6 floor loses O(1e-8) relative mass
         a0 = max(k.support[0], 1e-6)
         num_mass = float(integrate_batched(num_p, doubling_panels(a0, L), tol=tol).value)
-        num_mass += _tail_integral(_per_panel(num_p), 1.0, L, 1.0 + p * eps, +1, tol)
-        den_mass = float(integrate_batched(den_p, doubling_panels(1.0, L), tol=tol).value)
-        den_mass += _tail_integral(den_p, 1.0, L, 1.0 + p * eps, +1, tol)
+        num_mass += _tail_integral(num_p, 1.0, L, 1.0 + p * eps, +1, tol)
         return (num_mass / den_mass) ** (1.0 / p)
 
     # side == "small": mass piles up at every scale below 1, so work in
@@ -420,11 +412,8 @@ def _power_quotient(k: Kernel, p: float, eps: float, side: str,
         w = cumulative_moment(k, s, 1.0 / vv, upper=True, tol=tol)
         return np.power(vv, p * s - 2.0) * np.power(w, p)
 
-    def den_p_v(vv):
-        return np.power(vv, -(1.0 + p * eps))
-
     num_mass = float(integrate_batched(num_p_v, doubling_panels(1.0, L), tol=tol).value)
-    num_mass += _tail_integral(_per_panel(num_p_v), 1.0, L, 1.0 + p * eps, +1, tol)
+    num_mass += _tail_integral(num_p_v, 1.0, L, 1.0 + p * eps, +1, tol)
 
     if k.support[1] > 1.0:
         # kernel mass beyond t = 1 makes the transform live on x > 1 too
@@ -435,9 +424,7 @@ def _power_quotient(k: Kernel, p: float, eps: float, side: str,
         num_mass += float(integrate_batched(num_p_direct, doubling_panels(1.0, L),
                                             tol=tol).value)
         ei = k.inf_exponent if k.inf_exponent is not None else -1.0
-        num_mass += _tail_integral(_per_panel(num_p_direct), 1.0, L, -p * ei, +1, tol)
-    den_mass = float(integrate_batched(den_p_v, doubling_panels(1.0, L), tol=tol).value)
-    den_mass += _tail_integral(den_p_v, 1.0, L, 1.0 + p * eps, +1, tol)
+        num_mass += _tail_integral(num_p_direct, 1.0, L, -p * ei, +1, tol)
     return (num_mass / den_mass) ** (1.0 / p)
 
 

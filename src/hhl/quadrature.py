@@ -25,12 +25,15 @@ adds values at mirrored abscissas and takes plain arrays only.
 one bisection loop, ``_bisect``, with one heap and one stopping test.  It
 evaluates ahead: the panels it is bound to split, and the bisections an
 endpoint singularity predicts, get their halves from one integrand call,
-and the loop replays over them (see its docstring).  An integrand whose
-value at an abscissa depends on the other abscissas of the call (a
-transform sharing one t-schedule among its points, a cumulative moment, a
-Poisson-extension form) is wrapped in ``_per_panel`` where it is
-integrated: ``lp_norm_function``'s tails, ``_power_quotient``'s numerator
-tails and ``_poisson_tail``.
+and the loop replays over them (see its docstring).
+
+Improper integrals (half-line blocks, PV shells) run one block-scan loop,
+``_BlockScan.run``, which stops once the blocks are negligible relative to
+the running value, as QUADPACK's truncation test does.  What a scan keeps
+is then the same at every scale of the integral, so an integrand whose
+value at an abscissa depends on the others in its call (a transform that
+shares one t-schedule among its points, a cumulative moment) is batched
+like any other.
 """
 
 from __future__ import annotations
@@ -203,21 +206,6 @@ def _panel(g, a: float, b: float):
     ``g`` with its 21 abscissas."""
     half = 0.5 * (b - a)
     return _embedded(g(0.5 * (a + b) + half * _NODES), half)
-
-
-def _per_panel(fn):
-    """``fn`` called on one panel's abscissas at a time, as ``integrate``
-    calls an integrand too wide to batch: the wrapper for an integrand
-    whose value at an abscissa depends on the others in the call."""
-    def each(xs):
-        parts = [fn(xs[i:i + _EVALS_PER_PANEL])
-                 for i in range(0, len(xs), _EVALS_PER_PANEL)]
-        if len(parts) == 1:
-            return parts[0]
-        if isinstance(parts[0], tuple):
-            return tuple(np.concatenate(side) for side in zip(*parts))
-        return np.concatenate(parts)
-    return each
 
 
 def _collect(segments):
@@ -394,8 +382,10 @@ class _BlockScan:
 
         Returns (diverged, live): ``live`` is the size of the last block
         when the sequence ran out before the scan went quiet, else 0.
-        Stopping: two consecutive blocks negligible against the running
-        value; their sizes join ``err`` as the bound on the rest left out.
+        Stopping: two consecutive blocks at most tol/16 of the running
+        value's max-norm (a relative rule at every scale, with a floor at
+        1e-300 so a scan of zeros stops); their sizes join ``err`` as the
+        bound on the rest left out.
         Divergence: the running total grows by >= 1+1e-3 and block
         contributions fail to decay, eight blocks in a row.
         """
@@ -417,7 +407,7 @@ class _BlockScan:
                 if grow >= 8:
                     return True, 0.0
 
-            if blk <= tol * max(1.0, running) / 16.0:
+            if blk <= max(tol * running / 16.0, 1e-300):
                 quiet += 1
                 if quiet >= 2:
                     self.err += prev_block + blk

@@ -19,7 +19,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 import numpy.fft  # loaded lazily by numpy; load it with the module
 
-from .quadrature import _per_panel, integrate, integrate_batched, geometric_panels
+from .quadrature import integrate, integrate_batched, geometric_panels
 
 __all__ = ["SampledLine", "lp_norm", "lp_norm_function"]
 
@@ -341,9 +341,7 @@ def lp_norm_function(fn, p: float, L: float, scale: float = 1.0,
         panels = geometric_panels(scale, L)
         win = integrate_batched(
             lambda xs: np.abs(np.asarray(fn(side * xs))) ** p, panels, tol=tol)
-        # fn may be a transform, whose points share a schedule
-        return win.value + _tail_integral(_per_panel(fn), p, L, tail_power,
-                                          side, tol)
+        return win.value + _tail_integral(fn, p, L, tail_power, side, tol)
 
     if even_modulus:
         total = 2.0 * one_side(+1)

@@ -161,9 +161,24 @@ def test_sweep_result_invariants():
     with pytest.raises(ValueError):
         SweepResult(p=2.0, epsilons=(0.1, 0.2), quotients=(1.0, 1.0),
                     moment=2.0, best=1.0)
-    with pytest.raises(ValueError):
-        SweepResult(p=2.0, epsilons=(0.2, 0.1), quotients=(2.5, 1.0),
-                    moment=2.0, best=2.5)
+
+
+def test_quotient_above_moment_fails_its_row(monkeypatch):
+    # a quotient over the sharp bound fails the "quotients under moment"
+    # row of its p; the suite's other rows are still reported
+    from hhl import cli
+
+    def sweep(k, p, epsilons, L):
+        m = moment(k, p).value
+        q = m * (1.01 if p == 2.0 else 0.99)
+        return SweepResult(p=p, epsilons=tuple(epsilons), quotients=(q,) * len(epsilons),
+                           moment=m, best=q)
+
+    monkeypatch.setattr(cli, "norm_lower_bound_sweep", sweep)
+    rep = cli.run_suite("norm", cli.RunConfig(p_list=(2.0, 4.0)))
+    verdict = {r.check: r.passed for r in rep.rows}
+    assert verdict.pop("p=2 quotients under moment") is False
+    assert len(verdict) == 5 and all(verdict.values())
 
 
 def test_sweep_quick():
@@ -479,63 +494,3 @@ def test_log_grid_guards():
 def test_log_grid_zero_kernel_exact():
     xs = np.array([-5.0, -0.01, 0.01, 5.0])
     assert np.all(_log_grid_one(zero_kernel(), _gauss, xs) == 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Integrands whose points share work stay one panel per call
-
-
-def _calls_inside_tails(monkeypatch, module):
-    """Sizes of the abscissa arrays a callable wrapped in ``record`` gets
-    while ``module._tail_integral`` runs; ``at`` is their argument's
-    position."""
-    inside, sizes = [False], []
-    real = module._tail_integral
-
-    def tail(*args, **kwargs):
-        inside[0] = True
-        try:
-            return real(*args, **kwargs)
-        finally:
-            inside[0] = False
-
-    def record(fn, at=0):
-        def spy(*args, **kwargs):
-            if inside[0]:
-                sizes.append(np.size(args[at]))
-            return fn(*args, **kwargs)
-        return spy
-
-    monkeypatch.setattr(module, "_tail_integral", tail)
-    return record, sizes
-
-
-def test_lp_norm_function_tail_calls_transform_per_panel(monkeypatch):
-    # transform_values shares one t-schedule among its points, so the
-    # tail closure must hand it one panel's abscissas at a time
-    import hhl.realline as realline
-    record, sizes = _calls_inside_tails(monkeypatch, realline)
-    f = CayleyPower(1.0, 1.0)
-    fn = record(lambda xs: transform_values(cesaro(), f.eval_batch,
-                                            np.asarray(xs) + 0.5j, tol=1e-8))
-    norm = realline.lp_norm_function(fn, 2.0, 50.0, 1.0, f.tail_power, 1e-8,
-                                     even_modulus=True)
-    assert math.isfinite(norm)
-    assert max(sizes) <= 21
-    assert len(sizes) > 3  # the tail split its first panel
-
-
-def test_power_quotient_tails_call_cumulative_moment_per_panel(monkeypatch):
-    # cumulative_moment integrates between its sorted points; hardy's mass
-    # beyond t = 1 brings in the third numerator tail
-    import hhl.hausdorff as hausdorff
-    record, sizes = _calls_inside_tails(monkeypatch, hausdorff)
-    monkeypatch.setattr(hausdorff, "cumulative_moment",
-                        record(hausdorff.cumulative_moment, at=2))
-    for k, side in ((gen_cesaro(2.0), "large"), (gen_cesaro(2.0), "small"),
-                    (hardy_type(), "small")):
-        before = len(sizes)
-        q = hausdorff._power_quotient(k, 2.0, 0.1, side, L=1e3, tol=1e-9)
-        assert math.isfinite(q)
-        assert len(sizes) > before + 3
-    assert max(sizes) <= 21

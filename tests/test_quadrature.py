@@ -494,8 +494,8 @@ def test_embedded_row_weights_match_product(name):
 
 
 @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
-def test_panel_batch_and_per_panel_carry_row_weights(cplx):
-    from hhl.quadrature import _NODES, _panel_batch, _per_panel
+def test_panel_batch_carries_row_weights(cplx):
+    from hhl.quadrature import _NODES, _panel_batch
     cols = np.linspace(-2.0, 3.0, 17)
 
     def pair(xs):
@@ -504,12 +504,11 @@ def test_panel_batch_and_per_panel_carry_row_weights(cplx):
 
     pending = [(0.0, 0.5), (0.5, 2.0), (2.0, 2.25)]
     ref, n_ref = _panel_batch(_multiplied(pair), pending)
-    for g in (pair, _per_panel(pair)):
-        got, n = _panel_batch(g, pending)
-        assert n == n_ref
-        for got_panel, ref_panel, (a, b) in zip(got, ref, pending):
-            w, vals = pair(0.5 * (a + b) + 0.5 * (b - a) * _NODES)
-            _close_to_product(got_panel, ref_panel, w, vals, 0.5 * (b - a))
+    got, n = _panel_batch(pair, pending)
+    assert n == n_ref
+    for got_panel, ref_panel, (a, b) in zip(got, ref, pending):
+        w, vals = pair(0.5 * (a + b) + 0.5 * (b - a) * _NODES)
+        _close_to_product(got_panel, ref_panel, w, vals, 0.5 * (b - a))
 
 
 def test_row_weighted_integrand_costs_what_its_product_costs():

@@ -8,9 +8,14 @@ Euler's integral for 2F1 (DLMF 15.6.1) gives the transform:
     hardy:         ((z + i*sigma)^(1-beta) - (i*sigma)^(1-beta)) / ((1 - beta) z)
 
 The references come from mpmath at 30 digits and share no code with the
-quadrature.  All points go to one ``transform_values`` call, through the
-scalar path (one CayleyPower) and through the family path (a CayleyFamily
-of every beta at once).
+quadrature.  The points go to ``transform_values`` all in one call,
+through the scalar path (one CayleyPower) and through the family path (a
+CayleyFamily of every beta at once), and one point per call, so a value
+may not depend on the points it shares its t-schedule with.
+
+The ``norm`` sweep's quotients for cesaro at p = 2 are checked against
+exact values stored below, which ``_exact_quotient`` (about 4 s each)
+computes from the same closed form; run this file to print them.
 """
 
 import numpy as np
@@ -19,7 +24,7 @@ import pytest
 mp = pytest.importorskip("mpmath")
 
 from hhl.halfplane import CayleyFamily, CayleyPower
-from hhl.hausdorff import transform_values
+from hhl.hausdorff import norm_lower_bound_sweep, transform_values
 from hhl.kernels import cesaro, gen_cesaro, hardy_type
 
 # |z| from 1e-3 to 1e60, on the axis (both sides) and off it
@@ -53,6 +58,44 @@ def test_grouped_transform_matches_closed_form(name):
     assert together.shape == POINTS.shape + (len(betas),)
     for j, beta in enumerate(betas):
         exact = _exact(form, beta)
-        alone = transform_values(k, CayleyPower(beta, 1.0).eval_batch, POINTS, tol=1e-10)
-        for got in (alone, together[:, j]):
+        f = CayleyPower(beta, 1.0).eval_batch
+        alone = transform_values(k, f, POINTS, tol=1e-10)
+        single = np.array([transform_values(k, f, z, tol=1e-10) for z in POINTS])
+        for got in (alone, together[:, j], single):
             assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-9
+
+
+# |T f*|_2 / |f*|_2 for cesaro and f* = (x + i)^-(1/2 + eps), by _exact_quotient
+EXACT_QUOTIENTS = {0.2: 1.82362438517706, 0.1: 1.90072329410621,
+                   0.05: 1.94693670792973, 0.02: 1.97784310453901}
+
+
+def _exact_quotient(eps, dps=25, cut=200):
+    """The cesaro p = 2 quotient at ``eps`` in mpmath: |T f*|^2 integrated
+    in s = log|x| on both sides out to |x| = e^cut, where the tail is
+    closed by its leading power |x|^-2beta / beta^2 (the next term is
+    e^(-2 cut) relative), over |f*|_2^2 = B(1/2, beta - 1/2)."""
+    with mp.workdps(dps):
+        b = mp.mpf(1) / 2 + mp.mpf(eps)
+
+        def sq(s, sign):
+            z = mp.mpc(sign * mp.exp(s), 0)
+            t = z ** -b / b * mp.hyp2f1(b, b, b + 1, -1j / z)
+            return abs(t) ** 2 * mp.exp(s)
+
+        breaks = [-mp.inf, -10, 0, 10, 50, 100, cut]
+        num = sum(mp.quad(lambda s: sq(s, sign), breaks) for sign in (1, -1))
+        num += 2 * mp.exp(cut * (1 - 2 * b)) / ((2 * b - 1) * b ** 2)
+        return mp.sqrt(num / mp.beta(mp.mpf(1) / 2, b - mp.mpf(1) / 2))
+
+
+def test_norm_sweep_quotients_match_exact():
+    eps = tuple(EXACT_QUOTIENTS)
+    got = norm_lower_bound_sweep(cesaro(), 2.0, eps).quotients
+    for e, q in zip(eps, got):
+        assert abs(q / EXACT_QUOTIENTS[e] - 1.0) <= 1e-8
+
+
+if __name__ == "__main__":
+    for e in EXACT_QUOTIENTS:
+        print(e, mp.nstr(_exact_quotient(e), 15))
