@@ -74,9 +74,8 @@ class RunConfig:
         unknown = [s for s in self.suites if s not in SUITES]
         if unknown:
             raise ValueError(f"unknown suites {unknown}; choose from {sorted(SUITES)}")
-        for p in self.p_list:
-            if not (p >= 1):
-                raise ValueError("p_list entries must lie in [1, inf]")
+        if not self.p_list or not all(p >= 1 for p in self.p_list):
+            raise ValueError("p_list must be non-empty, entries in [1, inf]")
         k = kernel_from_config(self.kernel)  # malformed specs fail at parse time
         eps = self.epsilons
         if not (_decreasing(eps) and 0 < eps[-1] and eps[0] < 1):

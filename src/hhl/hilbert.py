@@ -18,9 +18,9 @@ H f, its log-grid samples and their spectrum, and |f|_p once per
 function; only the tail-aware H(T f) and the residual once per pair.
 The residual reads H(T f) on the grid alone, so only H f, sampled out to
 e^40, builds the exterior ladder of its form.  The live tail scan of a
-tagged input integrates the row-weighted pair (r(y), 1/(x - y)): the
-quadrature folds the remainder r into its rule, and the one panel it
-reads is the reciprocal, formed in place.
+tagged input integrates the row-weighted pair (r(y), 1/(x - y)) at a few
+dozen Chebyshev nodes in the log distance to the window edge, not at
+every grid point, and reads the grid off the interpolant.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import math
 import warnings
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
 from .hausdorff import _log_grid_kernel, _log_grid_transform
 from .kernels import moment
@@ -243,6 +244,48 @@ def _image_sum_2(x: np.ndarray, L: float) -> np.ndarray:
     return out
 
 
+_TAIL_NODES, _TAIL_NODES_MAX = 32, 512
+
+
+def _tail_scan(r, xs: np.ndarray, L: float, side: float) -> np.ndarray:
+    """int r(y)/(x - y) over y = side*(L + s), s > 1e-9, at every x in xs.
+
+    In the distance d = L - side*x to the window edge this is a Stieltjes
+    transform of r, analytic in log d on |Im log d| < pi, so it is scanned
+    at first-kind Chebyshev nodes in log d over the positive distances and
+    read at every x by Clenshaw; a point on the edge (d = 0) is scanned
+    directly.  The node count doubles while either last coefficient tops
+    tol/16 of the largest, up to a cap that raises ValueError.
+    """
+    tol = 1e-10
+    d = L - side * xs
+    edge = d <= 0.0
+    v = np.log(d[~edge])
+    lo, hi = float(v.min()), float(v.max())
+    n = _TAIL_NODES
+    while n <= _TAIL_NODES_MAX:
+        theta = math.pi * (np.arange(n) + 0.5) / n
+        nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(theta)
+        x_scan = np.concatenate([side * (L - np.exp(nodes)), xs[edge]])
+
+        def integrand(ss):
+            y = side * (L + ss)
+            return r(y), 1.0 / np.subtract(x_scan[None, :], y[:, None])
+        q = integrate_halfline(integrand, tol=tol, support=(1e-9, math.inf))
+        if q.diverges:
+            raise ValueError("tagged tail is not integrable")
+        # type-II DCT of the node values: the Chebyshev coefficients
+        coef = (2.0 / n) * np.cos(np.outer(np.arange(n), theta)) @ q.value[:n]
+        coef[0] *= 0.5
+        if np.max(np.abs(coef[-2:])) <= max(tol / 16.0 * np.max(np.abs(coef)), 1e-300):
+            out = np.empty(xs.shape)
+            out[~edge] = chebval((2.0 * v - hi - lo) / (hi - lo), coef)
+            out[edge] = q.value[n:]
+            return out
+        n *= 2
+    raise ValueError(f"tail scan not resolved by {_TAIL_NODES_MAX} Chebyshev nodes")
+
+
 def hilbert_with_tails(g: SampledLine, origin: float = 0.0) -> SampledLine:
     """Hilbert transform of real data with an honest whole-line form.
 
@@ -295,7 +338,7 @@ def hilbert_with_tails(g: SampledLine, origin: float = 0.0) -> SampledLine:
         def tail_side(side):
             # a scalar probe first, stopped at the first nonzero sample: a
             # remainder that reads 0 at every abscissa the probe visits
-            # makes the vector scan visit the same abscissas and return
+            # makes the node scan visit the same abscissas and return
             # zeros, so that scan is skipped
             def probe(ss):
                 vals = res_tag(side * (g.L + ss))
@@ -306,19 +349,7 @@ def hilbert_with_tails(g: SampledLine, origin: float = 0.0) -> SampledLine:
                 integrate_halfline(probe, tol=1e-10, support=(1e-9, math.inf))
                 return np.zeros(xs.shape)
             except _LiveTail:
-                pass
-
-            def integrand(ss):
-                # the remainder is a row weight, and 1/(x - y) is formed in
-                # place: this panel sets the commutation check's memory peak
-                y = side * (g.L + ss)
-                panel = np.subtract(xs[None, :], y[:, None])
-                return res_tag(y), np.reciprocal(panel, out=panel)
-            r = integrate_halfline(integrand, tol=1e-10,
-                                   support=(1e-9, math.inf))
-            if r.diverges:
-                raise ValueError("tagged tail is not integrable")
-            return np.asarray(r.value)
+                return _tail_scan(res_tag, xs, g.L, side)
 
         hres_vals = hres_vals + (tail_side(+1.0) + tail_side(-1.0)) / math.pi
     hres = SampledLine.from_values(hres_vals, g.L)

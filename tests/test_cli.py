@@ -118,6 +118,7 @@ def test_main_moment_run(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fields", [
+    {"p_list": []},
     {"epsilons": []},
     {"epsilons": [0.1, 0.2]},
     {"epsilons": [1.5, 0.5]},
@@ -201,7 +202,7 @@ _VALID_FIELDS = {
         {"kind": "cesaro"}, {"kind": "hardy"}, {"kind": "gencesaro", "alpha": 2},
         {"kind": "table", "points": [[0.5, 1.0], [1.0, 0.5]]}]),
     "p_list": st.lists(st.sampled_from([1.0, 1.5, 2.0, 4.0, math.inf]),
-                       max_size=2),
+                       min_size=1, max_size=2),
     "L": st.floats(1.0, 100.0),
     "N": st.sampled_from([16, 1 << 12]),
     "sweep_L": st.floats(1.0, 1e4, exclude_min=True),

@@ -2,6 +2,7 @@ import importlib
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import dawsn
@@ -166,7 +167,7 @@ def test_tails_skip_zero_remainder(monkeypatch):
 
 
 def test_tails_scan_live_remainder(monkeypatch):
-    # P1diff leaves a nonzero remainder past the window, so the vector
+    # P1diff leaves a nonzero remainder past the window, so the node
     # scans run; the form matches the values from before the probe existed
     fn = lambda x: (1 / math.pi) / (1 + np.asarray(x) ** 2) \
         - (1 / math.pi) / (1 + (np.asarray(x) - 1) ** 2)
@@ -174,7 +175,9 @@ def test_tails_scan_live_remainder(monkeypatch):
                                      label="P1diff")
     calls = _record_halfline(monkeypatch)
     hf = hilbert_with_tails(line)
-    assert [np.shape(c.value) for c in calls] == [(line.N,)] * 2
+    # one scan per side, each at the 32 Chebyshev nodes, not at every grid
+    # point; the - side adds the grid point x = -L on its edge
+    assert [np.shape(c.value) for c in calls] == [(32,), (33,)]
     probes = np.array([-1e4, -300.0, -64.0, -3.0, 0.5, 10.0, 63.5, 200.0, 1e5])
     before = np.array([-7.691573846855666e-09, -4.064188916372427e-06,
                        -8.444841358274704e-05, -0.020596618298258224,
@@ -182,6 +185,73 @@ def test_tails_scan_live_remainder(monkeypatch):
                        -7.829928483384976e-05, -6.867142026622444e-06,
                        6.182678616057811e-10])
     np.testing.assert_allclose(hf.form(probes).real, before, rtol=1e-12, atol=0)
+
+
+def _edge_grid(side):
+    """Grid of L = 64, N = 2^12, its distances d = L - side*x to the
+    window edge, and the remainder 1/y^2 with the origin at -h/2 (as the
+    commutation check shifts it), which reads 1/(s + a)^2 at y = side*(L + s)."""
+    L, N = 64.0, 1 << 12
+    h = 2 * L / N
+    xs = -L + h * np.arange(N)
+    return xs, L - side * xs, lambda y: 1.0 / (y + h / 2) ** 2, L + side * h / 2
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_tail_scan_matches_mpmath(side):
+    # the scan is -side * int_{s0}^inf ds / ((s + a)^2 (s + d))
+    xs, d, r, a = _edge_grid(side)
+    s0 = 1e-9
+    scan = hilbert_mod._tail_scan(r, xs, 64.0, side)
+    order = np.argsort(d)
+    pick = order[np.unique(np.round(np.geomspace(1, d.size - 1, 100)).astype(int))]
+    pick = np.concatenate([order[d[order] == 0.0], pick])  # the edge x = -L
+    with mpmath.workdps(30):
+        ref = np.array([-side * float(mpmath.quad(
+            lambda s: 1 / ((s + a) ** 2 * (s + dd)),
+            sorted({s0, dd + s0, 1.0, 64.0}) + [mpmath.inf])) for dd in d[pick]])
+    scale = np.max(np.abs(ref))
+    edge = d[pick] == 0.0
+    assert np.count_nonzero(edge) == (side < 0)
+    # interpolated distances h..2L to 1e-13; the edge point is the scan's
+    # own quadrature, good to its tol 1e-10
+    assert np.max(np.abs(scan[pick][~edge] - ref[~edge])) <= 1e-13 * scale
+    assert np.all(np.abs(scan[pick][edge] - ref[edge]) <= 1e-10)
+    # partial fractions cross-check the reference away from d = a
+    dd = d[pick]
+    far = np.abs(dd - a) > 1.0
+    closed = -side * (-np.log((s0 + dd) / (s0 + a)) / (a - dd) ** 2
+                      + 1 / ((dd - a) * (s0 + a)))
+    assert np.max(np.abs(closed[far] - ref[far])) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_tail_scan_doubles_nodes_until_resolved(monkeypatch, side):
+    xs, _, r, _ = _edge_grid(side)
+    full = hilbert_mod._tail_scan(r, xs, 64.0, side)
+    monkeypatch.setattr(hilbert_mod, "_TAIL_NODES", 4)
+    doubled = hilbert_mod._tail_scan(r, xs, 64.0, side)
+    assert np.max(np.abs(doubled - full)) <= 1e-13 * np.max(np.abs(full))
+    monkeypatch.setattr(hilbert_mod, "_TAIL_NODES_MAX", 8)
+    with pytest.raises(ValueError, match="Chebyshev nodes"):
+        hilbert_mod._tail_scan(r, xs, 64.0, side)
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_tail_scan_is_scale_invariant(monkeypatch, side):
+    # the node guard is relative, so a remainder 1e8 or 1e-8 times larger
+    # doubles from 4 nodes to the same interpolant; the edge point (d = 0)
+    # is the quadrature's own value, whose panel tolerance is absolute
+    xs, d, r, _ = _edge_grid(side)
+    base = hilbert_mod._tail_scan(r, xs, 64.0, side)
+    monkeypatch.setattr(hilbert_mod, "_TAIL_NODES", 4)
+    inner = d > 0.0
+    for c in (1e8, 1e-8):
+        scaled = hilbert_mod._tail_scan(lambda y: c * r(y), xs, 64.0, side)
+        np.testing.assert_allclose(scaled[inner], c * base[inner],
+                                   rtol=1e-12, atol=0)
+        assert np.all(np.abs(scaled[~inner] - c * base[~inner])
+                      <= 1e-10 * max(c, 1.0))
 
 
 def test_tails_ladder_built_at_first_exterior_read(monkeypatch):
