@@ -35,6 +35,8 @@ def sa_moment(a: Kernel, p: float, tol: float = 1e-9):
 
 
 def _sa_values(a: Kernel, f_of, zs, tol: float) -> np.ndarray:
+    """S_a f at ``zs``; a real ``f_of`` gives a float array (bit for bit
+    the real part of the complex result), and a scalar z a complex one."""
     zs = np.asarray(zs)
     scalar = zs.ndim == 0
     zs = np.atleast_1d(zs)
@@ -42,7 +44,8 @@ def _sa_values(a: Kernel, f_of, zs, tol: float) -> np.ndarray:
     def integrand(ts):
         with np.errstate(over="ignore"):
             args = zs[None, :] * ts[:, None]
-        return eval_kernel(a, ts), np.asarray(f_of(args), dtype=complex)
+        vals = np.asarray(f_of(args))
+        return eval_kernel(a, ts), vals if vals.dtype.kind == "c" else np.asarray(vals, float)
 
     res = integrate_halfline(integrand, tol=tol, support=a.support)
     if res.diverges:

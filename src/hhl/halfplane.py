@@ -104,31 +104,39 @@ def _cayley_powers(z, members) -> np.ndarray:
     h = tan(phi/2) as ((1 - h^2) + 2ih) / (1 + h^2).  Where |h| > 1 the
     same formula runs in 1/h, which flips the sign of the real part, so h^2
     cannot overflow at the tangent's pole (phi = -pi).  |zeta| and arg zeta
-    are computed once per distinct sigma.  Each member's transcendentals
-    run on contiguous arrays of z's shape, so a member's values do not
-    depend on the others in the family.  Non-finite values (|zeta| beyond
-    double range, where the value underflowed) become zero.
+    are computed once per distinct sigma.  A member with |phi/2| <= 0.78 <
+    pi/4 everywhere cannot flip and skips the test, in reused buffers.  Each
+    member's transcendentals run on contiguous arrays of z's shape, so a
+    member's values do not depend on the others in the family.  Non-finite
+    values (|zeta| beyond double range, where it underflowed) become zero.
     """
     zs = np.asarray(z, dtype=complex)
     out = np.empty(zs.shape + (len(members),), dtype=complex)
+    hb, h2b, reb, rb = (np.empty(zs.shape) for _ in range(4))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for sigma in dict.fromkeys(s for _, s in members):
             zeta = zs + 1j * sigma
             mod = np.abs(zeta)
             theta = np.arctan2(zeta.imag, zeta.real)
+            tmax = np.abs(theta).max(initial=0.0)  # NaN if any theta is
             for j, (beta, s) in enumerate(members):
                 if s != sigma:
                     continue
-                h = np.tan((-0.5 * beta) * theta)
-                flip = np.abs(h) > 1.0
-                h = np.where(flip, 1.0 / h, h)
-                h2 = h * h
-                den = 1.0 + h2
-                re = np.where(flip, h2 - 1.0, 1.0 - h2)
+                if 0.5 * beta * tmax <= 0.78:
+                    h = np.tan(np.multiply(theta, -0.5 * beta, out=hb), out=hb)
+                    re = np.subtract(1.0, np.multiply(h, h, out=h2b), out=reb)
+                    den = np.add(h2b, 1.0, out=h2b)
+                else:
+                    h = np.tan((-0.5 * beta) * theta)
+                    flip = np.abs(h) > 1.0
+                    h = np.where(flip, 1.0 / h, h)
+                    h2 = h * h
+                    den = 1.0 + h2
+                    re = np.where(flip, h2 - 1.0, 1.0 - h2)
                 re /= den
                 h += h
                 h /= den
-                r = np.power(mod, -beta)
+                r = np.power(mod, -beta, out=rb)
                 np.multiply(r, re, out=out[..., j].real)
                 np.multiply(r, h, out=out[..., j].imag)
     if np.isfinite(out).all():

@@ -18,6 +18,7 @@ integrates a family's trailing member axis component-wise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,27 +65,19 @@ def transform_values(k: Kernel, f_of, zs, tol: float = 1e-10,
 
     Dilation multiplies by the reciprocal row 1/t, which for a real t is
     complex division by t bit for bit; the kernel row phi(t)/t and that
-    reciprocal are computed once per panel for all the groups.
+    reciprocal are computed once per panel and run (``_kernel_row``).
     """
     zs = np.asarray(zs)
     scalar = zs.ndim == 0
     zs = np.atleast_1d(zs)
     out = None
-    rows = {}  # panel abscissas -> (phi(t)/t, column of 1/t)
-
-    def row(ts):
-        key = ts.tobytes()
-        if key not in rows:
-            rows[key] = eval_kernel(k, ts) / ts, (1.0 / ts)[:, None]
-        return rows[key]
-
     order = np.lexsort((zs.imag, zs.real, np.abs(zs)))
     for start in range(0, zs.size, _GROUP):
         idx = order[start:start + _GROUP]
         group = zs[idx]
 
         def integrand(ts):
-            weight, inverse = row(ts)
+            weight, inverse = _kernel_row(k.fn, k.support, ts.tobytes())
             with np.errstate(over="ignore"):
                 args = group[None, :] * inverse
             return weight, np.asarray(f_of(args), dtype=complex)
@@ -104,6 +97,18 @@ def transform_values(k: Kernel, f_of, zs, tol: float = 1e-10,
     if scalar:
         return complex(out[0]) if out.ndim == 1 else out[0]
     return out
+
+
+@functools.lru_cache(maxsize=1024)
+def _kernel_row(fn, support, key: bytes):
+    """(phi(t)/t, column of 1/t), read-only, at the abscissas packed in
+    ``key`` for the profile ``fn`` on ``support``: keyed by the profile, as
+    Kernels with different profiles compare equal."""
+    ts = np.frombuffer(key)
+    weight = eval_kernel(Kernel("row", "", fn, support), ts) / ts
+    inverse = (1.0 / ts)[:, None]
+    weight.flags.writeable = inverse.flags.writeable = False
+    return weight, inverse
 
 
 # Log-grid (Mellin) convolution.  With x = +-e^s and t = e^u the transform

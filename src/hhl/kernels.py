@@ -109,7 +109,7 @@ def gen_cesaro(alpha: float) -> Kernel:
         # open at t = 1: alpha < 1 is singular there (integrable), and
         # rounded abscissas must not evaluate the power at exactly zero
         with np.errstate(divide="ignore"):
-            vals = alpha * np.power(np.clip(1.0 - t, 0.0, None), alpha - 1.0)
+            vals = alpha * np.power(np.maximum(1.0 - t, 0.0), alpha - 1.0)
         return np.where(t < 1.0, vals, 0.0)
 
     return Kernel(kind="gencesaro", label=f"gencesaro(alpha={alpha:g})",
@@ -143,8 +143,8 @@ def table_kernel(points) -> Kernel:
 
     def fn(t):
         t = np.asarray(t, dtype=float)
-        out = interp(np.log(np.clip(t, 1e-300, None)))
-        return np.clip(np.nan_to_num(out, nan=0.0), 0.0, None)
+        out = interp(np.log(np.maximum(t, 1e-300)))
+        return np.maximum(np.nan_to_num(out, nan=0.0), 0.0)
 
     return Kernel(kind="table", label=f"table[{len(pts)} pts]",
                   fn=fn, support=(float(ts[0]), float(ts[-1])))
@@ -161,11 +161,10 @@ def eval_kernel(k: Kernel, t):
     lo, hi = k.support
     inside = (arr >= lo) & (arr <= hi)
     if arr.ndim and inside.all():
-        return np.clip(np.asarray(k.fn(arr), dtype=float), 0.0, None)
+        return np.maximum(np.asarray(k.fn(arr), dtype=float), 0.0)
     out = np.zeros_like(arr)
     if np.any(inside):
-        vals = np.clip(np.asarray(k.fn(arr[inside]), dtype=float), 0.0, None)
-        out[inside] = vals
+        out[inside] = np.maximum(np.asarray(k.fn(arr[inside]), dtype=float), 0.0)
     if np.ndim(t) == 0:
         return float(out)
     return out
@@ -230,9 +229,9 @@ def cumulative_moment(k: Kernel, s: float, xs: np.ndarray,
 
     ``xs`` may be unsorted; segments between consecutive sorted abscissas
     are integrated once and accumulated, so a batch costs one sweep.  The
-    first panels of all bounded segments come from one integrand call;
-    only segments that miss ``tol`` on it are refined further, each as
-    ``integrate`` would.
+    first panels of all bounded segments come from one integrand call; a
+    segment whose first panel meets ``tol`` takes it, and the others are
+    refined further, each as ``integrate`` would.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -265,7 +264,8 @@ def cumulative_moment(k: Kernel, s: float, xs: np.ndarray,
         firsts, _ = _panel_batch(g, [(a, b) for _, a, b in bounded])
         budget = eval_budget()
         for (i, a, b), first in zip(bounded, firsts):
-            pieces[i] = float(_bisect(g, [(a, b, *first)], tol, budget).value)
+            pieces[i] = float(first[0] if first[1] <= tol else
+                              _bisect(g, [(a, b, *first)], tol, budget).value)
     cums = np.cumsum(pieces[:sx.size])
     if upper:
         cums = (cums[-1] - cums) + pieces[-1]

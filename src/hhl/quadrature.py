@@ -76,6 +76,7 @@ _BATCH_ELEMENTS = 1 << 12
 # Rounding floor of a reported error, per unit of summed panel magnitude
 # (QUADPACK's 50 eps); it enters ``error`` only, never the adaptive ledger.
 _ROUNDING = 50.0 * np.finfo(float).eps
+_NARROW = 8 * np.finfo(float).eps  # ``_too_narrow``'s relative width
 
 # Gauss-Kronrod 10/21 panel rule: the 21-point Kronrod value, with the
 # 10-point Gauss rule on its odd-indexed nodes as error reference.  The
@@ -154,8 +155,10 @@ class DivergenceError(ValueError):
 
 
 def _abs_max(v) -> float:
+    if isinstance(v, float):  # real only: abs() of a complex scalar
+        return float(abs(v))  # can differ from np.abs by an ulp
     a = np.abs(v)
-    return float(a) if np.ndim(a) == 0 else float(a.max()) if a.size else 0.0
+    return float(a.max()) if a.size else 0.0
 
 
 def _rule(row, vals):
@@ -176,14 +179,14 @@ def _embedded(out, half):
         vals = np.asarray(out[1])
         rows = _ROWS_21 * np.asarray(out[0])
         flat = vals.reshape(_NODES.size, -1)
-        if np.iscomplexobj(flat) and not np.iscomplexobj(rows):
+        if flat.dtype.kind == "c" and rows.dtype.kind != "c":
             # real rows meet a complex panel through its real view: one real
             # product, not a complex one against rows cast to complex
             both = np.dot(rows, np.ascontiguousarray(flat).view(float)).view(complex)
         else:
             both = np.dot(rows, flat)
-        kronrod = both[0].reshape(vals.shape[1:]) * half
-        gauss = both[1].reshape(vals.shape[1:]) * half
+        both *= half
+        kronrod, gauss = both.reshape(2, *vals.shape[1:])
     else:
         # plain values keep one dot per rule, whose bits are tensordot's;
         # the stacked product rounds differently
@@ -198,7 +201,7 @@ def _too_narrow(a: float, b: float) -> bool:
     ulps of its endpoints.  The absolute floor lies far below any abscissa
     in use, so panels next to 0 keep refining toward an endpoint
     singularity."""
-    return b - a <= 8 * np.finfo(float).eps * max(abs(a), abs(b), 1e-290)
+    return b - a <= _NARROW * max(abs(a), abs(b), 1e-290)
 
 
 def _panel(g, a: float, b: float):

@@ -5,8 +5,10 @@ import pytest
 
 from hhl.adjoint import _sa_values, duality_residual, sa_moment
 from hhl.halfplane import CayleyPower
+from hhl.hardy_bmo import bmo_corpus
 from hhl.hausdorff import transform_values
-from hhl.kernels import adjoint_kernel, cesaro, hardy_type, moment, zero_kernel
+from hhl.kernels import (adjoint_kernel, cesaro, gen_cesaro, hardy_type, moment,
+                         zero_kernel)
 from hhl.quadrature import _BATCH_ELEMENTS
 from hhl.realline import SampledLine, eval_at
 
@@ -70,6 +72,20 @@ def test_sa_complex_equals_reciprocal_at_random_points():
     lhs = _sa_values(a, F.eval_batch, zs, 1e-10)
     rhs = transform_values(adj, F.eval_batch, zs, tol=1e-10)
     assert np.max(np.abs(lhs - rhs)) < 1e-8
+
+
+@pytest.mark.parametrize("kernel", [cesaro, lambda: gen_cesaro(2.0)],
+                         ids=["cesaro", "gencesaro2"])
+def test_sa_real_input_stays_real_bit_for_bit(kernel):
+    # real data gives a float result, the real part of the complex
+    # cast's result bit for bit
+    k = kernel()
+    xs = -32.0 + 64.0 / 1024 * (np.arange(1024) + 0.5)
+    for name, fn in bmo_corpus(32.0, 1024):
+        real = _sa_values(k, fn, xs, 1e-9)
+        cast = _sa_values(k, lambda x: np.asarray(fn(x), dtype=complex), xs, 1e-9)
+        assert real.dtype == float and cast.dtype == complex, name
+        assert real.tobytes() == cast.real.tobytes(), name
 
 
 def test_sa_moment_matches_reciprocal_moment():

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from hhl.halfplane import (CayleyFamily, CayleyPower, InverseSquare, hardy_norm,
-                           poisson_extend, slice_norm)
+from hhl.halfplane import (CayleyFamily, CayleyPower, InverseSquare, _cayley_powers,
+                           hardy_norm, poisson_extend, slice_norm)
 from hhl.realline import SampledLine
 
 
@@ -127,6 +127,65 @@ def test_cayley_family_members_bit_for_bit():
     assert fam.feature_scale == 1e-3 and fam.boundary_ok
     with pytest.raises(ValueError):
         CayleyFamily(())
+
+
+def _cayley_reference(z, members):
+    """``_cayley_powers`` without its no-flip path: every member takes the
+    flip test, as the kernel did before the path was added."""
+    zs = np.asarray(z, dtype=complex)
+    out = np.empty(zs.shape + (len(members),), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for sigma in dict.fromkeys(s for _, s in members):
+            zeta = zs + 1j * sigma
+            mod = np.abs(zeta)
+            theta = np.arctan2(zeta.imag, zeta.real)
+            for j, (beta, s) in enumerate(members):
+                if s != sigma:
+                    continue
+                h = np.tan((-0.5 * beta) * theta)
+                flip = np.abs(h) > 1.0
+                h = np.where(flip, 1.0 / h, h)
+                h2 = h * h
+                den = 1.0 + h2
+                re = np.where(flip, h2 - 1.0, 1.0 - h2)
+                re /= den
+                h += h
+                h /= den
+                r = np.power(mod, -beta)
+                np.multiply(r, re, out=out[..., j].real)
+                np.multiply(r, h, out=out[..., j].imag)
+    if np.isfinite(out).all():
+        return out
+    return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
+
+
+@pytest.mark.parametrize("beta", [0.27, 0.7, 1.0, 1.9])
+def test_cayley_no_flip_path_bit_for_bit(beta):
+    # batches on both sides of the guard 0.5 * beta * max|arg zeta| <= 0.78:
+    # x > 0 out to |zeta| = inf (where |zeta|^-beta is 0), x < 0 too, arg
+    # zeta just inside and just outside the guard's edge, and a NaN among
+    # x > 0; each against the reference kernel, on a 2-d batch as the
+    # transform hands it over, alone and in a family sharing sigma
+    mag = np.concatenate([np.logspace(-12, 308, 81), [1.7e308, np.inf]])
+    heights = np.array([0.0, 1e-9, 1e-3, 0.5, 1.0])[:, None]
+    right = mag[None, :] + 1j * heights
+    both = np.concatenate([-mag[::-1], mag])[None, :] + 1j * heights
+    sides = set()
+    for sigma in (1e-3, 1.0):
+        edge = min(1.56 / beta, 3.1)
+        rho = np.logspace(2, 8, 8)[:, None] * sigma  # keeps Im z >= 0
+        near = [rho * np.exp(1j * a * edge) - 1j * sigma
+                for a in (1.0 - 1e-9, 1.0 + 1e-9)]
+        nan = right.copy()
+        nan[2, 40] = np.nan
+        for batch in (right, both, *near, nan):
+            with np.errstate(invalid="ignore"):
+                tmax = np.max(np.abs(np.angle(batch + 1j * sigma)))
+            sides.add(bool(0.5 * beta * tmax <= 0.78))
+            for members in (((beta, sigma),), ((0.27, sigma), (beta, sigma), (beta, 2.0))):
+                got = _cayley_powers(batch, members)
+                assert got.tobytes() == _cayley_reference(batch, members).tobytes()
+    assert sides == {True, False}
 
 
 def test_eval_rejects_lower_halfplane():

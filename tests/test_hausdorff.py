@@ -358,6 +358,31 @@ def test_transform_values_order_and_grouping(kernel, monkeypatch):
     assert np.all(np.abs(grouped - shared) <= 1e-12 * np.abs(shared))
 
 
+def test_kernel_rows_cached_by_profile_not_by_kernel(monkeypatch):
+    # Kernel.fn does not take part in Kernel equality, so a cache keyed by
+    # the Kernel would hand the tripled profile the first one's rows
+    from dataclasses import replace
+
+    from hhl import hausdorff
+    k = gen_cesaro(2.0)
+    tripled = replace(k, fn=lambda t: 3.0 * k.fn(t))
+    assert tripled == k
+    f, zs = CayleyPower(1.0, 1.0).eval_batch, np.array([0.5 + 0.25j, -2.0 + 1.0j, 3.0j])
+    base = transform_values(k, f, zs)
+    assert np.all(np.abs(transform_values(tripled, f, zs) - 3.0 * base)
+                  <= 1e-9 * np.abs(base))
+    # a repeated call reuses every row, and a cached row is read-only
+    calls = []
+    monkeypatch.setattr(hausdorff, "eval_kernel",
+                        lambda *a: calls.append(a) or eval_kernel(*a))
+    assert transform_values(k, f, zs).tobytes() == base.tobytes()
+    assert not calls
+    weight, inverse = hausdorff._kernel_row(k.fn, k.support, np.array([0.25, 0.5]).tobytes())
+    assert not weight.flags.writeable and not inverse.flags.writeable
+    with pytest.raises(ValueError):
+        weight[0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # Log-grid (Mellin) convolution, checked against closed forms and against
 # the adaptive transform_values
