@@ -17,10 +17,10 @@ the work: hat weights and their spectra once per kernel; the tail-aware
 H f, its log-grid samples and their spectrum, and |f|_p once per
 function; only the tail-aware H(T f) and the residual once per pair.
 The residual reads H(T f) on the grid alone, so only H f, sampled out to
-e^40, builds the exterior ladder of its form.  The live tail scan of a
-tagged input integrates the row-weighted pair (r(y), 1/(x - y)) at a few
-dozen Chebyshev nodes in the log distance to the window edge, not at
-every grid point, and reads the grid off the interpolant.
+e^40, builds the exterior of its form.  Both tails, a tagged input's
+remainder beyond the window read inside it and the windowed remainder
+read outside, are integrated against 1/(x - y) at Chebyshev nodes in a
+log of the distance to the window edge and read off the interpolant.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ import math
 import warnings
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
+from numpy.polynomial.chebyshev import chebtrim, chebval
 
 from .hausdorff import _log_grid_kernel, _log_grid_transform
 from .kernels import moment
-from .quadrature import integrate, integrate_halfline
-from .realline import SampledLine, _pchip, eval_at, lp_norm
+from .quadrature import integrate, integrate_batched, integrate_halfline
+from .realline import SampledLine, eval_at, lp_norm
 from .report import CheckRow, VerificationReport
 
 __all__ = [
@@ -139,8 +139,9 @@ def hilbert(f: SampledLine, method: str = "fft",
 #     content is transformed exactly on the whole line;
 #   - the image fold-in of the windowed remainder is the closed cotangent
 #     sum S1/S2 weighted by the window mass and dipole, subtracted exactly;
-#   - outside the window the remainder's transform is an ordinary
-#     (pole-free) quadrature against its spline.
+#   - outside the window the remainder's transform is a Chebyshev form
+#     in a log of the edge distance, from pole-free quadratures against
+#     its spline, as the beyond-window tail of a tagged input is inside.
 # The result carries a whole-line closed form good to ~1e-7.
 
 
@@ -211,79 +212,127 @@ def _minus_model(vals, x, terms):
     return vals
 
 
-def _image_sum_1(x: np.ndarray, L: float) -> np.ndarray:
-    """sum over k != 0 of 1/(x - 2Lk) = (pi/2L) cot(pi x/2L) - 1/x."""
+def _image_sums(x: np.ndarray, L: float):
+    """The sums over k != 0 of 1/(x - 2Lk) = (pi/2L) cot(pi x/2L) - 1/x and
+    of 1/(x - 2Lk)^2 = (pi/2L)^2 / sin^2(pi x/2L) - 1/x^2, by their series
+    where |pi x/2L| < 0.05."""
     z = (math.pi / (2.0 * L)) * x
     small = np.abs(z) < 0.05
-    out = np.empty_like(z)
-    zs = z[small]
-    # (z cot z - 1)/x = -(z^2/3 + z^4/45 + 2 z^6/945)/x
+    s1, s2 = np.empty_like(z), np.empty_like(z)
+    zs, xs, zb, xb = z[small], x[small], z[~small], x[~small]
     with np.errstate(divide="ignore", invalid="ignore"):
-        out[small] = np.where(
-            zs == 0.0, 0.0,
-            -(zs * zs / 3.0 + zs ** 4 / 45.0 + 2.0 * zs ** 6 / 945.0) / x[small])
-        zb = z[~small]
-        out[~small] = (math.pi / (2.0 * L)) / np.tan(zb) - 1.0 / x[~small]
-    return out
+        # (z cot z - 1)/x = -(z^2/3 + z^4/45 + 2 z^6/945)/x
+        s1[small] = np.where(zs == 0.0, 0.0, -(zs * zs / 3.0 + zs ** 4 / 45.0
+                                               + 2.0 * zs ** 6 / 945.0) / xs)
+        s2[small] = np.where(zs == 0.0, (math.pi / (2 * L)) ** 2 / 3.0,
+                             (zs * zs / 3.0 + zs ** 4 / 15.0 + 2.0 * zs ** 6 / 189.0)
+                             / (xs * xs))
+        s1[~small] = (math.pi / (2.0 * L)) / np.tan(zb) - 1.0 / xb
+        s2[~small] = (math.pi / (2.0 * L)) ** 2 / np.sin(zb) ** 2 - 1.0 / (xb * xb)
+    return s1, s2
 
 
-def _image_sum_2(x: np.ndarray, L: float) -> np.ndarray:
-    """sum over k != 0 of 1/(x - 2Lk)^2 = (pi/2L)^2 / sin^2 - 1/x^2."""
-    z = (math.pi / (2.0 * L)) * x
-    small = np.abs(z) < 0.05
-    out = np.empty_like(z)
-    zs = z[small]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out[small] = np.where(
-            zs == 0.0, (math.pi / (2 * L)) ** 2 / 3.0,
-            (zs * zs / 3.0 + zs ** 4 / 15.0 + 2.0 * zs ** 6 / 189.0)
-            / (x[small] * x[small]))
-        zb = z[~small]
-        out[~small] = (math.pi / (2.0 * L)) ** 2 / np.sin(zb) ** 2 \
-            - 1.0 / (x[~small] * x[~small])
-    return out
+# first node counts of the inside scan and of the exterior form (about 35
+# coefficients), and the cap of both
+_TAIL_NODES, _EXTERIOR_NODES, _TAIL_NODES_MAX = 32, 64, 512
+_TAIL_TOL = 1e-10
 
 
-_TAIL_NODES, _TAIL_NODES_MAX = 32, 512
+def _chebyshev_log(sample, lo: float, hi: float, n: int):
+    """(coefficients, extras) of functions analytic in a log variable v
+    about [lo, hi]: ``sample(nodes)`` returns their values at n first-kind
+    Chebyshev nodes in v (one column each), then any extras of that pass.
+    The coefficients are a type-II DCT; n doubles while either last one
+    tops ``_TAIL_TOL``/16 of the largest, and past ``_TAIL_NODES_MAX`` it
+    raises ValueError."""
+    while n <= _TAIL_NODES_MAX:
+        theta = math.pi * (np.arange(n) + 0.5) / n
+        vals = sample(0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(theta))
+        coef = (2.0 / n) * np.cos(np.outer(np.arange(n), theta)) @ vals[:n]
+        coef[0] *= 0.5
+        if np.all(np.max(np.abs(coef[-2:]), axis=0)
+                  <= np.maximum(_TAIL_TOL / 16.0 * np.max(np.abs(coef), axis=0), 1e-300)):
+            return coef, vals[n:]
+        n *= 2
+    raise ValueError(f"tail form not resolved by {_TAIL_NODES_MAX} Chebyshev nodes")
 
 
 def _tail_scan(r, xs: np.ndarray, L: float, side: float) -> np.ndarray:
     """int r(y)/(x - y) over y = side*(L + s), s > 1e-9, at every x in xs.
 
     In the distance d = L - side*x to the window edge this is a Stieltjes
-    transform of r, analytic in log d on |Im log d| < pi, so it is scanned
-    at first-kind Chebyshev nodes in log d over the positive distances and
-    read at every x by Clenshaw; a point on the edge (d = 0) is scanned
-    directly.  The node count doubles while either last coefficient tops
-    tol/16 of the largest, up to a cap that raises ValueError.
+    transform of r, analytic in log d on |Im log d| < pi: a
+    ``_chebyshev_log`` form over the positive distances, read at every x by
+    Clenshaw.  A point on the edge (d = 0) joins the scan as an extra.
     """
-    tol = 1e-10
     d = L - side * xs
     edge = d <= 0.0
     v = np.log(d[~edge])
     lo, hi = float(v.min()), float(v.max())
-    n = _TAIL_NODES
-    while n <= _TAIL_NODES_MAX:
-        theta = math.pi * (np.arange(n) + 0.5) / n
-        nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(theta)
+
+    def sample(nodes):
         x_scan = np.concatenate([side * (L - np.exp(nodes)), xs[edge]])
 
         def integrand(ss):
             y = side * (L + ss)
             return r(y), 1.0 / np.subtract(x_scan[None, :], y[:, None])
-        q = integrate_halfline(integrand, tol=tol, support=(1e-9, math.inf))
+        q = integrate_halfline(integrand, tol=_TAIL_TOL, support=(1e-9, math.inf))
         if q.diverges:
             raise ValueError("tagged tail is not integrable")
-        # type-II DCT of the node values: the Chebyshev coefficients
-        coef = (2.0 / n) * np.cos(np.outer(np.arange(n), theta)) @ q.value[:n]
-        coef[0] *= 0.5
-        if np.max(np.abs(coef[-2:])) <= max(tol / 16.0 * np.max(np.abs(coef)), 1e-300):
-            out = np.empty(xs.shape)
-            out[~edge] = chebval((2.0 * v - hi - lo) / (hi - lo), coef)
-            out[edge] = q.value[n:]
-            return out
-        n *= 2
-    raise ValueError(f"tail scan not resolved by {_TAIL_NODES_MAX} Chebyshev nodes")
+        return q.value
+
+    coef, at_edge = _chebyshev_log(sample, lo, hi, _TAIL_NODES)
+    out = np.empty(xs.shape)
+    out[~edge] = chebval((2.0 * v - hi - lo) / (hi - lo), coef)
+    out[edge] = at_edge
+    return out
+
+
+def _exterior_form(res: SampledLine, m0: float, m1: float):
+    """x -> (1/pi) int res(y)/(x - y) dy over the window, for |x| > L.
+
+    A Stieltjes transform of the remainder's spline again, in the edge
+    distance d = |x| - L, and analytic in 1/d at d = infinity too: per side
+    a ``_chebyshev_log`` form in v = log(d/(d + 2L)), which is log d near
+    the edge and -2L/d far out, over d from 1e-4 L (clamped below) to
+    1e7 L, both sides from one quadrature per pass; beyond 1e7 L the
+    asymptote of the window mass ``m0`` and dipole ``m1``.
+    """
+    L, xs, vals = res.L, res.grid(), res.values.real
+    lo, hi = -math.log1p(2e4), -math.log1p(2e-7)
+    # breakpoints at both ends of each run of nonzero samples and at the
+    # sixteenths of their L1 mass: no first panel steps over a compact
+    # remainder, or over a bump on one that fitted templates keep nonzero
+    nz = np.flatnonzero(vals)
+    runs = np.flatnonzero(np.diff(nz) > 1)
+    mass = np.cumsum(np.abs(vals))
+    picks = np.concatenate([nz[:1], nz[runs], nz[runs + 1], nz[-1:],
+                            np.searchsorted(mass, mass[-1] * np.arange(1, 16) / 16)])
+    # np.unique would import numpy.ma; integrate_batched skips repeats
+    breaks = np.sort(np.concatenate([[-L, L], xs[picks]]))
+
+    def sample(nodes):
+        d = 2.0 * L / np.expm1(-nodes)
+        x_ext = np.concatenate([L + d, -L - d])
+        q = integrate_batched(lambda ys: (eval_at(res, ys).real, 1.0 / np.subtract(
+            x_ext[None, :], ys[:, None])), breaks, tol=1e-9)
+        return q.value.reshape(2, -1).T / math.pi
+    coef, _ = _chebyshev_log(sample, lo, hi, _EXTERIOR_NODES)
+    # drop the trailing coefficients the guard counts as resolved
+    coefs = [(side, chebtrim(c, _TAIL_TOL / 16.0 * np.max(np.abs(c))))
+             for side, c in zip((1.0, -1.0), coef.T)]
+
+    def read(x):
+        out = np.empty(x.shape)
+        far = np.abs(x) >= 1e7 * L
+        out[far] = (m0 / math.pi) / x[far] + (m1 / math.pi) / (x[far] * x[far])
+        for side, c in coefs:
+            pick = ~far & (side * x > 0)
+            if np.any(pick):  # no Clenshaw pass for a side without points
+                v = np.clip(-np.log1p(2.0 * L / (np.abs(x[pick]) - L)), lo, hi)
+                out[pick] = chebval((2.0 * v - hi - lo) / (hi - lo), c)
+        return out
+    return read
 
 
 def hilbert_with_tails(g: SampledLine, origin: float = 0.0) -> SampledLine:
@@ -292,14 +341,13 @@ def hilbert_with_tails(g: SampledLine, origin: float = 0.0) -> SampledLine:
     Returns a SampledLine whose closed-form tag is accurate on the whole
     line: fitted conjugate-kernel content handled analytically, windowed
     remainder transformed spectrally with the periodization images
-    subtracted in closed form, out-of-window queries answered by direct
-    quadrature.  ``origin`` locates dilation-induced features (log points)
-    when the data lives on a shifted coordinate.
+    subtracted in closed form, out-of-window queries answered by
+    ``_exterior_form``.  ``origin`` locates dilation-induced features (log
+    points) when the data lives on a shifted coordinate.
 
-    The exterior ladder behind out-of-window queries (two quadratures)
-    is built at the form's first call outside the window and kept; a
-    caller reading only ``values`` never builds it, and a ladder error
-    surfaces at that first call, not here.
+    The exterior form is built at the form's first call outside the window
+    and kept; a caller reading only ``values`` never builds it, and an
+    error in it surfaces at that first call, not here.
     """
     if np.max(np.abs(g.values.imag)) > 1e-13 * max(float(np.max(np.abs(g.values))), 1e-300):
         raise ValueError("tail-aware transform expects real-valued input")
@@ -321,12 +369,11 @@ def hilbert_with_tails(g: SampledLine, origin: float = 0.0) -> SampledLine:
     res = SampledLine.from_values(res_vals, g.L)
 
     # window mass and dipole of the remainder drive the image fold-in and
-    # the asymptote beyond the exterior ladder
+    # the far asymptote
     m0w = float(np.sum(res_vals)) * g.h
     m1w = float(np.sum(res_vals * xs)) * g.h
-    hres_vals = _hilbert_fft(res).values.real \
-        - (m0w / math.pi) * _image_sum_1(xs, g.L) \
-        - (m1w / math.pi) * _image_sum_2(xs, g.L)
+    s1, s2 = _image_sums(xs, g.L)
+    hres_vals = _hilbert_fft(res).values.real - (m0w / math.pi) * s1 - (m1w / math.pi) * s2
 
     if g.form is not None:
         # tagged inputs contribute their true beyond-window remainder (the
@@ -346,7 +393,7 @@ def hilbert_with_tails(g: SampledLine, origin: float = 0.0) -> SampledLine:
                     raise _LiveTail
                 return vals
             try:
-                integrate_halfline(probe, tol=1e-10, support=(1e-9, math.inf))
+                integrate_halfline(probe, tol=_TAIL_TOL, support=(1e-9, math.inf))
                 return np.zeros(xs.shape)
             except _LiveTail:
                 return _tail_scan(res_tag, xs, g.L, side)
@@ -360,54 +407,7 @@ def hilbert_with_tails(g: SampledLine, origin: float = 0.0) -> SampledLine:
 
     out_vals = hres_vals + h_model(xs)
 
-    # the remainder's transform outside the window is a pole-free
-    # quadrature; precompute x*H(res)(x) on a log ladder once per side and
-    # interpolate, with the mass/dipole asymptote beyond the ladder; built
-    # at the form's first query outside the window
-    @functools.cache
-    def h_res_out_stitched():
-        # ladder starts a hair outside the window: at x = L the integrand
-        # has an endpoint pole the adaptive scheme must not be asked to
-        # resolve
-        ladder = np.geomspace(g.L * (1.0 + 1e-4), 1e7 * g.L, 200)
-        log_lo, log_hi = math.log(ladder[0]), math.log(ladder[-1])
-
-        def _exterior(points):
-            quad = integrate(lambda ys: eval_at(res, ys)[:, None].real
-                             / (points[None, :] - ys[:, None]), -g.L, g.L, tol=1e-9)
-            return np.asarray(quad.value) / math.pi
-
-        sides = {}
-        for sgn in (+1.0, -1.0):
-            vals = _exterior(sgn * ladder)
-            sides[sgn] = _pchip(np.log(ladder), sgn * ladder * vals)
-
-        def h_res_out(x):
-            x = np.asarray(x, dtype=float)
-            lg = np.clip(np.log(np.abs(x)), log_lo, log_hi)
-            out = np.empty_like(x)
-            far = lg >= log_hi
-            with np.errstate(divide="ignore"):
-                out[far] = (m0w / math.pi) / x[far] + (m1w / math.pi) / (x[far] * x[far])
-            for sgn, side in ((1.0, x >= 0), (-1.0, x < 0)):
-                near = side & ~far
-                out[near] = sides[sgn](lg[near]) / x[near]
-            return out
-
-        # stitch the spline/ladder seam: residual mismatch there would
-        # plant a kink at t = |x|/L of every downstream dilation integral,
-        # fragmenting the adaptive schedule node by node
-        seam = {}
-        for sgn in (+1.0, -1.0):
-            v_in = complex(eval_at(hres, np.array([sgn * g.L]))[0]).real
-            v_out = float(h_res_out(np.array([sgn * g.L * (1.0 + 1e-4)]))[0])
-            seam[sgn] = v_in - v_out
-
-        def stitched(x):
-            base = h_res_out(x)
-            ratio = (g.L / np.abs(x)) ** 2
-            return base + np.where(x >= 0, seam[1.0], seam[-1.0]) * ratio
-        return stitched
+    exterior = functools.cache(lambda: _exterior_form(res, m0w, m1w))
 
     def form(x):
         x = np.asarray(x, dtype=float)
@@ -415,8 +415,8 @@ def hilbert_with_tails(g: SampledLine, origin: float = 0.0) -> SampledLine:
         inside = np.abs(x) <= g.L
         if np.any(inside):
             out[inside] += eval_at(hres, x[inside])
-        if np.any(~inside):
-            out[~inside] += h_res_out_stitched()(x[~inside])
+        if not np.all(inside):
+            out[~inside] += exterior()(x[~inside])
         return out
 
     # 1/x content of the transform is driven by the input's mass; grid

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import dawsn
 
-from hhl.cli import _line_corpus
+from hhl.cli import _line_corpus, _random_decomposition
 from hhl.hausdorff import lp_lower_bound_sweep
 from hhl.hilbert import (EdgeDecayWarning, commutation_check, hilbert,
                          hilbert_with_tails)
@@ -168,7 +168,8 @@ def test_tails_skip_zero_remainder(monkeypatch):
 
 def test_tails_scan_live_remainder(monkeypatch):
     # P1diff leaves a nonzero remainder past the window, so the node
-    # scans run; the form matches the values from before the probe existed
+    # scans run
+    x = np.array([-1e4, -300.0, -64.0, -3.0, 0.5, 10.0, 63.5, 200.0, 1e5])
     fn = lambda x: (1 / math.pi) / (1 + np.asarray(x) ** 2) \
         - (1 / math.pi) / (1 + (np.asarray(x) - 1) ** 2)
     line = SampledLine.from_function(fn, 64.0, 1 << 12, tail_power=2.0,
@@ -178,13 +179,51 @@ def test_tails_scan_live_remainder(monkeypatch):
     # one scan per side, each at the 32 Chebyshev nodes, not at every grid
     # point; the - side adds the grid point x = -L on its edge
     assert [np.shape(c.value) for c in calls] == [(32,), (33,)]
-    probes = np.array([-1e4, -300.0, -64.0, -3.0, 0.5, 10.0, 63.5, 200.0, 1e5])
-    before = np.array([-7.691573846855666e-09, -4.064188916372427e-06,
-                       -8.444841358274704e-05, -0.020596618298258224,
-                       0.2546478747156495, -0.003420631816906064,
-                       -7.829928483384976e-05, -6.867142026622444e-06,
-                       6.182678616057811e-10])
-    np.testing.assert_allclose(hf.form(probes).real, before, rtol=1e-12, atol=0)
+    got = hf.form(x).real
+    # inside the window: the values from before the probe existed
+    inside = np.abs(x) <= 64.0
+    np.testing.assert_allclose(got[inside], [
+        -8.444841358274704e-05, -0.020596618298258224, 0.2546478747156495,
+        -0.003420631816906064, -7.829928483384976e-05], rtol=1e-12, atol=0)
+    # outside: the closed form H P1diff
+    exact = (x / (1 + x * x) - (x - 1) / (1 + (x - 1) ** 2)) / math.pi
+    assert np.all(np.abs(got - exact)[~inside] <= 1e-6)
+
+
+def test_tails_exterior_matches_dense_sum():
+    # a compactly supported atom (h1's first input at seed 0) whose fitted
+    # terms are all cut, so that outside the window the form is the
+    # transform of the samples' spline alone; the oracle is a dense
+    # midpoint sum of (1/pi) spline(y)/(x - y) over the window
+    L = 64.0
+    f = _random_decomposition(np.random.default_rng(0)).synthesize(L, 1 << 12)
+    line = SampledLine.from_values(f.values.real, L)
+    assert hilbert_mod._fit_tail_model(line, 2.0) == [0.0] * 3
+    d = np.geomspace(0.5, 1e6 * L, 40)
+    x = np.concatenate([-(L + d), L + d])
+    m = 1 << 18
+    y = -L + (2 * L / m) * (np.arange(m) + 0.5)
+    r = line._spline(y).real * (2 * L / m) / math.pi
+    ref = np.array([np.sum(r / (xi - y)) for xi in x])
+    got = hilbert_with_tails(line).form(x)
+    assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+
+def test_tails_exterior_sees_a_bump_on_a_live_remainder():
+    # x exp(-x^2) on the commutation check's widened window, at its
+    # midpoint-offset nodes (the origin at x' = -h/2): the fitted templates
+    # leave a remainder nonzero at every sample, with the bump at the
+    # centre of the window; the exterior carries its dipole, against
+    # H f = (2/sqrt(pi)) (x D(x) - 1/2), D Dawson's integral
+    L, n = 256.0, 1 << 14
+    h = 2 * L / n
+    xs = -L + h * (np.arange(n) + 0.5)
+    line = SampledLine.from_values(xs * np.exp(-xs * xs), L)
+    d = np.geomspace(0.5, 1e6 * L, 40)
+    x = np.concatenate([-(L + d), L + d])
+    exact = 2.0 / math.sqrt(math.pi) * (x * dawsn(x) - 0.5)
+    got = hilbert_with_tails(line, origin=-h / 2).form(x - h / 2).real
+    assert np.max(np.abs(got - exact)) <= 1e-5 * np.max(np.abs(exact))
 
 
 def _edge_grid(side):
@@ -254,28 +293,29 @@ def test_tail_scan_is_scale_invariant(monkeypatch, side):
                       <= 1e-10 * max(c, 1.0))
 
 
-def test_tails_ladder_built_at_first_exterior_read(monkeypatch):
-    # on untagged data the ladder's quadratures are the only integrate calls
+def test_tails_exterior_built_at_first_exterior_read(monkeypatch):
+    # on untagged data the exterior form's quadrature (both sides at once)
+    # is the only integrate_batched call
     g = gaussian_line()
-    calls = _count_calls(monkeypatch, hilbert_mod, "integrate")
+    calls = _count_calls(monkeypatch, hilbert_mod, "integrate_batched")
     hf = hilbert_with_tails(SampledLine.from_values(g.values, g.L))
     hf.form(np.array([-64.0, -3.0, 0.5, 63.5]))
     assert calls == []
     outside = np.array([-1e5, -64.5, 0.5, 100.0, 1e9])
     first = hf.form(outside)
-    assert len(calls) == 2  # one ladder quadrature per side
+    assert len(calls) == 1
     assert np.array_equal(hf.form(outside), first)
     hf.form(np.array([200.0]))
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
-def test_commutation_builds_ladders_of_h_f_only(monkeypatch):
-    # the residual reads H(T f) on the grid only: 2 ladder quadratures per
-    # function (H f), none for the 6 pairs
-    calls = _count_calls(monkeypatch, hilbert_mod, "integrate")
+def test_commutation_builds_exterior_of_h_f_only(monkeypatch):
+    # the residual reads H(T f) on the grid only: one exterior quadrature
+    # per function (H f), none for the 6 pairs
+    calls = _count_calls(monkeypatch, hilbert_mod, "integrate_batched")
     rep = commutation_check((cesaro(), hardy_type()), _line_corpus(64.0, 1 << 12), 2.0)
     assert len(rep.rows) == 6
-    assert len(calls) == 6
+    assert len(calls) == 3
 
 
 def test_commutation_zero_kernel():
