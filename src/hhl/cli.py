@@ -280,9 +280,8 @@ def suite_h1(config: RunConfig) -> VerificationReport:
 
     rng = np.random.default_rng(config.seed)
     lo, hi = hardy_bmo.RATIO_CORRIDOR
-    for i in range(3):
-        dec = _random_decomposition(rng)
-        rep = hardy_bmo.h1_report(dec, L=config.L, N=config.N)
+    corpus = [_random_decomposition(rng) for _ in range(3)]
+    for i, rep in enumerate(hardy_bmo.h1_report(corpus, L=config.L, N=config.N)):
         ratios = rep.ratios().values()
         # every pairwise ratio must stay inside the frozen corridor
         excess = max(max(v / hi, lo / v) for v in ratios)

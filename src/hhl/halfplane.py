@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import integrate_halfline, geometric_panels
-from .realline import _FFT_ROWS, SampledLine, _fftconvolve, lp_norm_function
+from .realline import SampledLine, _convolve_rows, lp_norm_function
 
 __all__ = [
     "HoloFunction",
@@ -347,47 +347,37 @@ def _poisson_tail(g: SampledLine, y: float, xs: np.ndarray) -> np.ndarray:
     return one_side(+1.0) + one_side(-1.0)
 
 
-def _poisson_values(g: SampledLine, y: float, xs: np.ndarray) -> np.ndarray:
+def _poisson_values(g: SampledLine, y: float, xs: np.ndarray,
+                    conv: np.ndarray | None = None) -> np.ndarray:
     """(g * P_y)(xs) for arbitrary abscissas: windowed hat model in closed
-    form plus tagged tails by quadrature."""
+    form (``conv`` as in _poisson_window) plus tagged tails by quadrature."""
     xs = np.asarray(xs, dtype=float)
-    out = _poisson_window(g, y, xs)
+    out = _poisson_window(g, y, xs, conv)
     if g.form is not None:
         out += _poisson_tail(g, y, xs)
     return out
 
 
-def _poisson_grid_values(g: SampledLine, ys, spectra: dict | None = None):
-    """As _poisson_values on g's own grid, via the Toeplitz structure: one
-    array per height in ys, in order.  The hat-integrated weights of a few
-    heights at a time are real rows convolved in one stacked transform
-    against g's samples (their real part when g is real), whose spectrum
-    is computed once, or taken from the caller's ``spectra`` cache
-    (``realline._fftconvolve``)."""
-    n = g.N
-    h = g.h
+def _poisson_grid_values(gs, ys, spectra=None):
+    """As _poisson_values on the grid a corpus of lines gs shares, via the
+    Toeplitz structure: per height in ys, in order, the list of every g's
+    values.  The hat-integrated weights of a few heights at a time are
+    real rows built and transformed once for the corpus and convolved at
+    length 2N with each g's samples (``realline._convolve_rows``, whose
+    ``spectra`` this takes)."""
+    n, h = gs[0].N, gs[0].h
     k = np.arange(-n, n + 1) * h
-    grid = g.grid()
-    data = g.values if g.values.imag.any() else g.values.real
-    spectra = {} if spectra is None else spectra
-    for first in range(0, len(ys), _FFT_ROWS):
-        chunk = ys[first:first + _FFT_ROWS]
-        w = np.empty((len(chunk), 2 * n - 1))
-        for row, y in zip(w, chunk):
-            b = _poisson_B(k, y)
-            # the second difference of B at k - h, k, k + h
-            np.divide(b[2:] - 2.0 * b[1:-1] + b[:-2], h, out=row)
-        convs = _fftconvolve(w, data, mode="valid", spectra=spectra)
-        # drop the weights before the levels go out, and the transform's
-        # buffer before the next stack is made: either would add to the
-        # peak memory
-        del w
-        for conv, y in zip(convs, chunk):
-            out = _poisson_window(g, y, grid, conv=conv)
-            if g.form is not None:
-                out = out + _poisson_tail(g, y, grid)
-            yield out
-        del convs, conv
+    grid = gs[0].grid()
+
+    def row(y):
+        b = _poisson_B(k, y)
+        return (b[2:] - 2.0 * b[1:-1] + b[:-2]) / h  # its second difference
+
+    for chunk, convs in _convolve_rows(gs, ys, row, spectra):
+        convs = list(convs)
+        for i, y in enumerate(chunk):
+            yield [_poisson_values(g, y, grid, conv[i]) for g, conv in zip(gs, convs)]
+        del convs  # else the transforms' buffers add to the next stack's
 
 
 def poisson_extend(g: SampledLine, y: float) -> SampledLine:
@@ -399,7 +389,7 @@ def poisson_extend(g: SampledLine, y: float) -> SampledLine:
     """
     if y <= 0:
         raise ValueError("height y must be positive")
-    vals, = _poisson_grid_values(g, (y,))
+    (vals,), = _poisson_grid_values([g], (y,))
     tp = None
     if g.form is not None:
         gtp = g.tail_power

@@ -22,7 +22,7 @@ import numpy as np
 from .halfplane import CayleyPower, _poisson_grid_values
 from .hausdorff import SweepResult, transform_values
 from .kernels import Kernel, moment, truncate_below
-from .realline import _FFT_ROWS, SampledLine, _fftconvolve, lp_norm, lp_norm_function
+from .realline import SampledLine, _convolve_rows, lp_norm, lp_norm_function
 from .report import CheckRow, VerificationReport
 
 __all__ = [
@@ -175,38 +175,53 @@ def _scales(f: SampledLine, t_grid, count: int) -> np.ndarray:
     return ts
 
 
+def _corpus(f) -> tuple:
+    """(f as a list of inputs, whether f was one input, not a sequence)."""
+    one = isinstance(f, (SampledLine, AtomicDecomposition))
+    return ([f] if one else list(f)), one
+
+
 def smooth_maximal(f: SampledLine, t_grid=None, scales: int = 64,
                    spectra: dict | None = None) -> SampledLine:
     """sup over t of |f * Phi_t| for a fixed normalized Gaussian Phi.
 
     A scale below the grid step h raises: the sampled Gaussian is then
     too narrow for its Riemann sum, which inflates |f * Phi_t| past
-    max |f|.  Each Gaussian is a row zero-padded to the widest one, so all
-    scales share one transform length and f's spectrum (its real part's
-    when f is real) is computed once; rows go through in stacks.
-    ``spectra`` is ``realline._fftconvolve``'s cache of f's spectra, which
-    a caller may share with other convolutions against f.
+    max |f|.  Each Gaussian is a row of 2N - 1 taps (taps at +-2L reach no
+    grid point), so all scales share the transform length 2N and f's
+    spectrum (its real part's when f is real) is computed once; rows go
+    through in stacks (``realline._convolve_rows``).  ``spectra`` is
+    ``realline._fftconvolve``'s cache of f's spectra, which a caller may
+    share with other convolutions against f.  ``f`` may also be a corpus,
+    a sequence of lines on one grid: each stack of rows then serves all of
+    them, the result is their list, and ``spectra`` one cache per line.
     """
-    ts = _scales(f, t_grid, scales)
-    fine = ts[ts < f.h]
+    fs, one = _corpus(f)
+    g = fs[0]
+    ts = _scales(g, t_grid, scales)
+    fine = ts[ts < g.h]
     if fine.size:
-        raise ValueError(f"scale {float(fine[0])!r} is below the grid step {f.h!r}")
-    best = np.zeros(f.N)
-    ms = np.ceil(np.minimum(8.0 * ts, 2.0 * f.L) / f.h).astype(int)
-    width = int(ms.max(initial=0))
-    data = f.values if f.values.imag.any() else f.values.real
-    spectra = {} if spectra is None else spectra
-    for first in range(0, ts.size, _FFT_ROWS):
-        chunk = slice(first, first + _FFT_ROWS)
-        rows = np.zeros((ts[chunk].size, 2 * width + 1))
-        for row, t, m in zip(rows, ts[chunk], ms[chunk]):
-            ker_x = np.arange(-m, m + 1) * f.h
-            ker = np.exp(-0.5 * (ker_x / t) ** 2) / (t * math.sqrt(2 * math.pi))
-            row[width - m:width + m + 1] = ker * f.h
-        conv = _fftconvolve(rows, data, spectra=spectra)
-        best = np.maximum(best, np.abs(conv[:, width:width + f.N]).max(axis=0))
-        del conv  # else its buffer stays alive while the next stack is made
-    return SampledLine.from_values(best, f.L, label=f"M_smooth[{f.label}]")
+        raise ValueError(f"scale {float(fine[0])!r} is below the grid step {g.h!r}")
+    ms = np.minimum(np.ceil(np.minimum(8.0 * ts, 2.0 * g.L) / g.h), g.N - 1).astype(int)
+    best = [np.zeros(g.N) for _ in fs]
+
+    def row(i):
+        t, m = ts[i], ms[i]
+        out = np.zeros(2 * g.N - 1)
+        ker_x = np.arange(-m, m + 1) * g.h
+        out[g.N - 1 - m:g.N + m] = \
+            np.exp(-0.5 * (ker_x / t) ** 2) / (t * math.sqrt(2 * math.pi)) * g.h
+        return out
+
+    if one and spectra is not None:
+        spectra = [spectra]
+    for _, convs in _convolve_rows(fs, range(ts.size), row, spectra):
+        for b, conv in zip(best, convs):
+            np.maximum(b, np.abs(conv).max(axis=0), out=b)
+            del conv  # else its buffer stays alive while the next is made
+    out = [SampledLine.from_values(b, line.L, label=f"M_smooth[{line.label}]")
+           for b, line in zip(best, fs)]
+    return out[0] if one else out
 
 
 def _edge_pad(a: np.ndarray, r: int) -> np.ndarray:
@@ -235,47 +250,50 @@ def _window_mean(a: np.ndarray, r: int) -> np.ndarray:
     return np.cumsum(np.concatenate((first, pad[w:] - pad[:-w]))) / w
 
 
-def _poisson_pass(f: SampledLine, ts: np.ndarray, spectra: dict | None = None) -> tuple:
-    """(M_P, S) of f from one Poisson level u = f * P_t per height t in ts.
+def _poisson_pass(fs, ts: np.ndarray, spectra=None) -> list:
+    """(M_P, S) of each line of the corpus fs, from one Poisson level
+    u = f * P_t per height t in ts (``halfplane._poisson_grid_values``).
 
     Levels come in increasing t; each feeds the running max over the cone
-    |y - x| < t and, with its two neighbours (at most three are alive), the
-    cone sum of |grad u|^2 by central differences on h * dt cells.
-    ``spectra`` caches f's spectra as in ``smooth_maximal``."""
+    |y - x| < t and, with its two neighbours (at most three per line are
+    alive), the cone sum of |grad u|^2 by central differences on h * dt
+    cells.  ``spectra`` caches each f's spectra as in ``smooth_maximal``."""
     ts = np.sort(ts)
-    best, acc = np.zeros(f.N), np.zeros(f.N)
-    part = np.real if np.all(np.abs(f.values.imag) == 0) else np.asarray
-    levels = _poisson_grid_values(f, ts, spectra)
+    best, acc = [np.zeros(f.N) for f in fs], [np.zeros(f.N) for f in fs]
+    part = [np.real if np.all(np.abs(f.values.imag) == 0) else np.asarray for f in fs]
+    levels = _poisson_grid_values(fs, ts, spectra)
     lo = v = next(levels, None)
     last = len(ts) - 1
     for i, t in enumerate(ts):
         hi = next(levels, v)
-        radius = int(t / f.h)
-        best = np.maximum(best, _window_max(np.abs(v), radius))
-        u_x = np.gradient(part(v), f.h)
+        radius = int(t / fs[0].h)
         t_prev, t_next = ts[max(i - 1, 0)], ts[min(i + 1, last)]
-        u_t = (part(hi) - part(lo)) / (t_next - t_prev) if t_next > t_prev \
-            else np.zeros_like(u_x)
-        dens = np.abs(u_t) ** 2 + np.abs(u_x) ** 2
         # cell thickness in t around this level
         dt = 0.5 * (t_next - (t_prev if i > 0 else t / 2.0)) if last else t
-        cone = _window_mean(dens, radius) * (2 * radius + 1) if radius > 0 \
-            else dens
-        acc += cone * f.h * dt
+        for j, f in enumerate(fs):
+            best[j] = np.maximum(best[j], _window_max(np.abs(v[j]), radius))
+            u_x = np.gradient(part[j](v[j]), f.h)
+            u_t = (part[j](hi[j]) - part[j](lo[j])) / (t_next - t_prev) \
+                if t_next > t_prev else np.zeros_like(u_x)
+            dens = np.abs(u_t) ** 2 + np.abs(u_x) ** 2
+            cone = _window_mean(dens, radius) * (2 * radius + 1) if radius > 0 \
+                else dens
+            acc[j] += cone * f.h * dt
         lo, v = v, hi
-    return (SampledLine.from_values(best, f.L, label=f"M_P[{f.label}]"),
-            SampledLine.from_values(np.sqrt(acc), f.L, label=f"S[{f.label}]"))
+    return [(SampledLine.from_values(m, f.L, label=f"M_P[{f.label}]"),
+             SampledLine.from_values(np.sqrt(a), f.L, label=f"S[{f.label}]"))
+            for m, a, f in zip(best, acc, fs)]
 
 
 def poisson_maximal(f: SampledLine, t_grid=None, scales: int = 64) -> SampledLine:
     """Nontangential sup of the harmonic extension over |y - x| < t."""
-    return _poisson_pass(f, _scales(f, t_grid, scales))[0]
+    return _poisson_pass([f], _scales(f, t_grid, scales))[0][0]
 
 
 def square_function(f: SampledLine, t_grid=None, scales: int = 64) -> SampledLine:
     """Cone aggregate of the extension gradient |grad u|^2 over |y - x| < t,
     discretized on the levels u = f * P_t (see _poisson_pass)."""
-    return _poisson_pass(f, _scales(f, t_grid, scales))[1]
+    return _poisson_pass([f], _scales(f, t_grid, scales))[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -331,19 +349,21 @@ def h1_report(f, L: float = 64.0, N: int = 1 << 12, scales: int = 48) -> H1Repor
     """All computable H1 quantities for a SampledLine or decomposition;
     M_P and S come from one Poisson pass over the ``scales`` heights, and
     that pass and the smooth maximal function share f's spectrum (both
-    transform at length 3N)."""
-    atomic = None
-    if isinstance(f, AtomicDecomposition):
-        atomic = f.atomic_bound
-        f = f.synthesize(L, N)
-    spectra = {}
-    m_p, s = _poisson_pass(f, _scales(f, None, scales), spectra)
-    return H1Report(
-        smooth_maximal=lp_norm(smooth_maximal(f, scales=scales, spectra=spectra), 1.0),
-        poisson_maximal=lp_norm(m_p, 1.0),
-        square=lp_norm(s, 1.0),
-        proxy=h1_proxy_norm(f),
-        atomic_bound=atomic)
+    transform at length 2N).
+
+    ``f`` may also be a sequence of these, a corpus on one grid: then the
+    result is the list of their reports, each equal to its input's own
+    report bit for bit, and the two passes run for the whole corpus at
+    once, each stack of kernel rows built and transformed once."""
+    fs, one = _corpus(f)
+    atomic = [g.atomic_bound if isinstance(g, AtomicDecomposition) else None for g in fs]
+    fs = [g.synthesize(L, N) if isinstance(g, AtomicDecomposition) else g for g in fs]
+    spectra = [{} for _ in fs]
+    passes = _poisson_pass(fs, _scales(fs[0], None, scales), spectra)
+    smooth = smooth_maximal(fs, scales=scales, spectra=spectra)
+    out = [H1Report(lp_norm(sm, 1.0), lp_norm(m_p, 1.0), lp_norm(s, 1.0), h1_proxy_norm(g), a)
+           for g, (m_p, s), sm, a in zip(fs, passes, smooth, atomic)]
+    return out[0] if one else out
 
 
 # ---------------------------------------------------------------------------

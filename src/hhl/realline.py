@@ -206,47 +206,77 @@ def _next_fast_len(n: int, real: bool) -> int:
     return min(c << ((n - 1) // c).bit_length() for c in odd)
 
 
-# rows per stacked _fftconvolve call where one operand meets many: more
-# rows save little time and cost memory
+# rows per stack in _convolve_rows: more rows save little time and cost
+# memory
 _FFT_ROWS = 4
 
 
 def _fftconvolve(a: np.ndarray, b: np.ndarray, mode: str = "full",
                  spectra: dict | None = None) -> np.ndarray:
-    """Linear convolution of two 1-D arrays by FFT (numpy's pocketfft),
-    in the arithmetic of scipy's ``fftconvolve`` bit for bit.
+    """Linear convolution of two 1-D arrays by FFT (numpy's pocketfft).
 
     ``mode`` is "full" (length len(a) + len(b) - 1), "same" (centred to
     len(a)) or "valid" (centred to the overlap, |len(a) - len(b)| + 1).
-    Real inputs take the real transforms.  "valid" puts the longer operand
-    first as scipy does: the spectrum product is not commutative bit for
-    bit under fused multiply-add.  ``spectra``, a dict a caller keeps over
-    calls sharing the operand transformed second (b; in "valid" mode the
-    shorter one), holds that operand's spectrum so it is computed once.
+    Real inputs take the real transforms.  "full" and "same" transform at
+    the full linear length, in the arithmetic of scipy's ``fftconvolve``
+    bit for bit; "valid" at the fast length of the longer operand, the
+    shortest circular length that leaves the overlap unaliased.  The
+    spectrum product is a's first: it is not commutative bit for bit under
+    fused multiply-add.  ``spectra``, a dict a caller keeps over calls
+    sharing b, holds b's spectrum so it is computed once.
 
     ``a`` may also be 2-D: each row is convolved with b along the last
-    axis, as one stacked transform each way.  Rows stay first in every
-    mode, so a row gives the bits of its own 1-D call whenever that call
-    would not swap the operands.
+    axis, as one stacked transform each way, and gives the bits of its own
+    1-D call.
     """
-    if mode == "valid" and a.ndim == 1 and a.size < b.size:
-        a, b = b, a
+    return next(_fftconvolve_each(a, (b,), mode, None if spectra is None else (spectra,)))
+
+
+def _fftconvolve_each(a: np.ndarray, bs, mode: str = "full", spectra=None):
+    """``_fftconvolve(a, b, mode, cache)`` for each b in ``bs``, with its
+    cache from ``spectra`` (one dict per b), yielded in turn.  a's spectrum
+    is computed once per kind of transform (real or complex), which no b
+    of the other kind reads."""
     la = a.shape[-1]
-    n = la + b.size - 1
-    real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
-    nf = _next_fast_len(n, real)
-    fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-    spectra = {} if spectra is None else spectra
-    if (nf, real) not in spectra:
-        spectra[nf, real] = fft(b, nf)
-    spec = fft(a, nf)
-    spec *= spectra[nf, real]  # in place: one transform-length array fewer
-    out = ifft(spec, nf)[..., :n]
-    if mode == "full":
-        return out
-    keep = la if mode == "same" else abs(la - b.size) + 1
-    start = (n - keep) // 2
-    return out[..., start:start + keep]
+    spectra = [{} for _ in bs] if spectra is None else spectra
+    a_spectra = {}
+    for b, cache in zip(bs, spectra):
+        lb, n = b.size, la + b.size - 1
+        real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
+        nf = _next_fast_len(max(la, lb) if mode == "valid" else n, real)
+        fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+        if (nf, real) not in cache:
+            cache[nf, real] = fft(b, nf)
+        if (nf, real) not in a_spectra:
+            a_spectra[nf, real] = fft(a, nf)
+        out = ifft(a_spectra[nf, real] * cache[nf, real], nf)
+        if mode == "valid":
+            yield out[..., min(la, lb) - 1:max(la, lb)]
+        else:
+            keep = n if mode == "full" else la
+            yield out[..., (n - keep) // 2:(n - keep) // 2 + keep]
+        del out  # else it stays alive while the next b's is made
+
+
+def _convolve_rows(fs, params, row, spectra=None):
+    """Centred kernel rows against a corpus of lines on one grid: yields,
+    per stack of ``_FFT_ROWS`` parameters, (the stack, an iterator of one
+    (rows, N) array per f), to be read before the next stack.
+
+    ``row(p)`` gives 2N - 1 taps at offsets -(N - 1)h .. (N - 1)h, whose
+    "valid" convolution with f's samples (their real part when f is real)
+    is the kernel's sum at f's N grid points.  Each stack is built and
+    transformed once for the corpus; ``spectra`` (one dict per f) caches
+    f's spectrum as in ``_fftconvolve``.
+    """
+    n, L = fs[0].N, fs[0].L
+    if any(f.N != n or f.L != L for f in fs):
+        raise ValueError("the lines of a corpus must share one grid")
+    data = [f.values if f.values.imag.any() else f.values.real for f in fs]
+    for first in range(0, len(params), _FFT_ROWS):
+        chunk = params[first:first + _FFT_ROWS]
+        yield chunk, _fftconvolve_each(np.stack([row(p) for p in chunk]),
+                                       data, "valid", spectra)
 
 
 def _window_trapezoid(f: SampledLine, p: float) -> float:

@@ -266,19 +266,32 @@ def test_bmo_bound_check_both_kernels():
 # One Poisson pass for M_P and S against the per-function loops
 
 
-def _grid_values_oracle(g, y):
-    """Poisson grid values at one height: the Toeplitz product through
-    scipy's fftconvolve (of real operands when g is real-valued), both
-    edge half-hats always removed."""
+def _alias_free(data, w):
+    """The Toeplitz product at N grid points as the circular convolution
+    at length 2N, the weights' spectrum first, straight from numpy.fft."""
+    n = data.size
+    if np.iscomplexobj(data):
+        out = np.fft.ifft(np.fft.fft(w, 2 * n) * np.fft.fft(data, 2 * n), 2 * n)
+    else:
+        out = np.fft.irfft(np.fft.rfft(w, 2 * n) * np.fft.rfft(data, 2 * n), 2 * n)
+    return out[n - 1:2 * n - 1]
+
+
+def _scipy_valid(data, w):
+    """The Toeplitz product through scipy's linear-length fftconvolve."""
     from scipy.signal import fftconvolve
+    return fftconvolve(data, w.astype(data.dtype), mode="valid")
+
+
+def _grid_values_oracle(g, y, conv):
+    """Poisson grid values at one height: the Toeplitz product through
+    ``conv`` (of real operands when g is real-valued), both edge
+    half-hats always removed."""
     from hhl.halfplane import _halfhat_outer, _poisson_B, _poisson_tail
     n, h, grid = g.N, g.h, g.grid()
     k = np.arange(-(n - 1), n) * h
     w = (_poisson_B(k + h, y) - 2.0 * _poisson_B(k, y) + _poisson_B(k - h, y)) / h
-    if g.values.imag.any():
-        out = fftconvolve(g.values, w.astype(complex), mode="valid")
-    else:
-        out = fftconvolve(g.values.real, w, mode="valid").astype(complex)
+    out = conv(g.values if g.values.imag.any() else g.values.real, w).astype(complex)
     out -= g.values[0] * _halfhat_outer(grid, grid[0], -1.0, h, y)
     out -= g.values[-1] * _halfhat_outer(grid, grid[-1], +1.0, h, y)
     if g.form is not None:
@@ -286,11 +299,11 @@ def _grid_values_oracle(g, y):
     return out
 
 
-def poisson_maximal_oracle(f, ts):
+def poisson_maximal_oracle(f, ts, conv):
     from scipy.ndimage import maximum_filter1d
     best = np.zeros(f.N)
     for t in ts:
-        u = np.abs(_grid_values_oracle(f, float(t)))
+        u = np.abs(_grid_values_oracle(f, float(t), conv))
         radius = int(t / f.h)
         if radius > 0:
             u = maximum_filter1d(u, size=2 * radius + 1, mode="nearest")
@@ -298,12 +311,12 @@ def poisson_maximal_oracle(f, ts):
     return best
 
 
-def square_function_oracle(f, ts):
+def square_function_oracle(f, ts, conv):
     from scipy.ndimage import uniform_filter1d
     ts = np.sort(ts)
-    levels = [np.real(_grid_values_oracle(f, float(t))) for t in ts] if \
+    levels = [np.real(_grid_values_oracle(f, float(t), conv)) for t in ts] if \
         np.all(np.abs(f.values.imag) == 0) else \
-        [_grid_values_oracle(f, float(t)) for t in ts]
+        [_grid_values_oracle(f, float(t), conv) for t in ts]
     acc = np.zeros(f.N)
     for i, t in enumerate(ts):
         u = levels[i]
@@ -353,10 +366,16 @@ def test_poisson_pass_matches_per_function_loops_bitwise(case, t_grid):
         assert f.form is not None and f.values[0] == 0 and f.values[-1] != 0
     ts = np.geomspace(f.h, 4.0 * f.L, 48) if t_grid is None else np.array(t_grid)
     kw = dict(scales=48) if t_grid is None else dict(t_grid=t_grid)
-    assert np.array_equal(poisson_maximal(f, **kw).values.real,
-                          poisson_maximal_oracle(f, ts))
-    assert np.array_equal(square_function(f, **kw).values.real,
-                          square_function_oracle(f, ts))
+    m_p = poisson_maximal(f, **kw).values.real
+    s = square_function(f, **kw).values.real
+    assert np.array_equal(m_p, poisson_maximal_oracle(f, ts, _alias_free))
+    assert np.array_equal(s, square_function_oracle(f, ts, _alias_free))
+    # scipy transforms at the linear length 3N - 2: the same values up to
+    # rounding, which S's differences of neighbouring levels amplify
+    want = poisson_maximal_oracle(f, ts, _scipy_valid)
+    assert np.max(np.abs(m_p - want)) <= 1e-14 * np.max(want)
+    want = square_function_oracle(f, ts, _scipy_valid)
+    assert np.max(np.abs(s - want)) <= 1e-12 * np.max(want)
 
 
 def test_h1_report_computes_each_level_once(monkeypatch):
@@ -376,22 +395,70 @@ def test_h1_report_computes_each_level_once(monkeypatch):
     assert heights == sorted(set(heights))
 
 
+def _seed0_corpus():
+    """The three decompositions of the h1 suite's corpus at seed 0."""
+    from hhl.cli import _random_decomposition
+    rng = np.random.default_rng(0)
+    return [_random_decomposition(rng) for _ in range(3)]
+
+
 def test_h1_report_fft_call_count(monkeypatch):
     """Stacked real transforms: at most 52 numpy.fft calls for one input
-    (25 for the Poisson levels, 25 for the smooth maximal function, 2 for
-    the Hilbert transform), and only the Hilbert transform's are complex;
-    one complex transform per level and scale made 243."""
+    (25 for the Poisson levels, 24 for the smooth maximal function, which
+    shares the data spectrum, 2 for the Hilbert transform), and only the
+    Hilbert transform's are complex; one complex transform per level and
+    scale made 243.  A corpus of three transforms each stack of kernel
+    rows once (24 row transforms; 72 when each input made its own) and
+    each input's data once, every convolution transform at length 2N."""
     calls = []
     for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn",
                  "irfftn", "fft2", "ifft2", "rfft2", "irfft2", "hfft", "ihfft"):
-        def counting(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _fn(*args, **kwargs)
+        def counting(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append((_name, np.ndim(a), args[0] if args else kwargs.get("n")))
+            return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counting)
     dec = AtomicDecomposition(terms=((1.0, make_atom(0.0, 1.0, "sine")),))
-    h1_report(dec, L=16.0, N=1 << 10, scales=48)
+    N = 1 << 10
+    h1_report(dec, L=16.0, N=N, scales=48)
     assert 0 < len(calls) <= 52
-    assert sorted(c for c in calls if "rfft" not in c) == ["fft", "ifft"]
+    assert sorted(c for c, _, _ in calls if "rfft" not in c) == ["fft", "ifft"]
+    calls.clear()
+    h1_report(_seed0_corpus(), L=16.0, N=N, scales=48)
+    real = [(c, nd) for c, nd, n in calls if "rfft" in c]
+    assert real.count(("rfft", 2)) == 24 and real.count(("rfft", 1)) == 3
+    assert real.count(("irfft", 2)) == 72 and len(real) == 99
+    assert {n for c, _, n in calls if "rfft" in c} == {2 * N}
+    assert sorted(c for c, _, _ in calls if "rfft" not in c) == ["fft"] * 3 + ["ifft"] * 3
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["real", "mixed"])
+def test_corpus_call_matches_one_input_calls_bitwise(mixed):
+    """Each input's M_P, S, smooth maximal function and H1Report from one
+    corpus call are the bits of its own one-input call; with a complex
+    input among real ones too, whose transforms are complex throughout."""
+    from hhl.hardy_bmo import _poisson_pass, _scales
+    decs = _seed0_corpus()
+    if mixed:
+        decs[1] = AtomicDecomposition(decs[1].terms + ((0.3j, make_atom(1.0, 0.5, "bump")),))
+    L, N = 64.0, 1 << 12
+    lines = [d.synthesize(L, N) for d in decs]
+    assert [bool(g.values.imag.any()) for g in lines] == [False, mixed, False]
+    ts = _scales(lines[0], None, 48)
+    passes = _poisson_pass(lines, ts)
+    smooth = smooth_maximal(lines, scales=48)
+    reports = h1_report(decs, L=L, N=N)
+    for g, dec, (m_p, s), sm, rep in zip(lines, decs, passes, smooth, reports):
+        assert np.array_equal(m_p.values, poisson_maximal(g, scales=48).values)
+        assert np.array_equal(s.values, square_function(g, scales=48).values)
+        assert np.array_equal(sm.values, smooth_maximal(g, scales=48).values)
+        assert rep == h1_report(dec, L=L, N=N)
+
+
+def test_corpus_on_two_grids_raises():
+    f = haar_line(L=8.0, N=1 << 8)
+    for g in (haar_line(L=16.0, N=1 << 8), haar_line(L=8.0, N=1 << 9)):
+        with pytest.raises(ValueError, match="share one grid"):
+            smooth_maximal([f, g], scales=8)
 
 
 @pytest.mark.parametrize("fn", [smooth_maximal, poisson_maximal, square_function])
