@@ -155,12 +155,20 @@ def _hat_weights(k: Kernel) -> np.ndarray:
     left, width = edges[:-1], np.diff(edges)
     cell = np.floor(left / d)
     gx, gw = _GAUSS8
+    # the cell-by-node products run in place (each a commuted product of
+    # the same operands), so fewer full-size temporaries are live at once
     u = left[:, None] + 0.5 * width[:, None] * (gx + 1.0)
-    mass = 0.5 * width[:, None] * gw * eval_kernel(k, np.exp(u))
-    frac = u / d - cell[:, None]  # place inside the cell, 0..1
+    mass = eval_kernel(k, np.exp(u))
+    mass *= 0.5 * width[:, None] * gw
+    frac = u / d
+    del u
+    frac -= cell[:, None]  # place inside the cell, 0..1
+    to_left = 1.0 - frac
+    to_left *= mass
+    frac *= mass  # now the mass on the right node
     idx = cell.astype(int) + m
-    return (np.bincount(idx, np.sum(mass * (1.0 - frac), axis=1), minlength=2 * m + 1)
-            + np.bincount(idx + 1, np.sum(mass * frac, axis=1), minlength=2 * m + 1))
+    return (np.bincount(idx, np.sum(to_left, axis=1), minlength=2 * m + 1)
+            + np.bincount(idx + 1, np.sum(frac, axis=1), minlength=2 * m + 1))
 
 
 def _log_grid_kernel(k: Kernel):
@@ -181,11 +189,10 @@ def _log_grid_kernel(k: Kernel):
     return k, reach, np.fft.rfft(weights[:2 * m])
 
 
-def _log_grid_transform(kernels, legs) -> list:
-    """(T_phi f)(x) at real points x by one FFT convolution per sign, for
-    each (f_of, xs) pair in ``legs`` and each ``_log_grid_kernel`` entry
-    in ``kernels``: entry [j][i] is leg j by kernel i.  Each leg's F is
-    sampled and transformed once per sign for all kernels.
+def _log_grid_transform(kernels, f_of, xs) -> list:
+    """(T_phi f)(x) at real points x by one FFT convolution per sign, one
+    array per ``_log_grid_kernel`` entry in ``kernels``: F is sampled and
+    transformed once per sign for all kernels.
 
     Product integration of phi against the piecewise-linear model of
     F(w) = f(+-e^w), read off at log|x| by a cubic spline.  The kept
@@ -203,38 +210,39 @@ def _log_grid_transform(kernels, legs) -> list:
     """
     d, m = _LOG_DELTA, _LOG_M
     ws = -_LOG_HALF + d * np.arange(m)
-    results = []
-    for f_of, xs in legs:
-        xs = np.asarray(xs, dtype=float)
-        with np.errstate(divide="ignore"):
-            s = np.log(np.abs(xs))
-        for k, reach, _ in kernels:
-            if not np.all((s >= reach - _LOG_HALF) & (s <= _LOG_HALF - d)):
-                raise ValueError("output point off the log grid: |x| must lie in "
-                                 f"[{math.exp(reach - _LOG_HALF):.3g}, "
-                                 f"{math.exp(_LOG_HALF - d):.3g}] for {k.label}")
-        outs = [np.zeros(xs.shape, dtype=complex) for _ in kernels]
-        for sign, side in ((1.0, xs > 0), (-1.0, xs < 0)):
-            if not np.any(side):
-                continue
-            F = np.asarray(f_of(sign * np.exp(ws)), dtype=complex)
-            peak = float(np.max(np.abs(F)))
-            if abs(F[-1]) > _LOG_NEGLIGIBLE * peak:
-                raise ValueError(
-                    f"input has not decayed at x = {sign * math.exp(ws[-1]):.3g} "
-                    f"(|f| = {abs(F[-1]):.2e} of peak {peak:.2e}); the log "
-                    f"grid would truncate it")
-            # a complex F is convolved as its real and imaginary parts
-            spec = np.fft.rfft(np.stack((F.real, F.imag)) if F.imag.any() else F.real, 2 * m)
-            cells = np.clip(np.floor((s[side] - ws[0]) / d), 0, m - 2)
-            lo, hi = max(int(cells.min()) - 40, 0), min(int(cells.max()) + 42, m)
-            for out, (_, _, spectrum) in zip(outs, kernels):
-                conv = np.fft.irfft(spec * spectrum, 2 * m)[..., lo + m:hi + m]
-                if conv.ndim == 2:
-                    conv = conv[0] + 1j * conv[1]
-                out[side] = _spline(ws[lo], d, conv)(s[side])
-        results.append(outs)
-    return results
+    xs = np.asarray(xs, dtype=float)
+    with np.errstate(divide="ignore"):
+        s = np.log(np.abs(xs))
+    for k, reach, _ in kernels:
+        if not np.all((s >= reach - _LOG_HALF) & (s <= _LOG_HALF - d)):
+            raise ValueError("output point off the log grid: |x| must lie in "
+                             f"[{math.exp(reach - _LOG_HALF):.3g}, "
+                             f"{math.exp(_LOG_HALF - d):.3g}] for {k.label}")
+    outs = [np.zeros(xs.shape, dtype=complex) for _ in kernels]
+    for sign, side in ((1.0, xs > 0), (-1.0, xs < 0)):
+        if not np.any(side):
+            continue
+        F = np.asarray(f_of(sign * np.exp(ws)), dtype=complex)
+        peak = float(np.max(np.abs(F)))
+        if abs(F[-1]) > _LOG_NEGLIGIBLE * peak:
+            raise ValueError(
+                f"input has not decayed at x = {sign * math.exp(ws[-1]):.3g} "
+                f"(|f| = {abs(F[-1]):.2e} of peak {peak:.2e}); the log "
+                f"grid would truncate it")
+        # a complex F is convolved as its real and imaginary parts
+        spec = np.fft.rfft(np.stack((F.real, F.imag)) if F.imag.any() else F.real, 2 * m)
+        cells = np.clip(np.floor((s[side] - ws[0]) / d), 0, m - 2)
+        lo, hi = max(int(cells.min()) - 40, 0), min(int(cells.max()) + 42, m)
+        # one product buffer per sign; the kept window is copied out so
+        # that each full-length inverse is freed at once
+        prod = np.empty_like(spec)
+        for out, (_, _, spectrum) in zip(outs, kernels):
+            np.multiply(spec, spectrum, out=prod)
+            conv = np.fft.irfft(prod, 2 * m)[..., lo + m:hi + m].copy()
+            if conv.ndim == 2:
+                conv = conv[0] + 1j * conv[1]
+            out[side] = _spline(ws[lo], d, conv)(s[side])
+    return outs
 
 
 @dataclass(frozen=True)

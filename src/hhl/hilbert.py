@@ -13,9 +13,11 @@ the residual on the requested grid.  Its two transform legs are log-grid
 (Mellin) convolutions, one FFT per sign in log|x|, so the check has no
 tolerance to set; the adaptive t-quadrature serves as their oracle in
 the tests.  It takes a whole corpus of kernels and functions and shares
-the work: hat weights and their spectra once per kernel; the tail-aware
-H f, its log-grid samples and their spectrum, and |f|_p once per
-function; only the tail-aware H(T f) and the residual once per pair.
+the work: the tail-aware transform's grid-only pieces (the fit bases and
+the image sums) once per grid, as every transform runs on one; hat
+weights and their spectra once per kernel; the tail-aware H f, its
+log-grid samples and their spectrum, and |f|_p once per function; only
+the tail-aware H(T f) and the residual once per pair.
 The residual reads H(T f) on the grid alone, so only H f, sampled out to
 e^40, builds the exterior of its form.  Both tails, a tagged input's
 remainder beyond the window read inside it and the windowed remainder
@@ -35,7 +37,7 @@ from numpy.polynomial.chebyshev import chebtrim, chebval
 from .hausdorff import _log_grid_kernel, _log_grid_transform
 from .kernels import moment
 from .quadrature import integrate, integrate_batched, integrate_halfline
-from .realline import SampledLine, eval_at, lp_norm
+from .realline import SampledLine, _spline, eval_at, lp_norm
 from .report import CheckRow, VerificationReport
 
 __all__ = [
@@ -56,18 +58,16 @@ class _LiveTail(Exception):
     """A tagged remainder read nonzero beyond the window."""
 
 
-def _hilbert_fft(f: SampledLine) -> SampledLine:
-    vals = f.values
+def _spectral_hilbert(vals: np.ndarray) -> np.ndarray:
+    """ifft(-i sgn(xi) fft(vals)), dc and Nyquist bins zeroed, inverted in
+    place of the one spectrum."""
     spec = np.fft.fft(vals)
-    xi = np.fft.fftfreq(f.N, d=f.h)
-    mult = -1j * np.sign(xi)
+    mult = -1j * np.sign(np.fft.fftfreq(vals.size))
     mult[0] = 0.0  # dc: the symbol is undefined at xi = 0
-    if f.N % 2 == 0:
-        mult[f.N // 2] = 0.0  # Nyquist bin has no well-defined sign
-    out = np.fft.ifft(spec * mult)
-    if np.all(np.abs(vals.imag) == 0.0):
-        out = out.real.astype(complex)
-    return SampledLine.from_values(out, f.L, label=f"H[{f.label}]" if f.label else "")
+    if vals.size % 2 == 0:
+        mult[vals.size // 2] = 0.0  # Nyquist bin has no well-defined sign
+    spec *= mult
+    return np.fft.ifft(spec, out=spec)
 
 
 def _pv_values(f: SampledLine, xs: np.ndarray, tol: float) -> np.ndarray:
@@ -121,7 +121,10 @@ def hilbert(f: SampledLine, method: str = "fft",
             warnings.warn(
                 f"window-edge magnitude {edge:.2e} exceeds 1e-6 of the peak; "
                 f"the spectral Hilbert transform wraps around", EdgeDecayWarning)
-        return _hilbert_fft(f)
+        out = _spectral_hilbert(f.values)
+        if np.all(np.abs(f.values.imag) == 0.0):
+            out = out.real.astype(complex)
+        return SampledLine.from_values(out, f.L, label=f"H[{f.label}]" if f.label else "")
     return _hilbert_pv(f, tol=tol)
 
 
@@ -175,33 +178,51 @@ def _origin_templates(a: float):
     return [(lam, hlam), (hlam, lambda x: -lam(x))]
 
 
-def _fit_tail_model(g: SampledLine, a: float, origin: float = 0.0):
+_WIDTH = 2.0  # of the conjugate-kernel templates
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_plan(L: float, N: int, origin: float):
+    """The pieces of ``hilbert_with_tails`` that depend on its grid alone,
+    read-only, kept for the last grid (a commutation check runs every
+    transform on one): the 16 nodes nearest ``origin`` and the origin
+    fit's basis there, the tail fit's mask |x - origin| >= 0.6 L and its
+    basis, and the image sums s1, s2 at every node."""
+    xs = -L + (2.0 * L / N) * np.arange(N)
+    xc = xs - origin
+    near = np.argsort(np.abs(xc))[:16]
+    xi = xc[near]
+    layer = [T(xi) for T, _ in _origin_templates(_WIDTH)]
+    near_basis = np.stack(layer + [np.ones_like(xi), xi, xi * xi, xi ** 3], axis=1)
+    far = np.abs(xc) >= 0.6 * L
+    far_basis = np.stack([T(xc[far]) for T, _ in _tail_templates(_WIDTH)], axis=1)
+    plan = (near, near_basis, far, far_basis, *_image_sums(xs, L))
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
+
+
+def _fit_tail_model(g: SampledLine, origin: float = 0.0):
     """Least-squares coefficients of the ``_tail_templates`` (P, Q, V)
-    matching g where |x| >= 0.6 L.
+    matching g where |x - origin| >= 0.6 L.
 
     The basis spans the slow content a windowed transform can carry, and
     each template's conjugate is a closed form.
     """
-    xs = g.grid() - origin
-    sel = np.abs(xs) >= 0.6 * g.L
-    basis = np.stack([T(xs[sel]) for T, _ in _tail_templates(a)], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, g.values[sel].real, rcond=None)
+    _, _, far, basis, _, _ = _grid_plan(g.L, g.N, origin)
+    coef, *_ = np.linalg.lstsq(basis, g.values[far].real, rcond=None)
     return [float(c) for c in coef]
 
 
-def _fit_origin_model(g: SampledLine, a: float, origin: float = 0.0):
+def _fit_origin_model(g: SampledLine, origin: float = 0.0):
     """Coefficients of the singular layer a dilation transform plants at
     the origin: log point, sign jump, x log kink, |x|-type kink.
 
     An offset grid never lands on the origin itself; the innermost nodes
     determine the four coefficients against a quintic background.
     """
-    xs = g.grid() - origin
-    idx = np.argsort(np.abs(xs))[:16]
-    xi = xs[idx]
-    layer = [T(xi) for T, _ in _origin_templates(a)]
-    basis = np.stack(layer + [np.ones_like(xi), xi, xi * xi, xi ** 3], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, g.values[idx].real, rcond=None)
+    near, basis, _, _, _, _ = _grid_plan(g.L, g.N, origin)
+    coef, *_ = np.linalg.lstsq(basis, g.values[near].real, rcond=None)
     return float(coef[0]), float(coef[1])
 
 
@@ -354,26 +375,24 @@ def hilbert_with_tails(g: SampledLine, origin: float = 0.0) -> SampledLine:
     xs = g.grid()
     xc = xs - origin
     scale = max(float(np.max(np.abs(g.values))), 1e-300)
-    a = 2.0  # width of the conjugate-kernel templates
     # fitted (coefficient, (template, conjugate)) terms; genuine singular
     # layers sit at O(0.01..1) of scale, smaller fitted coefficients are
     # stencil noise from smooth data
-    terms = [(c, pair) for c, pair in zip(_fit_origin_model(g, a, origin),
-                                          _origin_templates(a))
+    terms = [(c, pair) for c, pair in zip(_fit_origin_model(g, origin),
+                                          _origin_templates(_WIDTH))
              if abs(c) >= 1e-6 * scale]
     work = _minus_model(g.values.real, xc, terms)
     tail_terms = list(zip(_fit_tail_model(SampledLine.from_values(work, g.L),
-                                          a, origin), _tail_templates(a)))
+                                          origin), _tail_templates(_WIDTH)))
     terms += tail_terms
     res_vals = _minus_model(work, xc, tail_terms)
-    res = SampledLine.from_values(res_vals, g.L)
 
     # window mass and dipole of the remainder drive the image fold-in and
     # the far asymptote
     m0w = float(np.sum(res_vals)) * g.h
     m1w = float(np.sum(res_vals * xs)) * g.h
-    s1, s2 = _image_sums(xs, g.L)
-    hres_vals = _hilbert_fft(res).values.real - (m0w / math.pi) * s1 - (m1w / math.pi) * s2
+    s1, s2 = _grid_plan(g.L, g.N, origin)[4:]
+    hres_vals = _spectral_hilbert(res_vals).real - (m0w / math.pi) * s1 - (m1w / math.pi) * s2
 
     if g.form is not None:
         # tagged inputs contribute their true beyond-window remainder (the
@@ -399,7 +418,8 @@ def hilbert_with_tails(g: SampledLine, origin: float = 0.0) -> SampledLine:
                 return _tail_scan(res_tag, xs, g.L, side)
 
         hres_vals = hres_vals + (tail_side(+1.0) + tail_side(-1.0)) / math.pi
-    hres = SampledLine.from_values(hres_vals, g.L)
+    # spline of the remainder's transform, fitted at the first read inside
+    hres = functools.cache(lambda: _spline(-g.L, g.h, hres_vals))
 
     def h_model(x):
         x = np.asarray(x, dtype=float) - origin
@@ -407,14 +427,16 @@ def hilbert_with_tails(g: SampledLine, origin: float = 0.0) -> SampledLine:
 
     out_vals = hres_vals + h_model(xs)
 
-    exterior = functools.cache(lambda: _exterior_form(res, m0w, m1w))
+    # the remainder's line and spline live only while the form is built
+    exterior = functools.cache(lambda: _exterior_form(
+        SampledLine.from_values(res_vals, g.L), m0w, m1w))
 
     def form(x):
         x = np.asarray(x, dtype=float)
         out = h_model(x).astype(complex)
         inside = np.abs(x) <= g.L
         if np.any(inside):
-            out[inside] += eval_at(hres, x[inside])
+            out[inside] += hres()(x[inside])
         if not np.all(inside):
             out[~inside] += exterior()(x[~inside])
         return out
@@ -429,8 +451,8 @@ def hilbert_with_tails(g: SampledLine, origin: float = 0.0) -> SampledLine:
                                label=f"H[{g.label}]" if g.label else "")
 
 
-def _commute_legs(weighted, f: SampledLine) -> list:
-    """[T(H f) on f's window, T f on one four times wider], each listed per
+def _commute_legs(weighted, f: SampledLine) -> tuple:
+    """(T(H f) on f's window, T f on one four times wider), each listed per
     ``_log_grid_kernel`` entry in ``weighted``: the per-function stage."""
     # internal midpoint-offset nodes: the transform of anything nonzero at
     # the origin carries a log point at x = 0, which node grids hit exactly
@@ -453,7 +475,8 @@ def _commute_legs(weighted, f: SampledLine) -> list:
                               tail_power=f.tail_power)
     hf_shifted = hilbert_with_tails(big_shifted, origin=-shift)
     hf_true = lambda x: hf_shifted.form(np.asarray(x, dtype=float) - shift)
-    return _log_grid_transform(weighted, [(hf_true, xs_small), (f_eval, xs_big)])
+    return (_log_grid_transform(weighted, hf_true, xs_small),
+            _log_grid_transform(weighted, f_eval, xs_big))
 
 
 def _commute_gap(t_hf, tf_vals, f: SampledLine, p: float) -> float:
@@ -461,8 +484,10 @@ def _commute_gap(t_hf, tf_vals, f: SampledLine, p: float) -> float:
     lo = (tf_vals.size - f.N) // 2
     h_tf_shifted = hilbert_with_tails(SampledLine.from_values(tf_vals, f.L * 4),
                                       origin=-0.5 * f.h)
-    diff = t_hf - h_tf_shifted.values[lo:lo + f.N]
-    return float(np.sum(np.abs(diff) ** p) * f.h) ** (1.0 / p)
+    diff = np.abs(t_hf - h_tf_shifted.values[lo:lo + f.N])
+    if math.isinf(p):
+        return float(np.max(diff))
+    return float(np.sum(diff ** p) * f.h) ** (1.0 / p)
 
 
 def commutation_check(kernels, fs, p: float = 2.0) -> VerificationReport:
@@ -478,9 +503,11 @@ def commutation_check(kernels, fs, p: float = 2.0) -> VerificationReport:
 
     The corpus must be non-empty, and every kernel's moment and every
     function's realness are checked, before any transform runs; ValueError
-    otherwise.  Then hat weights and their spectra are built once
-    per kernel; H f, its log-grid samples and |f|_p once per function; the
-    convolutions and the tail-aware H(T f) once per pair.
+    otherwise.  Then the tail-aware transform's grid-only pieces are built
+    once per grid (every transform of the check runs on one); hat weights
+    and their spectra once per kernel; H f, its log-grid samples and |f|_p
+    once per function; the convolutions and the tail-aware H(T f) once per
+    pair.  At p = inf the residual is max|T(H f) - H(T f)| / sup|f|.
     """
     kernels, fs = tuple(kernels), tuple(fs)
     if not kernels or not fs:

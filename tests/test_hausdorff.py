@@ -394,7 +394,7 @@ def _gauss(x):
 
 def _log_grid_one(k, fn, xs):
     """The log-grid transform of one function by one kernel."""
-    return _log_grid_transform([_log_grid_kernel(k)], [(fn, xs)])[0][0]
+    return _log_grid_transform([_log_grid_kernel(k)], fn, xs)[0]
 
 
 LOG_GRID_CLOSED = {
@@ -465,11 +465,14 @@ def test_log_grid_matches_linear_convolution(kernel, fn):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("kernel", [
+_HAT_KERNELS = [
     cesaro, hardy_type, lambda: gen_cesaro(2.0), lambda: gen_cesaro(0.5),
     lambda: table_kernel([(0.05, 0.3), (0.4, 1.0), (3.0, 0.2), (20.0, 0.01)]),
-    lambda: truncate_below(cesaro(), 0.1)],
-    ids=["cesaro", "hardy", "gencesaro2", "gencesaro0.5", "table", "truncated"])
+    lambda: truncate_below(cesaro(), 0.1)]
+_HAT_IDS = ["cesaro", "hardy", "gencesaro2", "gencesaro0.5", "table", "truncated"]
+
+
+@pytest.mark.parametrize("kernel", _HAT_KERNELS, ids=_HAT_IDS)
 def test_hat_edges_match_unique(kernel):
     # np.unique of the support ends and the grid nodes between them is the
     # oracle of the directly built edges
@@ -482,6 +485,30 @@ def test_hat_edges_match_unique(kernel):
     expected = np.unique(np.concatenate(([a, b], nodes)))
     got = _hat_edges(k)
     assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def _hat_weights_out_of_place(k):
+    """_hat_weights with every cell-by-node product in a new array, in the
+    operand order of the formula: the oracle of the in-place products."""
+    d, m = _LOG_DELTA, _LOG_M
+    edges = _hat_edges(k)
+    left, width = edges[:-1], np.diff(edges)
+    cell = np.floor(left / d)
+    gx, gw = np.polynomial.legendre.leggauss(8)
+    u = left[:, None] + 0.5 * width[:, None] * (gx + 1.0)
+    mass = 0.5 * width[:, None] * gw * eval_kernel(k, np.exp(u))
+    frac = u / d - cell[:, None]
+    idx = cell.astype(int) + m
+    return (np.bincount(idx, np.sum(mass * (1.0 - frac), axis=1), minlength=2 * m + 1)
+            + np.bincount(idx + 1, np.sum(mass * frac, axis=1), minlength=2 * m + 1))
+
+
+@pytest.mark.parametrize("kernel", _HAT_KERNELS, ids=_HAT_IDS)
+def test_hat_weights_in_place_match_out_of_place_bitwise(kernel):
+    k = kernel()
+    got = _hat_weights(k)
+    assert np.array_equal(got, _hat_weights_out_of_place(k))
+    assert np.any(got)
 
 
 def test_log_grid_hat_weights_closed_forms():

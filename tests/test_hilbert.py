@@ -148,7 +148,7 @@ def test_tails_skip_zero_remainder(monkeypatch):
     # fitted tail coefficients are too; at this spacing the origin-layer
     # coefficients fall under their cut
     g = gaussian_line(N=1 << 14)
-    assert hilbert_mod._fit_tail_model(g, 2.0) == [0.0] * 3
+    assert hilbert_mod._fit_tail_model(g) == [0.0] * 3
     calls = _record_halfline(monkeypatch)
     hilbert_with_tails(g)
     # one scalar probe per side, no vector scan
@@ -198,7 +198,7 @@ def test_tails_exterior_matches_dense_sum():
     L = 64.0
     f = _random_decomposition(np.random.default_rng(0)).synthesize(L, 1 << 12)
     line = SampledLine.from_values(f.values.real, L)
-    assert hilbert_mod._fit_tail_model(line, 2.0) == [0.0] * 3
+    assert hilbert_mod._fit_tail_model(line) == [0.0] * 3
     d = np.geomspace(0.5, 1e6 * L, 40)
     x = np.concatenate([-(L + d), L + d])
     m = 1 << 18
@@ -369,12 +369,101 @@ def test_commutation_corpus_matches_single_pairs():
 def test_commutation_shares_work(monkeypatch):
     hwt = _count_calls(monkeypatch, sys.modules["hhl.hilbert"], "hilbert_with_tails")
     hat = _count_calls(monkeypatch, sys.modules["hhl.hausdorff"], "_hat_weights")
+    sums = _count_calls(monkeypatch, hilbert_mod, "_image_sums")
+    hilbert_mod._grid_plan.cache_clear()
     kernels, fs = (cesaro(), hardy_type()), _corpus(1 << 10)
     rep = commutation_check(kernels, fs, 2.0)
     assert len(rep.rows) == len(kernels) * len(fs)
-    # one H f per function, one H(T f) per pair; hat weights per kernel
-    assert len(hwt) == len(fs) + len(kernels) * len(fs)
+    # one H f per function, one H(T f) per pair; hat weights per kernel;
+    # all 6 transforms run on one grid, so its plan is built once
+    assert len(hwt) == len(fs) + len(kernels) * len(fs) == 6
     assert len(hat) == len(kernels)
+    assert len(sums) == 1
+    plan = hilbert_mod._grid_plan(4 * fs[0].L, 4 * fs[0].N, -0.5 * fs[0].h)
+    assert len(sums) == 1
+    for arr in plan:
+        assert not arr.flags.writeable
+
+
+def test_commutation_sup_norm_residual():
+    # at p = inf the residual is max|T(H f) - H(T f)| / sup|f| from the two
+    # legs; a p-th power of |diff| at p = inf would read 1 or inf
+    k, fs = hardy_type(), _corpus(1 << 10)
+    assert moment(k, math.inf).finite
+    rows = commutation_check((k,), fs, math.inf).rows
+    weighted = [hilbert_mod._log_grid_kernel(k)]
+    for f, row in zip(fs, rows):
+        (t_hf,), (tf,) = hilbert_mod._commute_legs(weighted, f)
+        lo = (tf.size - f.N) // 2
+        h_tf = hilbert_with_tails(SampledLine.from_values(tf, 4 * f.L), origin=-0.5 * f.h)
+        diff = t_hf - h_tf.values[lo:lo + f.N]
+        assert row.residual == np.max(np.abs(diff)) / np.max(np.abs(f.values))
+        assert math.isfinite(row.residual) and row.residual < 1.0
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_spectral_hilbert_in_place_matches_out_of_place_bitwise(cplx):
+    # the spectrum is multiplied and inverted in place; the out-of-place
+    # product and inverse on the grid's own frequencies are its oracle
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal(1 << 12) + (1j * rng.standard_normal(1 << 12) if cplx else 0.0)
+    mult = -1j * np.sign(np.fft.fftfreq(vals.size, d=0.1))
+    mult[0] = mult[vals.size // 2] = 0.0
+    ref = np.fft.ifft(np.fft.fft(vals) * mult)
+    assert hilbert_mod._spectral_hilbert(vals).tobytes() == ref.tobytes()
+
+
+def _per_call_fits(monkeypatch):
+    """Route hilbert_with_tails through the fits and image sums recomputed
+    at every call, without the grid plan: the plan's oracle."""
+    def fit_tail(g, origin=0.0):
+        xs = g.grid() - origin
+        sel = np.abs(xs) >= 0.6 * g.L
+        basis = np.stack([T(xs[sel]) for T, _ in hilbert_mod._tail_templates(2.0)], axis=1)
+        coef, *_ = np.linalg.lstsq(basis, g.values[sel].real, rcond=None)
+        return [float(c) for c in coef]
+
+    def fit_origin(g, origin=0.0):
+        xs = g.grid() - origin
+        idx = np.argsort(np.abs(xs))[:16]
+        xi = xs[idx]
+        layer = [T(xi) for T, _ in hilbert_mod._origin_templates(2.0)]
+        basis = np.stack(layer + [np.ones_like(xi), xi, xi * xi, xi ** 3], axis=1)
+        coef, *_ = np.linalg.lstsq(basis, g.values[idx].real, rcond=None)
+        return float(coef[0]), float(coef[1])
+
+    def image_sums_only(L, N, origin):
+        xs = SampledLine.from_values(np.zeros(N), L).grid()
+        return (None,) * 4 + hilbert_mod._image_sums(xs, L)
+    monkeypatch.setattr(hilbert_mod, "_fit_tail_model", fit_tail)
+    monkeypatch.setattr(hilbert_mod, "_fit_origin_model", fit_origin)
+    monkeypatch.setattr(hilbert_mod, "_grid_plan", image_sums_only)
+
+
+def _plan_cases():
+    f = _random_decomposition(np.random.default_rng(0)).synthesize(64.0, 1 << 12)
+    atom = SampledLine.from_values(f.values.real, 64.0)
+    return [(g, -0.5 * g.h) for g in _corpus(1 << 10)] + [(atom, 0.0)]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["gauss", "P1diff", "h1-atom"])
+def test_grid_plan_matches_per_call_fits_bitwise(monkeypatch, case):
+    # the commutation corpus at the check's origin -h/2 and one h1 atom at
+    # origin 0: values, and form reads inside and outside the window, equal
+    # the per-call path's bit for bit, from a fresh plan and a kept one
+    g, origin = _plan_cases()[case]
+    inside = np.concatenate([np.linspace(-g.L, g.L, 37), [0.0, origin, 0.3 * g.h]])
+    outside = np.concatenate([g.L + np.geomspace(1e-3, 1e9, 25), -g.L - np.geomspace(1e-3, 1e9, 25)])
+    hilbert_mod._grid_plan.cache_clear()
+    got = [hilbert_with_tails(g, origin) for _ in range(2)]
+    with monkeypatch.context() as mp:
+        _per_call_fits(mp)
+        ref = hilbert_with_tails(g, origin)
+    for hf in got:
+        assert hf.values.tobytes() == ref.values.tobytes()
+        assert hf.tail_power == ref.tail_power
+        for x in (inside, outside):
+            assert hf.form(x).tobytes() == ref.form(x).tobytes()
 
 
 def test_commutation_validates_before_work(monkeypatch):
