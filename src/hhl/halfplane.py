@@ -358,13 +358,12 @@ def _poisson_values(g: SampledLine, y: float, xs: np.ndarray,
     return out
 
 
-def _poisson_grid_values(gs, ys, spectra=None):
+def _poisson_grid_values(gs, ys):
     """As _poisson_values on the grid a corpus of lines gs shares, via the
     Toeplitz structure: per height in ys, in order, the list of every g's
     values.  The hat-integrated weights of a few heights at a time are
     real rows built and transformed once for the corpus and convolved at
-    length 2N with each g's samples (``realline._convolve_rows``, whose
-    ``spectra`` this takes)."""
+    length 2N with each g's samples (``realline._convolve_rows``)."""
     n, h = gs[0].N, gs[0].h
     k = np.arange(-n, n + 1) * h
     grid = gs[0].grid()
@@ -373,7 +372,7 @@ def _poisson_grid_values(gs, ys, spectra=None):
         b = _poisson_B(k, y)
         return (b[2:] - 2.0 * b[1:-1] + b[:-2]) / h  # its second difference
 
-    for chunk, convs in _convolve_rows(gs, ys, row, spectra):
+    for chunk, convs in _convolve_rows(gs, ys, row):
         convs = list(convs)
         for i, y in enumerate(chunk):
             yield [_poisson_values(g, y, grid, conv[i]) for g, conv in zip(gs, convs)]

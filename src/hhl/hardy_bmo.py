@@ -176,25 +176,27 @@ def _scales(f: SampledLine, t_grid, count: int) -> np.ndarray:
 
 
 def _corpus(f) -> tuple:
-    """(f as a list of inputs, whether f was one input, not a sequence)."""
+    """(f as a list of inputs, whether f was one input, not a sequence);
+    an empty sequence raises ValueError."""
     one = isinstance(f, (SampledLine, AtomicDecomposition))
-    return ([f] if one else list(f)), one
+    fs = [f] if one else list(f)
+    if not fs:
+        raise ValueError("a corpus needs at least one input")
+    return fs, one
 
 
-def smooth_maximal(f: SampledLine, t_grid=None, scales: int = 64,
-                   spectra: dict | None = None) -> SampledLine:
+def smooth_maximal(f: SampledLine, t_grid=None, scales: int = 64) -> SampledLine:
     """sup over t of |f * Phi_t| for a fixed normalized Gaussian Phi.
 
     A scale below the grid step h raises: the sampled Gaussian is then
     too narrow for its Riemann sum, which inflates |f * Phi_t| past
     max |f|.  Each Gaussian is a row of 2N - 1 taps (taps at +-2L reach no
     grid point), so all scales share the transform length 2N and f's
-    spectrum (its real part's when f is real) is computed once; rows go
-    through in stacks (``realline._convolve_rows``).  ``spectra`` is
-    ``realline._fftconvolve``'s cache of f's spectra, which a caller may
-    share with other convolutions against f.  ``f`` may also be a corpus,
-    a sequence of lines on one grid: each stack of rows then serves all of
-    them, the result is their list, and ``spectra`` one cache per line.
+    spectrum (its real part's when f is real), which f keeps for every
+    convolution against it; rows go through in stacks
+    (``realline._convolve_rows``).  ``f`` may also be a corpus, a
+    non-empty sequence of lines on one grid: each stack of rows then
+    serves all of them, and the result is their list.
     """
     fs, one = _corpus(f)
     g = fs[0]
@@ -213,9 +215,7 @@ def smooth_maximal(f: SampledLine, t_grid=None, scales: int = 64,
             np.exp(-0.5 * (ker_x / t) ** 2) / (t * math.sqrt(2 * math.pi)) * g.h
         return out
 
-    if one and spectra is not None:
-        spectra = [spectra]
-    for _, convs in _convolve_rows(fs, range(ts.size), row, spectra):
+    for _, convs in _convolve_rows(fs, range(ts.size), row):
         for b, conv in zip(best, convs):
             np.maximum(b, np.abs(conv).max(axis=0), out=b)
             del conv  # else its buffer stays alive while the next is made
@@ -250,18 +250,18 @@ def _window_mean(a: np.ndarray, r: int) -> np.ndarray:
     return np.cumsum(np.concatenate((first, pad[w:] - pad[:-w]))) / w
 
 
-def _poisson_pass(fs, ts: np.ndarray, spectra=None) -> list:
+def _poisson_pass(fs, ts: np.ndarray) -> list:
     """(M_P, S) of each line of the corpus fs, from one Poisson level
     u = f * P_t per height t in ts (``halfplane._poisson_grid_values``).
 
     Levels come in increasing t; each feeds the running max over the cone
     |y - x| < t and, with its two neighbours (at most three per line are
     alive), the cone sum of |grad u|^2 by central differences on h * dt
-    cells.  ``spectra`` caches each f's spectra as in ``smooth_maximal``."""
+    cells."""
     ts = np.sort(ts)
     best, acc = [np.zeros(f.N) for f in fs], [np.zeros(f.N) for f in fs]
     part = [np.real if np.all(np.abs(f.values.imag) == 0) else np.asarray for f in fs]
-    levels = _poisson_grid_values(fs, ts, spectra)
+    levels = _poisson_grid_values(fs, ts)
     lo = v = next(levels, None)
     last = len(ts) - 1
     for i, t in enumerate(ts):
@@ -348,19 +348,18 @@ class H1Report:
 def h1_report(f, L: float = 64.0, N: int = 1 << 12, scales: int = 48) -> H1Report:
     """All computable H1 quantities for a SampledLine or decomposition;
     M_P and S come from one Poisson pass over the ``scales`` heights, and
-    that pass and the smooth maximal function share f's spectrum (both
-    transform at length 2N).
+    that pass and the smooth maximal function read the one spectrum f
+    keeps (both transform at length 2N).
 
-    ``f`` may also be a sequence of these, a corpus on one grid: then the
-    result is the list of their reports, each equal to its input's own
-    report bit for bit, and the two passes run for the whole corpus at
-    once, each stack of kernel rows built and transformed once."""
+    ``f`` may also be a non-empty sequence of these, a corpus on one grid:
+    then the result is the list of their reports, each equal to its
+    input's own report bit for bit, and the two passes run for the whole
+    corpus at once, each stack of kernel rows built and transformed once."""
     fs, one = _corpus(f)
     atomic = [g.atomic_bound if isinstance(g, AtomicDecomposition) else None for g in fs]
     fs = [g.synthesize(L, N) if isinstance(g, AtomicDecomposition) else g for g in fs]
-    spectra = [{} for _ in fs]
-    passes = _poisson_pass(fs, _scales(fs[0], None, scales), spectra)
-    smooth = smooth_maximal(fs, scales=scales, spectra=spectra)
+    passes = _poisson_pass(fs, _scales(fs[0], None, scales))
+    smooth = smooth_maximal(fs, scales=scales)
     out = [H1Report(lp_norm(sm, 1.0), lp_norm(m_p, 1.0), lp_norm(s, 1.0), h1_proxy_norm(g), a)
            for g, (m_p, s), sm, a in zip(fs, passes, smooth, atomic)]
     return out[0] if one else out
@@ -384,13 +383,7 @@ def bmo_norm(g: SampledLine, depth: int = 10) -> float:
             break
         size = n // pieces
         for offset in (0, size // 2):
-            if offset + pieces * size > n:
-                usable = vals[offset:offset + (n - offset) // size * size]
-            else:
-                usable = vals[offset:offset + pieces * size]
-            if usable.size < size:
-                continue
-            blocks = usable.reshape(-1, size)
+            blocks = vals[offset:offset + (n - offset) // size * size].reshape(-1, size)
             means = blocks.mean(axis=1, keepdims=True)
             osc = np.abs(blocks - means).mean(axis=1)
             best = max(best, float(osc.max()))

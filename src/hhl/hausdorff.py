@@ -26,9 +26,9 @@ import numpy as np
 
 from .halfplane import CayleyFamily, CayleyPower, HoloFunction, slice_norm
 from .kernels import Kernel, cumulative_moment, eval_kernel, moment
-from .quadrature import (DivergenceError, doubling_panels, geometric_panels,
-                         integrate_batched, integrate_halfline)
-from .realline import _TAIL_UMAX, _spline, _tail_integral
+from .quadrature import (DivergenceError, doubling_panels, integrate_batched,
+                         integrate_halfline)
+from .realline import _TAIL_UMAX, _spline, _tail_integral, lp_norm_function
 from .report import CheckRow, VerificationReport
 
 __all__ = [
@@ -514,16 +514,12 @@ def boundary_identity_check(k: Kernel, f: HoloFunction, p: float, y_seq,
         # near x = 0; the difference decays a power faster than f itself,
         # so the window integral carries the whole norm
         scale = math.ldexp(0.5, math.frexp(min(y, f.feature_scale) / 4.0)[1])
-        panels = geometric_panels(scale, L)
 
-        def diff_p(xs, yy=y):
-            d = transform_values(k, f.eval_batch, xs + 1j * yy, tol=tol) \
+        def diff(xs, yy=y):
+            return transform_values(k, f.eval_batch, xs + 1j * yy, tol=tol) \
                 - boundary_of(xs)
-            return np.abs(d) ** p
 
-        total = float(integrate_batched(lambda xs: diff_p(xs), panels, tol=tol).value)
-        total += float(integrate_batched(lambda xs: diff_p(-xs), panels, tol=tol).value)
-        errs.append(total ** (1.0 / p))
+        errs.append(lp_norm_function(diff, p, L, scale, tol=tol))
     rows = []
     for (y, e), nxt in zip(zip(ys, errs), list(errs[1:]) + [None]):
         decreasing = nxt is None or e > nxt

@@ -216,10 +216,11 @@ def _fit_tail_model(g: SampledLine, origin: float = 0.0):
 
 def _fit_origin_model(g: SampledLine, origin: float = 0.0):
     """Coefficients of the singular layer a dilation transform plants at
-    the origin: log point, sign jump, x log kink, |x|-type kink.
+    the origin: the log point and the sign jump (``_origin_templates``).
 
-    An offset grid never lands on the origin itself; the innermost nodes
-    determine the four coefficients against a quintic background.
+    An offset grid never lands on the origin itself; the 16 nodes nearest
+    it determine the two coefficients by least squares against a cubic
+    background.
     """
     near, basis, _, _, _, _ = _grid_plan(g.L, g.N, origin)
     coef, *_ = np.linalg.lstsq(basis, g.values[near].real, rcond=None)

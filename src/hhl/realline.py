@@ -98,6 +98,14 @@ class SampledLine:
         vals = self.values if self.values.imag.any() else self.values.real
         return _spline(-self.L, self.h, vals)
 
+    @functools.cached_property
+    def _spectrum(self):
+        # the samples' transform at length 2N, kept for every convolution
+        # against them (``_convolve_rows``); real data gets the real one
+        if self.values.imag.any():
+            return np.fft.fft(self.values, 2 * self.N)
+        return np.fft.rfft(self.values.real, 2 * self.N)
+
 
 def eval_at(f: SampledLine, x):
     """Point evaluation honoring the tag; grid interpolation otherwise."""
@@ -193,90 +201,43 @@ def _pchip(x: np.ndarray, y: np.ndarray):
     return ev
 
 
-@functools.lru_cache(maxsize=None)
-def _next_fast_len(n: int, real: bool) -> int:
-    """Smallest m >= n with no prime factor above 5 (real transforms) or
-    11 (complex ones): scipy.fft.next_fast_len, pocketfft's fast lengths."""
-    odd = [1]
-    for q in (3, 5) if real else (3, 5, 7, 11):
-        for c in list(odd):
-            while c * q < 2 * n:
-                c *= q
-                odd.append(c)
-    return min(c << ((n - 1) // c).bit_length() for c in odd)
-
-
 # rows per stack in _convolve_rows: more rows save little time and cost
 # memory
 _FFT_ROWS = 4
 
 
-def _fftconvolve(a: np.ndarray, b: np.ndarray, mode: str = "full",
-                 spectra: dict | None = None) -> np.ndarray:
-    """Linear convolution of two 1-D arrays by FFT (numpy's pocketfft).
-
-    ``mode`` is "full" (length len(a) + len(b) - 1), "same" (centred to
-    len(a)) or "valid" (centred to the overlap, |len(a) - len(b)| + 1).
-    Real inputs take the real transforms.  "full" and "same" transform at
-    the full linear length, in the arithmetic of scipy's ``fftconvolve``
-    bit for bit; "valid" at the fast length of the longer operand, the
-    shortest circular length that leaves the overlap unaliased.  The
-    spectrum product is a's first: it is not commutative bit for bit under
-    fused multiply-add.  ``spectra``, a dict a caller keeps over calls
-    sharing b, holds b's spectrum so it is computed once.
-
-    ``a`` may also be 2-D: each row is convolved with b along the last
-    axis, as one stacked transform each way, and gives the bits of its own
-    1-D call.
-    """
-    return next(_fftconvolve_each(a, (b,), mode, None if spectra is None else (spectra,)))
-
-
-def _fftconvolve_each(a: np.ndarray, bs, mode: str = "full", spectra=None):
-    """``_fftconvolve(a, b, mode, cache)`` for each b in ``bs``, with its
-    cache from ``spectra`` (one dict per b), yielded in turn.  a's spectrum
-    is computed once per kind of transform (real or complex), which no b
-    of the other kind reads."""
-    la = a.shape[-1]
-    spectra = [{} for _ in bs] if spectra is None else spectra
-    a_spectra = {}
-    for b, cache in zip(bs, spectra):
-        lb, n = b.size, la + b.size - 1
-        real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
-        nf = _next_fast_len(max(la, lb) if mode == "valid" else n, real)
-        fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-        if (nf, real) not in cache:
-            cache[nf, real] = fft(b, nf)
-        if (nf, real) not in a_spectra:
-            a_spectra[nf, real] = fft(a, nf)
-        out = ifft(a_spectra[nf, real] * cache[nf, real], nf)
-        if mode == "valid":
-            yield out[..., min(la, lb) - 1:max(la, lb)]
-        else:
-            keep = n if mode == "full" else la
-            yield out[..., (n - keep) // 2:(n - keep) // 2 + keep]
-        del out  # else it stays alive while the next b's is made
-
-
-def _convolve_rows(fs, params, row, spectra=None):
+def _convolve_rows(fs, params, row):
     """Centred kernel rows against a corpus of lines on one grid: yields,
     per stack of ``_FFT_ROWS`` parameters, (the stack, an iterator of one
     (rows, N) array per f), to be read before the next stack.
 
-    ``row(p)`` gives 2N - 1 taps at offsets -(N - 1)h .. (N - 1)h, whose
-    "valid" convolution with f's samples (their real part when f is real)
-    is the kernel's sum at f's N grid points.  Each stack is built and
-    transformed once for the corpus; ``spectra`` (one dict per f) caches
-    f's spectrum as in ``_fftconvolve``.
+    ``row(p)`` gives 2N - 1 real taps at offsets -(N - 1)h .. (N - 1)h,
+    whose "valid" convolution with f's samples (their real part when f is
+    real) is the kernel's sum at f's N grid points.  The circular length
+    2N leaves that overlap unaliased.  Each stack is built once for the
+    corpus and transformed once per kind of transform (real or complex),
+    and each f's product with it takes f's kept spectrum
+    (``SampledLine._spectrum``), the stack's first: the product is not
+    commutative bit for bit under fused multiply-add.
     """
     n, L = fs[0].N, fs[0].L
     if any(f.N != n or f.L != L for f in fs):
         raise ValueError("the lines of a corpus must share one grid")
-    data = [f.values if f.values.imag.any() else f.values.real for f in fs]
+
+    def convs(stack):
+        by_kind = {}  # the stack's spectrum per kind of transform
+        for f in fs:
+            real = not f.values.imag.any()
+            fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+            if real not in by_kind:
+                by_kind[real] = fft(stack, 2 * n)
+            out = ifft(by_kind[real] * f._spectrum, 2 * n)
+            yield out[..., n - 1:2 * n - 1]
+            del out  # else it stays alive while the next f's is made
+
     for first in range(0, len(params), _FFT_ROWS):
         chunk = params[first:first + _FFT_ROWS]
-        yield chunk, _fftconvolve_each(np.stack([row(p) for p in chunk]),
-                                       data, "valid", spectra)
+        yield chunk, convs(np.stack([row(p) for p in chunk]))
 
 
 def _window_trapezoid(f: SampledLine, p: float) -> float:

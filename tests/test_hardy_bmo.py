@@ -454,6 +454,12 @@ def test_corpus_call_matches_one_input_calls_bitwise(mixed):
         assert rep == h1_report(dec, L=L, N=N)
 
 
+@pytest.mark.parametrize("fn", [h1_report, smooth_maximal])
+def test_empty_corpus_raises(fn):
+    with pytest.raises(ValueError, match="at least one input"):
+        fn([])
+
+
 def test_corpus_on_two_grids_raises():
     f = haar_line(L=8.0, N=1 << 8)
     for g in (haar_line(L=16.0, N=1 << 8), haar_line(L=8.0, N=1 << 9)):

@@ -15,7 +15,7 @@ from hhl.kernels import (Kernel, cesaro, eval_kernel, gen_cesaro, hardy_type,
                          moment, moment_exponent, table_kernel, truncate_below,
                          zero_kernel)
 from hhl.quadrature import DivergenceError, integrate_halfline
-from hhl.realline import (SampledLine, _fftconvolve, _spline, eval_at, lp_norm,
+from hhl.realline import (SampledLine, _spline, eval_at, lp_norm,
                           lp_norm_function)
 
 
@@ -438,13 +438,14 @@ def _log_grid_linear(k, fn, xs):
     """The log-grid transform as a linear convolution of length 3M and a
     spline fitted on the whole grid: the oracle of the circular length-2M
     convolution and the windowed fit."""
+    from scipy.signal import fftconvolve
     weights = _hat_weights(k)
     d, m = _LOG_DELTA, _LOG_M
     ws = -_LOG_HALF + d * np.arange(m)
     out = np.zeros(xs.shape, dtype=complex)
     for sign, side in ((1.0, xs > 0), (-1.0, xs < 0)):
         F = np.asarray(fn(sign * np.exp(ws)), dtype=complex)
-        conv = _fftconvolve(F if F.imag.any() else F.real, weights)[m:2 * m]
+        conv = fftconvolve(F if F.imag.any() else F.real, weights)[m:2 * m]
         out[side] = _spline(ws[0], d, conv)(np.log(np.abs(xs[side])))
     return out
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhl.realline import (SampledLine, _fftconvolve, _next_fast_len, _pchip,
-                          _spline, eval_at, lp_norm)
+import hhl.realline as realline
+from hhl.realline import (SampledLine, _convolve_rows, _pchip, _spline, eval_at,
+                          lp_norm)
 
 
 def indicator01(x):
@@ -138,90 +139,91 @@ def test_interpolation_real_and_complex_data():
     assert np.allclose(vc, vr * (1.0 + 2.0j), atol=1e-12)
 
 
-@pytest.mark.parametrize("la, lb, mode, dtype", [
-    (65536, 131073, "full", float),     # log-grid transform legs
-    (3000, 4001, "full", complex),
-    (4096, 53, "same", complex),        # smooth maximal, small and
-    (4096, 8193, "same", complex),      # wider than the data
-])
-def test_fftconvolve_matches_scipy_bitwise(la, lb, mode, dtype):
-    from scipy.signal import fftconvolve
-    rng = np.random.default_rng(la + lb)
-    a, b = rng.standard_normal(la), rng.standard_normal(lb)
+def _random_line(rng, n, dtype):
+    vals = rng.standard_normal(n)
     if dtype is complex:
-        a = a + 1j * rng.standard_normal(la)
-        b = b.astype(complex)
-    got = _fftconvolve(a, b, mode)
-    want = fftconvolve(a, b, mode)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
+        vals = vals + 1j * rng.standard_normal(n)
+    return SampledLine.from_values(vals, 4.0)
 
 
-@pytest.mark.parametrize("la, lb, dtype, length", [
-    (4096, 8191, complex, 8192),        # kernel rows of 2N - 1 taps: 2N
-    (8191, 4096, float, 8192),
-    (65536, 131073, complex, 131220),
-])
-def test_fftconvolve_valid_matches_direct_convolution(monkeypatch, la, lb, dtype, length):
-    """"valid" against np.convolve on three windows of 64 outputs (start,
-    middle, end), transformed at the fast length of the longer operand,
-    not of the full linear convolution."""
-    rng = np.random.default_rng(la + lb)
-    a, b = rng.standard_normal(la), rng.standard_normal(lb)
-    if dtype is complex:
-        a = a + 1j * rng.standard_normal(la)
-    lengths = []
+def _record_fft_lengths(monkeypatch):
+    """(name, ndim, n) of every numpy.fft call made from here on."""
+    calls = []
     for name in ("fft", "ifft", "rfft", "irfft"):
-        def recording(x, n=None, *args, _fn=getattr(np.fft, name), **kwargs):
-            lengths.append(n)
+        def recording(x, n=None, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append((_name, np.ndim(x), n))
             return _fn(x, n, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, recording)
-    got = _fftconvolve(a, b, "valid")
-    assert lengths == [length] * 3
-    short, long_ = (a, b) if la < lb else (b, a)
-    assert got.shape == (long_.size - short.size + 1,)
-    for j in (0, got.size // 2, got.size - 64):
-        want = np.convolve(long_[j:j + 63 + short.size], short, "valid")
-        assert np.max(np.abs(got[j:j + 64] - want)) <= 1e-13 * np.max(np.abs(got))
+    return calls
 
 
-@pytest.mark.parametrize("rows, la, lb, mode", [
-    (4, 8191, 4096, "valid"),   # Poisson weights against the data
-    (3, 53, 4096, "full"),      # smooth-maximal rows against the data
-    (4, 4096, 53, "same"),
-    (1, 200, 300, "full"),
-])
+def _convolve_all(fs, taps):
+    """Every row of taps against every line of fs: one (rows, N) array per
+    line, the stacks' outputs concatenated."""
+    out = [[] for _ in fs]
+    for _, convs in _convolve_rows(fs, range(len(taps)), lambda i: taps[i]):
+        for acc, conv in zip(out, convs):
+            acc.append(np.array(conv))
+    return [np.concatenate(acc) for acc in out]
+
+
+@pytest.mark.parametrize("n", [16, 32, 4096])
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_fftconvolve_rows_match_per_row_calls_bitwise(rows, la, lb, mode, dtype):
-    """A stacked 2-D call gives each row the bits of its own 1-D call,
-    real and complex, with the kept spectrum of b computed once."""
-    rng = np.random.default_rng(rows * la + lb)
-    a, b = rng.standard_normal((rows, la)), rng.standard_normal(lb)
-    if dtype is complex:
-        b = b + 1j * rng.standard_normal(lb)
-    spectra = {}
-    got = _fftconvolve(a, b, mode, spectra=spectra)
-    assert len(spectra) == 1
-    want = np.stack([_fftconvolve(row, b, mode) for row in a])
-    assert got.dtype == want.dtype and np.iscomplexobj(got) == (dtype is complex)
-    assert np.array_equal(got, want)
-    # the kept spectrum serves a second stack unchanged
-    assert np.array_equal(_fftconvolve(a[::-1], b, mode, spectra=spectra), want[::-1])
+def test_convolve_rows_valid_matches_direct_convolution(monkeypatch, n, dtype):
+    """Each row's "valid" convolution with a line against np.convolve on
+    three windows of its N outputs (start, middle, end), with every
+    transform at length 2N and the line's spectrum taken once."""
+    rng = np.random.default_rng(n)
+    f = _random_line(rng, n, dtype)
+    taps = rng.standard_normal((6, 2 * n - 1))  # two stacks: 4 rows and 2
+    calls = _record_fft_lengths(monkeypatch)
+    got, = _convolve_all([f], taps)
+    assert {length for _, _, length in calls} == {2 * n}
+    kind = "rfft" if dtype is float else "fft"
+    assert [(c, nd) for c, nd, _ in calls if c == kind] == [(kind, 2), (kind, 1), (kind, 2)]
+    assert got.shape == (6, n) and np.iscomplexobj(got) == (dtype is complex)
+    data = f.values if dtype is complex else f.values.real
+    w = min(64, n)
+    for p in range(6):
+        for j in (0, (n - w) // 2, n - w):
+            want = np.convolve(taps[p, j:j + w + n - 1], data, "valid")
+            assert np.max(np.abs(got[p, j:j + w] - want)) <= 1e-13 * np.max(np.abs(got[p]))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_convolve_rows_stack_matches_one_row_stacks_bitwise(monkeypatch, dtype):
+    """A stack of rows gives each row the bits of a stack of that row
+    alone."""
+    rng = np.random.default_rng(7)
+    f = _random_line(rng, 4096, dtype)
+    taps = rng.standard_normal((6, 2 * 4096 - 1))
+    got, = _convolve_all([f], taps)
+    monkeypatch.setattr(realline, "_FFT_ROWS", 1)
+    want, = _convolve_all([f], taps)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_convolve_rows_mixed_corpus_matches_one_line_calls_bitwise(monkeypatch):
+    """Real and complex lines in one corpus: each line gets the bits of its
+    own one-line call, real lines a real output, and each stack is
+    transformed once per kind of transform, every line's data once."""
+    rng = np.random.default_rng(11)
+    n = 1024
+    fs = [_random_line(rng, n, dtype) for dtype in (float, complex, float)]
+    taps = rng.standard_normal((6, 2 * n - 1))
+    calls = _record_fft_lengths(monkeypatch)
+    got = _convolve_all(fs, taps)
+    assert {length for _, _, length in calls} == {2 * n}
+    stacks = [(c, nd) for c, nd, _ in calls if c in ("fft", "rfft")]
+    assert sorted(stacks) == sorted([("rfft", 1)] * 2 + [("fft", 1)]
+                                    + [("rfft", 2), ("fft", 2)] * 2)
+    assert [np.iscomplexobj(g) for g in got] == [False, True, False]
+    for f, g in zip(fs, got):
+        assert np.array_equal(g, _convolve_all([f], taps)[0])
 
 
 # ---------------------------------------------------------------------------
 # numpy replacements for scipy routines, each against the routine it replaces
-
-
-_CONV_LENGTHS = (65536 + 131073 - 1, 3000 + 4001 - 1, 4096 + 53 - 1,
-                 4096 + 8193 - 1, 4096 + 8191 - 1)
-
-
-def test_next_fast_len_matches_scipy():
-    from scipy.fft import next_fast_len
-    for n in (*range(1, 10001), *_CONV_LENGTHS):
-        for real in (True, False):
-            assert _next_fast_len(n, real) == next_fast_len(n, real), (n, real)
 
 
 @pytest.mark.parametrize("n", [16, 1 << 16])
