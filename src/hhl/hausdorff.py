@@ -114,8 +114,13 @@ def _kernel_row(fn, support, key: bytes):
 # Log-grid (Mellin) convolution.  With x = +-e^s and t = e^u the transform
 # is T f(+-e^s) = integral of F(s - u) phi(e^u) du, F(w) = f(+-e^w): one
 # convolution per sign.  F is sampled at _LOG_M nodes on w in
-# [-_LOG_HALF, _LOG_HALF) (w = 0 a node) and read as piecewise linear.
-_LOG_M = 1 << 16
+# [-_LOG_HALF, _LOG_HALF) (w = 0 a node) and read as piecewise linear, a
+# product rule whose error is c*delta^2 plus higher order.  The same rule on
+# the every-other-node half grid (spacing 2*delta, w = 0 still a node) has
+# error 4*c*delta^2, so Richardson's (4*T_M - T_(M/2))/3 cancels the
+# leading term: fourth order for smooth F when phi is smooth between nodes
+# (cesaro's jump at u = 0 is one), delta^2.5 at a (1 - t)^(-1/2) end.
+_LOG_M = 1 << 13
 _LOG_HALF = 40.0
 _LOG_DELTA = 2.0 * _LOG_HALF / _LOG_M
 # the kernel's reach, the u past which its mass is negligible, may not
@@ -124,13 +129,18 @@ _LOG_DELTA = 2.0 * _LOG_HALF / _LOG_M
 _LOG_REACH = 34.0
 _LOG_NEGLIGIBLE = 1e-12
 _GAUSS8 = np.polynomial.legendre.leggauss(8)
+# distances from a finite support end of the graded edges in its end cell,
+# so that the per-cell Gauss rule integrates an end singularity of phi
+_LOG_GRADE = _LOG_DELTA * 0.5 ** np.arange(1, 41)
 
 
 def _hat_edges(k: Kernel) -> np.ndarray:
     """Cell edges of ``_hat_weights``: [a, the grid nodes strictly inside
     (a, b), b] for the log-support [a, b] of k clipped to
-    [-2*_LOG_HALF, 2*_LOG_HALF], sorted and distinct by construction;
-    empty when that range is."""
+    [-2*_LOG_HALF, 2*_LOG_HALF], with the end cell at a finite support end
+    graded geometrically toward it (the points end -+ delta*2^-j, j = 1..40,
+    that fall inside it); sorted and distinct by construction, empty when
+    [a, b] is."""
     d = _LOG_DELTA
     lo, hi = k.support
     a = max(-2.0 * _LOG_HALF, math.log(lo)) if lo > 0 else -2.0 * _LOG_HALF
@@ -138,46 +148,65 @@ def _hat_edges(k: Kernel) -> np.ndarray:
     if a >= b:
         return np.empty(0)
     nodes = d * np.arange(math.ceil(a / d), math.floor(b / d) + 1)
-    return np.concatenate(([a], nodes[(nodes > a) & (nodes < b)], [b]))
+    nodes = nodes[(nodes > a) & (nodes < b)]
+    ends = []
+    if lo > 0 and a == math.log(lo):
+        ends.append(a + _LOG_GRADE)
+    if b == math.log(hi):
+        ends.append(b - _LOG_GRADE)
+    # np.unique sorts and merges the two ends' points (rounding can make
+    # neighbours equal far from u = 0); the end cells are (a, first node)
+    # and (last node, b), the whole of (a, b) when no node is inside
+    graded = np.unique(np.concatenate([np.empty(0)] + ends))
+    first, last = (nodes[0], nodes[-1]) if nodes.size else (b, b)
+    graded = graded[(graded > a) & (graded < b) & ((graded < first) | (graded > last))]
+    lower = graded < first
+    return np.concatenate(([a], graded[lower], nodes, graded[~lower], [b]))
 
 
-def _hat_weights(k: Kernel) -> np.ndarray:
-    """W_m = integral of phi(e^u) times the hat centred at u = m*delta,
-    for m = -M..M (u in [-2*_LOG_HALF, 2*_LOG_HALF]).
+def _hat_weights(k: Kernel) -> tuple:
+    """(W, W2): W_m = integral of phi(e^u) times the hat of half-width
+    delta centred at u = m*delta, for m = -M..M (u in
+    [-2*_LOG_HALF, 2*_LOG_HALF]); W2 the same on the half grid, hats of
+    half-width 2*delta centred at u = 2m*delta, for m = -M/2..M/2.
 
-    Product integration: an 8-point Gauss rule per cell, with cells that
-    hold the log of a support end split there, so any kernel kind works.
+    Product integration: an 8-point Gauss rule per cell of ``_hat_edges``,
+    whose cells split at the log of a support end and grade toward it, so
+    any kernel kind works.  Every hat of either grid is linear on each
+    cell, so one set of kernel samples serves both.
     """
     d, m = _LOG_DELTA, _LOG_M
     edges = _hat_edges(k)
     if not edges.size:
-        return np.zeros(2 * m + 1)
+        return np.zeros(2 * m + 1), np.zeros(m + 1)
     left, width = edges[:-1], np.diff(edges)
-    cell = np.floor(left / d)
     gx, gw = _GAUSS8
-    # the cell-by-node products run in place (each a commuted product of
-    # the same operands), so fewer full-size temporaries are live at once
     u = left[:, None] + 0.5 * width[:, None] * (gx + 1.0)
     mass = eval_kernel(k, np.exp(u))
     mass *= 0.5 * width[:, None] * gw
-    frac = u / d
-    del u
-    frac -= cell[:, None]  # place inside the cell, 0..1
-    to_left = 1.0 - frac
-    to_left *= mass
-    frac *= mass  # now the mass on the right node
-    idx = cell.astype(int) + m
-    return (np.bincount(idx, np.sum(to_left, axis=1), minlength=2 * m + 1)
-            + np.bincount(idx + 1, np.sum(frac, axis=1), minlength=2 * m + 1))
+    weights = []
+    for h, n in ((d, m), (2.0 * d, m // 2)):
+        # the cell-by-node products run in place (each a commuted product
+        # of the same operands), so fewer temporaries are live at once
+        cell = np.floor(left / h)
+        frac = u / h
+        frac -= cell[:, None]  # place inside the grid cell, 0..1
+        to_left = 1.0 - frac
+        to_left *= mass
+        frac *= mass  # now the mass on the right node
+        idx = cell.astype(int) + n
+        weights.append(np.bincount(idx, np.sum(to_left, axis=1), minlength=2 * n + 1)
+                       + np.bincount(idx + 1, np.sum(frac, axis=1), minlength=2 * n + 1))
+    return tuple(weights)
 
 
 def _log_grid_kernel(k: Kernel):
-    """(k, reach u past which its mass is negligible, spectrum) for
-    ``_log_grid_transform``, ``spectrum`` the real transform of the hat
-    weights W[:2M], computed once per kernel; ValueError when the reach
-    passes _LOG_REACH."""
+    """(k, reach u past which its mass is negligible, spectra) for
+    ``_log_grid_transform``, ``spectra`` the real transforms of the hat
+    weights W[:2M] and W2[:M] of the two grids, computed once per kernel;
+    ValueError when the reach passes _LOG_REACH."""
     d, m = _LOG_DELTA, _LOG_M
-    weights = _hat_weights(k)
+    weights, half = _hat_weights(k)
     beyond = np.cumsum(weights[::-1])[::-1]  # weight mass from index i on
     live = np.flatnonzero(beyond > _LOG_NEGLIGIBLE * beyond[0])
     reach = (live[-1] - m) * d if live.size else 0.0
@@ -186,26 +215,31 @@ def _log_grid_kernel(k: Kernel):
         raise ValueError(f"kernel mass past t = e^{_LOG_REACH:g} is "
                          f"{far:.2e} of the total; the log grid would "
                          f"truncate it")
-    return k, reach, np.fft.rfft(weights[:2 * m])
+    return k, reach, (np.fft.rfft(weights[:2 * m]), np.fft.rfft(half[:m]))
 
 
 def _log_grid_transform(kernels, f_of, xs) -> list:
-    """(T_phi f)(x) at real points x by one FFT convolution per sign, one
-    array per ``_log_grid_kernel`` entry in ``kernels``: F is sampled and
-    transformed once per sign for all kernels.
+    """(T_phi f)(x) at real points x by FFT convolution, one array per
+    ``_log_grid_kernel`` entry in ``kernels``: F is sampled once per sign
+    at the M nodes, and F and its every-other-node half F[::2] are
+    transformed once per sign for all kernels, so the half grid costs no
+    extra call of ``f_of``.
 
-    Product integration of phi against the piecewise-linear model of
-    F(w) = f(+-e^w), read off at log|x| by a cubic spline.  The kept
-    window [M, 2M) of the convolution reads only W[1..2M-1], so a
-    circular one of length 2M against weights[:2M] has no wrap-around
-    there (overlap-save).  The spline is fitted on the cells the points
-    read plus a 40-node margin, past the 30-node reach of its Green's cut
-    and end modes, so those cells get the full-grid fit's coefficients.
-    Values agree with ``transform_values`` to about 2e-7 of their
-    maximum.  Raises ValueError instead of truncating: when F has not
-    decayed at the large-|x| end, and when an output point lies off the
-    grid: |x| >= e^_LOG_HALF, or |x| below e^(reach - _LOG_HALF), with a
-    reach of 0 for kernels supported in (0, 1] and about 27.6 for hardy
+    On each grid, product integration of phi against the piecewise-linear
+    model of F(w) = f(+-e^w), read off at log|x| by a cubic spline on that
+    grid; the result is (4*T_M - T_(M/2))/3.  On a grid of n nodes the
+    kept window [n, 2n) of the convolution reads only W[1..2n-1], so a
+    circular one of length 2n against W[:2n] has no wrap-around there
+    (overlap-save).  Each spline is fitted on the cells the points read
+    plus a 40-node margin of its grid, past the 30-node reach of its
+    Green's cut and end modes, so those cells get the whole grid's fit's
+    coefficients.  On smooth decaying inputs, values agree with
+    ``transform_values`` to about 1.3e-9 of their maximum for cesaro,
+    hardy and gencesaro(2), and to about 2e-7 for gencesaro(0.5), whose
+    end singularity leaves a delta^2.5 term.  Raises ValueError instead of truncating: when F has not decayed
+    at the large-|x| end, and when an output point lies off the grid:
+    |x| >= e^_LOG_HALF, or |x| below e^(reach - _LOG_HALF), with a reach of
+    0 for kernels supported in (0, 1] and about 27.6 for hardy
     (|x| >= 4.2e-6).
     """
     d, m = _LOG_DELTA, _LOG_M
@@ -230,18 +264,21 @@ def _log_grid_transform(kernels, f_of, xs) -> list:
                 f"(|f| = {abs(F[-1]):.2e} of peak {peak:.2e}); the log "
                 f"grid would truncate it")
         # a complex F is convolved as its real and imaginary parts
-        spec = np.fft.rfft(np.stack((F.real, F.imag)) if F.imag.any() else F.real, 2 * m)
-        cells = np.clip(np.floor((s[side] - ws[0]) / d), 0, m - 2)
-        lo, hi = max(int(cells.min()) - 40, 0), min(int(cells.max()) + 42, m)
-        # one product buffer per sign; the kept window is copied out so
-        # that each full-length inverse is freed at once
-        prod = np.empty_like(spec)
-        for out, (_, _, spectrum) in zip(outs, kernels):
-            np.multiply(spec, spectrum, out=prod)
-            conv = np.fft.irfft(prod, 2 * m)[..., lo + m:hi + m].copy()
-            if conv.ndim == 2:
-                conv = conv[0] + 1j * conv[1]
-            out[side] = _spline(ws[lo], d, conv)(s[side])
+        data = np.stack((F.real, F.imag)) if F.imag.any() else F.real
+        grids = []
+        for step in (1, 2):
+            n, h = m // step, d * step
+            cells = np.clip(np.floor((s[side] - ws[0]) / h), 0, n - 2)
+            lo, hi = max(int(cells.min()) - 40, 0), min(int(cells.max()) + 42, n)
+            grids.append((n, h, lo, hi, np.fft.rfft(data[..., ::step], 2 * n)))
+        for out, (_, _, spectra) in zip(outs, kernels):
+            ts = []
+            for (n, h, lo, hi, spec), spectrum in zip(grids, spectra):
+                conv = np.fft.irfft(spec * spectrum, 2 * n)[..., lo + n:hi + n]
+                if conv.ndim == 2:
+                    conv = conv[0] + 1j * conv[1]
+                ts.append(_spline(ws[0] + h * lo, h, conv)(s[side]))
+            out[side] = (4.0 * ts[0] - ts[1]) / 3.0
     return outs
 
 

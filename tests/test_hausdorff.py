@@ -434,19 +434,42 @@ def test_log_grid_matches_adaptive(kernel, fname):
     assert np.max(np.abs(got - ref)) <= 5e-7 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("fname", sorted(LOG_GRID_CORPUS))
+@pytest.mark.parametrize("kernel, gate", [
+    (cesaro, 5e-9), (hardy_type, 5e-9), (lambda: gen_cesaro(2.0), 5e-9),
+    (lambda: gen_cesaro(0.5), 1e-6)], ids=["cesaro", "hardy", "gencesaro2", "gencesaro0.5"])
+def test_log_grid_richardson_accuracy(kernel, gate, fname):
+    # (4*T_M - T_(M/2))/3 cancels the product rule's delta^2 term: the
+    # smooth kernels read at most 1.3e-9 of the maximum; gencesaro(0.5)'s
+    # (1 - t)^(-1/2) end needs the graded end cells (1.45e-3 without them)
+    # and keeps a delta^2.5 term, 2.1e-7
+    fn = LOG_GRID_CORPUS[fname]
+    pos = np.geomspace(3e-3, 200.0, 20)
+    xs = np.concatenate([-pos[::-1], pos])
+    k = kernel()
+    got = _log_grid_one(k, fn, xs)
+    ref = transform_values(k, fn, xs, tol=1e-12)
+    assert np.max(np.abs(got - ref)) <= gate * np.max(np.abs(ref))
+
+
 def _log_grid_linear(k, fn, xs):
-    """The log-grid transform as a linear convolution of length 3M and a
-    spline fitted on the whole grid: the oracle of the circular length-2M
-    convolution and the windowed fit."""
+    """The log-grid transform as linear convolutions (lengths 3M and 3M/2)
+    and splines fitted on the whole grids, combined as (4*T_M - T_(M/2))/3:
+    the oracle of the circular length-2n convolutions and the windowed
+    fits."""
     from scipy.signal import fftconvolve
-    weights = _hat_weights(k)
     d, m = _LOG_DELTA, _LOG_M
     ws = -_LOG_HALF + d * np.arange(m)
     out = np.zeros(xs.shape, dtype=complex)
     for sign, side in ((1.0, xs > 0), (-1.0, xs < 0)):
         F = np.asarray(fn(sign * np.exp(ws)), dtype=complex)
-        conv = fftconvolve(F if F.imag.any() else F.real, weights)[m:2 * m]
-        out[side] = _spline(ws[0], d, conv)(np.log(np.abs(xs[side])))
+        data = F if F.imag.any() else F.real
+        ts = []
+        for step, weights in zip((1, 2), _hat_weights(k)):
+            n = m // step
+            conv = fftconvolve(data[::step], weights)[n:2 * n]
+            ts.append(_spline(ws[0], d * step, conv)(np.log(np.abs(xs[side]))))
+        out[side] = (4.0 * ts[0] - ts[1]) / 3.0
     return out
 
 
@@ -473,19 +496,46 @@ _HAT_KERNELS = [
 _HAT_IDS = ["cesaro", "hardy", "gencesaro2", "gencesaro0.5", "table", "truncated"]
 
 
-@pytest.mark.parametrize("kernel", _HAT_KERNELS, ids=_HAT_IDS)
+def _flat_kernel(lo, hi):
+    return Kernel(kind="flat", label="flat", fn=lambda t: np.ones_like(np.asarray(t, dtype=float)),
+                  support=(lo, hi))
+
+
+@pytest.mark.parametrize("kernel", _HAT_KERNELS + [
+    # no node inside the support: both ends' graded points share one cell
+    lambda: _flat_kernel(1.0, 1.005),
+    # far from u = 0 the end's graded points round onto common values
+    lambda: _flat_kernel(math.exp(60.0), math.exp(70.0))], ids=_HAT_IDS + ["narrow", "far"])
 def test_hat_edges_match_unique(kernel):
-    # np.unique of the support ends and the grid nodes between them is the
-    # oracle of the directly built edges
+    # np.unique of the support ends, the grid nodes between them and the
+    # graded points end -+ delta*2^-j (j = 1..40) of a finite end that fall
+    # inside its end cell is the oracle of the directly built edges
     k = kernel()
     d = _LOG_DELTA
     lo, hi = k.support
     a = max(-2.0 * _LOG_HALF, math.log(lo)) if lo > 0 else -2.0 * _LOG_HALF
     b = min(2.0 * _LOG_HALF, math.log(hi))
     nodes = d * np.arange(math.ceil(a / d), math.floor(b / d) + 1)
-    expected = np.unique(np.concatenate(([a, b], nodes)))
+    inner = nodes[(nodes > a) & (nodes < b)]
+    first, last = (inner.min(), inner.max()) if inner.size else (b, a)
+    steps = d * 0.5 ** np.arange(1, 41)
+    graded = np.concatenate([a + steps if lo > 0 and a == math.log(lo) else [],
+                             b - steps if b == math.log(hi) else []])
+    graded = graded[((graded > a) & (graded < first)) | ((graded > last) & (graded < b))]
+    expected = np.unique(np.concatenate(([a, b], nodes, graded)))
     got = _hat_edges(k)
     assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_hat_edges_grade_finite_ends_only():
+    # cesaro's finite end u = 0 is graded down to delta*2^-40; the clipped
+    # end -2*_LOG_HALF is not
+    d = _LOG_DELTA
+    edges = _hat_edges(cesaro())
+    assert edges[-1] == 0.0 and edges[-2] == -d * 2.0 ** -40
+    assert np.array_equal(edges[:3], [-2.0 * _LOG_HALF, -2.0 * _LOG_HALF + d,
+                                      -2.0 * _LOG_HALF + 2 * d])
+    assert edges.size == 2 * _LOG_HALF / d + 1 + 40
 
 
 def _hat_weights_out_of_place(k):
@@ -494,35 +544,39 @@ def _hat_weights_out_of_place(k):
     d, m = _LOG_DELTA, _LOG_M
     edges = _hat_edges(k)
     left, width = edges[:-1], np.diff(edges)
-    cell = np.floor(left / d)
     gx, gw = np.polynomial.legendre.leggauss(8)
     u = left[:, None] + 0.5 * width[:, None] * (gx + 1.0)
     mass = 0.5 * width[:, None] * gw * eval_kernel(k, np.exp(u))
-    frac = u / d - cell[:, None]
-    idx = cell.astype(int) + m
-    return (np.bincount(idx, np.sum(mass * (1.0 - frac), axis=1), minlength=2 * m + 1)
-            + np.bincount(idx + 1, np.sum(mass * frac, axis=1), minlength=2 * m + 1))
+    out = []
+    for h, n in ((d, m), (2.0 * d, m // 2)):
+        cell = np.floor(left / h)
+        frac = u / h - cell[:, None]
+        idx = cell.astype(int) + n
+        out.append(np.bincount(idx, np.sum(mass * (1.0 - frac), axis=1), minlength=2 * n + 1)
+                   + np.bincount(idx + 1, np.sum(mass * frac, axis=1), minlength=2 * n + 1))
+    return tuple(out)
 
 
 @pytest.mark.parametrize("kernel", _HAT_KERNELS, ids=_HAT_IDS)
 def test_hat_weights_in_place_match_out_of_place_bitwise(kernel):
     k = kernel()
     got = _hat_weights(k)
-    assert np.array_equal(got, _hat_weights_out_of_place(k))
-    assert np.any(got)
+    for w, ref in zip(got, _hat_weights_out_of_place(k), strict=True):
+        assert np.array_equal(w, ref)
+        assert np.any(w)
 
 
 def test_log_grid_hat_weights_closed_forms():
-    d, m = _LOG_DELTA, _LOG_M
-    idx = np.arange(1, m - 1)  # away from the grid ends
-    ces = _hat_weights(cesaro())
-    assert np.max(np.abs(ces[m - idx] - d)) <= 1e-12
-    assert abs(ces[m] - d / 2) <= 1e-12
-    assert np.all(ces[m + 1:] == 0.0)
-    har = _hat_weights(hardy_type())
-    exact = np.exp(-idx * d) * 2.0 * (math.cosh(d) - 1.0) / d
-    assert np.max(np.abs(har[m + idx] - exact)) <= 1e-12
-    assert np.all(har[:m] == 0.0)
+    # both grids: M nodes at spacing delta, and the half grid's M/2 at 2*delta
+    grids = ((_LOG_DELTA, _LOG_M), (2.0 * _LOG_DELTA, _LOG_M // 2))
+    for (h, m), ces, har in zip(grids, _hat_weights(cesaro()), _hat_weights(hardy_type())):
+        idx = np.arange(1, m - 1)  # away from the grid ends
+        assert np.max(np.abs(ces[m - idx] - h)) <= 1e-12
+        assert abs(ces[m] - h / 2) <= 1e-12
+        assert np.all(ces[m + 1:] == 0.0)
+        exact = np.exp(-idx * h) * 2.0 * (math.cosh(h) - 1.0) / h
+        assert np.max(np.abs(har[m + idx] - exact)) <= 1e-12
+        assert np.all(har[:m] == 0.0)
 
 
 def test_log_grid_guards():

@@ -374,8 +374,9 @@ def test_commutation_shares_work(monkeypatch):
     kernels, fs = (cesaro(), hardy_type()), _corpus(1 << 10)
     rep = commutation_check(kernels, fs, 2.0)
     assert len(rep.rows) == len(kernels) * len(fs)
-    # one H f per function, one H(T f) per pair; hat weights per kernel;
-    # all 6 transforms run on one grid, so its plan is built once
+    # one H f per function, one H(T f) per pair; hat weights per kernel,
+    # one call for both log grids; all 6 transforms run on one grid, so
+    # its plan is built once
     assert len(hwt) == len(fs) + len(kernels) * len(fs) == 6
     assert len(hat) == len(kernels)
     assert len(sums) == 1
