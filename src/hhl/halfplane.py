@@ -40,7 +40,13 @@ class HoloFunction:
     axis and may be evaluated at Im z = 0; ``tail_power`` gives the decay
     |f(x+iy)| ~ C|x|^-s along slices when known; ``feature_scale`` is the
     smallest lateral width the modulus varies on (used to grade panels);
-    ``even_slice_modulus`` marks |f(-x+iy)| = |f(x+iy)|.
+    ``even_slice_modulus`` marks the reflection symmetry
+    f(-conj z) = c conj f(z) with one constant |c| = 1 (e^(-i pi beta) for
+    a Cayley power, 1 for the inverse square), so |f(-x+iy)| = |f(x+iy)|
+    and a slice norm may integrate x > 0 only.  A modulus that is merely
+    even would not do: the averaging transform keeps the symmetry (a real
+    kernel averages c conj f(z/t) to c conj T f(z)), so the image's flag
+    and the boundary identity's difference rely on it.
     """
 
     boundary_ok: bool = False
@@ -103,43 +109,47 @@ def _cayley_powers(z, members) -> np.ndarray:
     the phase e^(i phi), phi = -beta arg zeta, from the one tangent
     h = tan(phi/2) as ((1 - h^2) + 2ih) / (1 + h^2).  Where |h| > 1 the
     same formula runs in 1/h, which flips the sign of the real part, so h^2
-    cannot overflow at the tangent's pole (phi = -pi).  |zeta| and arg zeta
-    are computed once per distinct sigma.  A member with |phi/2| <= 0.78 <
-    pi/4 everywhere cannot flip and skips the test, in reused buffers.  Each
-    member's transcendentals run on contiguous arrays of z's shape, so a
-    member's values do not depend on the others in the family.  Non-finite
-    values (|zeta| beyond double range, where it underflowed) become zero.
+    cannot overflow at the tangent's pole (phi = -pi); both flips run in
+    place, on the entries that need them.  |zeta| and arg zeta are
+    computed once per distinct sigma.  A member with |phi/2| <= 0.78 <
+    pi/4 everywhere cannot flip and skips the test.  Each member's
+    transcendentals run on contiguous arrays of z's shape, in buffers
+    reused across members, so a member's values do not depend on the
+    others in the family.  Non-finite values (|zeta| beyond double range,
+    where it underflowed) become zero; with every arg zeta and every
+    |zeta|^-beta finite, so is every value, and no scan is needed.
     """
     zs = np.asarray(z, dtype=complex)
     out = np.empty(zs.shape + (len(members),), dtype=complex)
     hb, h2b, reb, rb = (np.empty(zs.shape) for _ in range(4))
+    finite = True
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for sigma in dict.fromkeys(s for _, s in members):
             zeta = zs + 1j * sigma
             mod = np.abs(zeta)
             theta = np.arctan2(zeta.imag, zeta.real)
             tmax = np.abs(theta).max(initial=0.0)  # NaN if any theta is
+            finite = finite and bool(np.isfinite(tmax))
             for j, (beta, s) in enumerate(members):
                 if s != sigma:
                     continue
-                if 0.5 * beta * tmax <= 0.78:
-                    h = np.tan(np.multiply(theta, -0.5 * beta, out=hb), out=hb)
-                    re = np.subtract(1.0, np.multiply(h, h, out=h2b), out=reb)
-                    den = np.add(h2b, 1.0, out=h2b)
-                else:
-                    h = np.tan((-0.5 * beta) * theta)
-                    flip = np.abs(h) > 1.0
-                    h = np.where(flip, 1.0 / h, h)
-                    h2 = h * h
-                    den = 1.0 + h2
-                    re = np.where(flip, h2 - 1.0, 1.0 - h2)
+                h = np.tan(np.multiply(theta, -0.5 * beta, out=hb), out=hb)
+                flip = None
+                if not 0.5 * beta * tmax <= 0.78:
+                    flip = np.abs(h, out=h2b) > 1.0
+                    np.divide(1.0, h, out=h, where=flip)
+                re = np.subtract(1.0, np.multiply(h, h, out=h2b), out=reb)
+                den = np.add(h2b, 1.0, out=h2b)
+                if flip is not None:
+                    np.negative(re, out=re, where=flip)
                 re /= den
                 h += h
                 h /= den
                 r = np.power(mod, -beta, out=rb)
+                finite = finite and bool(np.isfinite(r.max(initial=0.0)))
                 np.multiply(r, re, out=out[..., j].real)
                 np.multiply(r, h, out=out[..., j].imag)
-    if np.isfinite(out).all():
+    if finite:
         return out
     return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
 

@@ -518,7 +518,10 @@ def boundary_identity_check(k: Kernel, f: HoloFunction, p: float, y_seq,
     sequence; passes when e(y) decreases strictly and the final value is
     below 1e-3 relative to |f*|_p.  Each height integrates over dyadic
     panels graded from a power of two, so the heights share abscissas,
-    and T(f*) is computed once per abscissa for the whole call.  The
+    and T(f*) is computed once per abscissa for the whole call.  When f
+    has ``even_slice_modulus`` (f(-conj z) = c conj f(z), |c| = 1), so
+    does every dilation average of f and of f*, so the difference's
+    modulus is even in x: e(y) integrates x > 0 only and doubles.  The
     errors decay about linearly in y, so the sequence must reach y ~ 1e-4
     for the built-in pairs to certify the limit at that threshold.  Note
     the identity is a limit statement only: at fixed y the slice of the
@@ -556,7 +559,8 @@ def boundary_identity_check(k: Kernel, f: HoloFunction, p: float, y_seq,
             return transform_values(k, f.eval_batch, xs + 1j * yy, tol=tol) \
                 - boundary_of(xs)
 
-        errs.append(lp_norm_function(diff, p, L, scale, tol=tol))
+        errs.append(lp_norm_function(diff, p, L, scale, tol=tol,
+                                     even_modulus=f.even_slice_modulus))
     rows = []
     for (y, e), nxt in zip(zip(ys, errs), list(errs[1:]) + [None]):
         decreasing = nxt is None or e > nxt

@@ -88,6 +88,26 @@ def test_sa_real_input_stays_real_bit_for_bit(kernel):
         assert real.tobytes() == cast.real.tobytes(), name
 
 
+@pytest.mark.parametrize("kernel", [cesaro, lambda: gen_cesaro(2.0)],
+                         ids=["cesaro", "gencesaro2"])
+def test_sa_values_order_and_grouping(kernel):
+    # 1,500 points run as three schedules of at most 512 sorted points;
+    # a permuted input gives the permuted output bit for bit
+    k = kernel()
+    xs = -64.0 + 128.0 / 1500 * (np.arange(1500) + 0.5)
+    (_, fn), = [c for c in bmo_corpus(64.0, 1500) if c[0] == "clipped-log"]
+    widths = []
+
+    def f_of(x):
+        widths.append(x.shape[1])
+        return fn(x)
+
+    out = _sa_values(k, f_of, xs, 1e-9)
+    assert max(widths) == 512
+    perm = np.random.default_rng(5).permutation(xs.size)
+    assert _sa_values(k, fn, xs[perm], 1e-9).tobytes() == out[perm].tobytes()
+
+
 def test_sa_moment_matches_reciprocal_moment():
     for a in (cesaro(), hardy_type()):
         for p in (2.0, 4.0):

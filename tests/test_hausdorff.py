@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hhl.halfplane import CayleyFamily, CayleyPower, InverseSquare, hardy_norm, slice_norm
+from hhl.halfplane import (CayleyFamily, CayleyPower, HoloFunction, InverseSquare,
+                           hardy_norm, slice_norm)
 from scipy.special import erf, exp1
 
 from hhl.hausdorff import (_LOG_DELTA, _LOG_HALF, _LOG_M, KernelImage, SweepResult,
@@ -336,6 +337,70 @@ def test_boundary_identity_transforms_each_abscissa_once(name, monkeypatch):
     assert np.unique(xs).size == xs.size
     ref = exact(xs)
     assert np.max(np.abs(vals - ref) / np.abs(ref)) <= 1e-9
+
+
+class _BothSides(HoloFunction):
+    """f with ``even_slice_modulus`` off: its norms integrate both sides."""
+
+    def __init__(self, f):
+        self.f = f
+        self.boundary_ok, self.tail_power = f.boundary_ok, f.tail_power
+        self.feature_scale = f.feature_scale
+
+    def eval_batch(self, z):
+        return self.f.eval_batch(z)
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_CLOSED))
+def test_boundary_identity_integrates_the_half_line(name, monkeypatch):
+    # the difference's modulus is even in x, so only x > 0 is transformed,
+    # and each e(y) is that of integrating both half-lines
+    from hhl import hausdorff
+    kernel, f, p, _ = BOUNDARY_CLOSED[name]
+    ys = (0.5, 0.1, 0.02, 2e-3, 2e-4, 2e-5)
+    seen = []
+    real = hausdorff.transform_values
+
+    def spy(k, f_of, zs, *args, **kwargs):
+        seen.append(np.real(zs).min())
+        return real(k, f_of, zs, *args, **kwargs)
+
+    monkeypatch.setattr(hausdorff, "transform_values", spy)
+    half = boundary_identity_check(kernel(), f, p, ys, L=64.0)
+    assert seen and min(seen) > 0
+    monkeypatch.setattr(hausdorff, "transform_values", real)
+    both = boundary_identity_check(kernel(), _BothSides(f), p, ys, L=64.0)
+    assert half.passed and both.passed
+    np.testing.assert_allclose(half.environment["errors"],
+                               both.environment["errors"], rtol=1e-10, atol=0)
+
+
+def _reflection_cases():
+    """(f, c) with f(-conj z) = c conj f(z), c a constant per member."""
+    bases = [(f"CayleyPower({b:g}, {s:g})", CayleyPower(b, s), np.exp(-1j * np.pi * b))
+             for b, s in ((0.27, 1.0), (1.0, 1.0), (1.9, 1.0), (0.27, 0.0))]
+    fam = CayleyFamily((CayleyPower(0.52, 1.0), CayleyPower(1.4, 0.5),
+                        CayleyPower(2.0, 1.0)))
+    bases.append(("CayleyFamily", fam, np.exp(-1j * np.pi * fam.tail_power)))
+    bases.append(("InverseSquare", InverseSquare(), 1.0))
+    images = [(f"{k.label} of {label}", KernelImage(kernel=k, base=f), c)
+              for k in (cesaro(), hardy_type(), gen_cesaro(2.0))
+              for label, f, c in bases]
+    return [pytest.param(f, c, id=label) for label, f, c in bases + images]
+
+
+@pytest.mark.parametrize("f, c", _reflection_cases())
+def test_reflection_symmetry(f, c):
+    # the contract behind even_slice_modulus: f(-conj z) / conj f(z) is one
+    # unimodular constant, e^(-i pi beta) per Cayley member, kept by T
+    assert f.even_slice_modulus
+    rng = np.random.default_rng(3)
+    zs = rng.uniform(-5.0, 5.0, 12) + 1j * rng.uniform(0.05, 3.0, 12)
+    if f.boundary_ok:
+        zs = np.concatenate([zs, rng.uniform(-5.0, 5.0, 4)])
+    vals = f.eval_batch(zs)
+    ratio = f.eval_batch(-zs.conj()) / vals.conj()
+    assert np.max(np.abs(ratio - c)) <= 1e-12
 
 
 @pytest.mark.parametrize("kernel", [cesaro, hardy_type, lambda: gen_cesaro(2.0)],
