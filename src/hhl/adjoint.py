@@ -16,8 +16,9 @@ import math
 
 import numpy as np
 
-from .kernels import Kernel, eval_kernel
-from .quadrature import integrate_halfline
+from .hausdorff import transform_values
+from .kernels import Kernel, eval_kernel, moment_exponent
+from .quadrature import geometric_panels, integrate_batched, integrate_halfline
 from .realline import SampledLine, eval_at, lp_norm
 
 __all__ = [
@@ -35,7 +36,6 @@ _GROUP = 512
 def sa_moment(a: Kernel, p: float, tol: float = 1e-9):
     """integral of t^(-1/p) a(t) dt: the sharp constant of S_a on the
     p-scale; equals the p-moment of the reciprocal kernel."""
-    from .kernels import moment_exponent
     s = 0.0 if math.isinf(p) else 1.0 / p
     return moment_exponent(a, 1.0 - s, tol=tol)
 
@@ -94,8 +94,6 @@ def duality_residual(k: Kernel, f: SampledLine, g: SampledLine, p,
     # each side pairs its own transform (computed pointwise at graded
     # panel nodes, never at x = 0 where the transform can carry a log
     # point) against the other function; the two quadratures share nothing
-    from .hausdorff import transform_values
-    from .quadrature import geometric_panels, integrate_batched
     L = f.L
     panels = geometric_panels(1e-6, L)
 

@@ -107,6 +107,13 @@ class RunConfig:
         return cls(**raw)
 
 
+# pairwise-ratio corridor for the H1 characterizations, frozen after one
+# calibration run over the seeded atom corpus (seed 20240811: observed
+# range 0.24 .. 4.51, worst case the raw haar atom's proxy ratio); the
+# equivalences guarantee some corridor exists, not its value
+RATIO_CORRIDOR = (0.05, 20.0)
+
+
 def _decreasing(seq) -> bool:
     """Non-empty and strictly decreasing."""
     return len(seq) > 0 and all(a > b for a, b in zip(seq, seq[1:]))
@@ -115,8 +122,7 @@ def _decreasing(seq) -> bool:
 def _row(suite, check, anchor, computed, predicted, residual, tol):
     return CheckRow(suite=suite, check=check, anchor=anchor,
                     computed=computed, predicted=predicted,
-                    residual=float(residual), tol=float(tol),
-                    passed=bool(residual <= tol))
+                    residual=float(residual), tol=float(tol))
 
 
 def _closed_moment(kind: str, alpha: float | None, p: float) -> float:
@@ -195,16 +201,20 @@ def suite_norm(config: RunConfig) -> VerificationReport:
 
 
 def suite_boundary(config: RunConfig) -> VerificationReport:
-    """Boundary-value identity for the two reference pairs."""
-    reports = []
+    """Boundary-value identity for the two reference pairs: e(y) falls
+    strictly with y, and the last e(y) is below 1e-3 of |f*|_p."""
+    rows = []
     for k, f, p in ((cesaro(), InverseSquare(), 1.0),
                     (hardy_type(), CayleyPower(1.0, 1.0), 2.0)):
-        reports.append(boundary_identity_check(k, f, p, config.y_seq, L=config.L))
-    rows = []
-    for rep in reports:
-        label = rep.environment["kernel"]
-        for r in rep.rows:
-            rows.append(replace(r, check=f"{label}: {r.check}"))
+        errs, f_norm = boundary_identity_check(k, f, p, config.y_seq, L=config.L)
+        for y, e, nxt in zip(config.y_seq, errs, errs[1:] + [None]):
+            decreasing = nxt is None or e > nxt
+            rows.append(_row("boundary", f"{k.label}: e(y={y:g}) decreasing",
+                             "boundary-limit", e, "decreasing in y",
+                             0.0 if decreasing else 1.0, 0.5))
+        final = errs[-1] / f_norm
+        rows.append(_row("boundary", f"{k.label}: final relative error",
+                         "boundary-limit", final, 0.0, final, 1e-3))
     return VerificationReport(suite="boundary", rows=rows,
                               environment={"y_seq": list(config.y_seq)})
 
@@ -254,8 +264,12 @@ def suite_commute(config: RunConfig) -> VerificationReport:
     corpus geometry is pinned here.
     """
     L, N = 64.0, 1 << 14
-    rep = commutation_check((cesaro(), hardy_type()), _line_corpus(L, N), 2.0)
-    return VerificationReport(suite="commute", rows=rep.rows,
+    kernels, fs = (cesaro(), hardy_type()), _line_corpus(L, N)
+    residuals = commutation_check(kernels, fs, 2.0)
+    rows = [_row("commute", f"{k.label} on {f.label}", "hilbert-commutation",
+                 r, 0.0, r, 1e-5)
+            for k, per_k in zip(kernels, residuals) for f, r in zip(fs, per_k)]
+    return VerificationReport(suite="commute", rows=rows,
                               environment={"L": L, "N": N})
 
 
@@ -279,7 +293,7 @@ def suite_h1(config: RunConfig) -> VerificationReport:
                          sweep.quotients[-1], 0.0, sweep.quotients[-1], 5e-2))
 
     rng = np.random.default_rng(config.seed)
-    lo, hi = hardy_bmo.RATIO_CORRIDOR
+    lo, hi = RATIO_CORRIDOR
     corpus = [_random_decomposition(rng) for _ in range(3)]
     for i, rep in enumerate(hardy_bmo.h1_report(corpus, L=config.L, N=config.N)):
         ratios = rep.ratios().values()
@@ -304,9 +318,23 @@ def _random_decomposition(rng) -> "hardy_bmo.AtomicDecomposition":
 
 
 def suite_bmo(config: RunConfig) -> VerificationReport:
-    """BMO boundedness rows for the transform and its companion."""
+    """BMO boundedness rows for the transform and its companion: each
+    output's BMO norm at most 1.05 times its bound (5% discretization
+    slack); 0 when both vanish."""
     k = config.make_kernel()
-    return hardy_bmo.bmo_bound_check(k, L=config.L, N=min(config.N, 1 << 12))
+    L, N = config.L, min(config.N, 1 << 12)
+    m_T, m_S, measured = hardy_bmo.bmo_bound_check(k, L=L, N=N)
+    rows = []
+    for op, name, on, bound in measured:
+        resid = 0.0 if bound == 0 and on <= 1e-12 else \
+            (on / bound if bound > 0 else math.inf)
+        rows.append(_row("bmo", f"{op} on {name}", f"bmo-{op}", on, bound,
+                         resid, 1.05))
+    return VerificationReport(
+        suite="bmo", rows=rows,
+        environment={"kernel": k.label, "L": L, "N": N,
+                     "depth": hardy_bmo.BMO_DEPTH, "reciprocal_mass": m_T,
+                     "mass": m_S})
 
 
 def suite_adjoint(config: RunConfig) -> VerificationReport:
@@ -376,7 +404,7 @@ def _error_report(name: str, exc: Exception, config: RunConfig) -> VerificationR
     message = re.sub(r" at 0x[0-9a-fA-F]+", "", str(exc))
     row = CheckRow(suite=name, check="suite raised", anchor="harness",
                    computed=f"{type(exc).__name__}: {message}",
-                   predicted="no exception", residual=1.0, tol=0.5, passed=False)
+                   predicted="no exception", residual=1.0, tol=0.5)
     return VerificationReport(suite=name, rows=[row],
                               environment={"seed": config.seed})
 

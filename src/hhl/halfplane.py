@@ -214,7 +214,7 @@ class InverseSquare(HoloFunction):
 class HardyNormEstimate:
     """Slice norms over a decreasing y-grid and their supremum.
 
-    ``monotone`` records whether the norms were nondecreasing as y
+    ``monotone`` tells whether the norms were nondecreasing as y
     decreased (the classical behavior; it justifies reading the maximum
     as the norm).  ``finite`` is False when some slice diverged.
     """
@@ -222,14 +222,24 @@ class HardyNormEstimate:
     p: float
     slice_heights: tuple
     slice_norms: tuple
-    estimate: float
-    monotone: bool
-    finite: bool = True
 
     def __post_init__(self):
         hs = self.slice_heights
         if any(hs[i] <= hs[i + 1] for i in range(len(hs) - 1)):
             raise ValueError("slice heights must be strictly decreasing")
+
+    @property
+    def estimate(self) -> float:
+        return max(self.slice_norms)
+
+    @property
+    def finite(self) -> bool:
+        return all(math.isfinite(v) for v in self.slice_norms)
+
+    @property
+    def monotone(self) -> bool:
+        ns = self.slice_norms
+        return all(ns[i] <= ns[i + 1] * (1.0 + 1e-8) for i in range(len(ns) - 1))
 
 
 def slice_norm(f: HoloFunction, y: float, p: float, L: float,
@@ -263,17 +273,10 @@ def hardy_norm(f: HoloFunction, p: float, y_grid=(1.0, 0.5, 0.1, 0.05, 0.01),
     which case the supremum is attained there exactly.
     """
     ys = tuple(float(y) for y in y_grid)
-    if any(ys[i] <= ys[i + 1] for i in range(len(ys) - 1)):
-        raise ValueError("y_grid must be strictly decreasing")
-    norms = []
-    for y in ys:
-        norms.append(slice_norm(f, y, p, L, tol=tol))
-    finite = all(math.isfinite(v) for v in norms)
-    estimate = max(norms)
-    monotone = all(norms[i] <= norms[i + 1] * (1.0 + 1e-8)
-                   for i in range(len(norms) - 1))
-    return HardyNormEstimate(p=p, slice_heights=ys, slice_norms=tuple(norms),
-                             estimate=estimate, monotone=monotone, finite=finite)
+    if not ys or any(ys[i] <= ys[i + 1] for i in range(len(ys) - 1)):
+        raise ValueError("y_grid must be non-empty and strictly decreasing")
+    norms = tuple(slice_norm(f, y, p, L, tol=tol) for y in ys)
+    return HardyNormEstimate(p=p, slice_heights=ys, slice_norms=norms)
 
 
 # ---------------------------------------------------------------------------

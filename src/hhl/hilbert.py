@@ -38,7 +38,6 @@ from .hausdorff import _log_grid_kernel, _log_grid_transform
 from .kernels import moment
 from .quadrature import integrate, integrate_batched, integrate_halfline
 from .realline import SampledLine, _spline, eval_at, lp_norm
-from .report import CheckRow, VerificationReport
 
 __all__ = [
     "EdgeDecayWarning",
@@ -491,10 +490,10 @@ def _commute_gap(t_hf, tf_vals, f: SampledLine, p: float) -> float:
     return float(np.sum(diff ** p) * f.h) ** (1.0 / p)
 
 
-def commutation_check(kernels, fs, p: float = 2.0) -> VerificationReport:
+def commutation_check(kernels, fs, p: float = 2.0) -> list:
     """Residual of T_phi(H f) = H(T_phi f) relative to |f|_p for every
-    kernel in ``kernels`` and function in ``fs``, in kernel-major rows that
-    pass below 1e-5.
+    kernel in ``kernels`` and function in ``fs``: kernel-major, one list
+    per kernel of one residual per function.
 
     Both compositions run on a window four times wider (same spacing),
     with the slow tails of every intermediate carried by fitted
@@ -527,9 +526,4 @@ def commutation_check(kernels, fs, p: float = 2.0) -> VerificationReport:
         den = lp_norm(f, p)
         residuals.append([_commute_gap(t_hf, tf_vals, f, p) / den
                           for t_hf, tf_vals in zip(*_commute_legs(weighted, f))])
-    rows = [CheckRow(suite="commute", check=f"{k.label} on {f.label or 'input'}",
-                     anchor="hilbert-commutation", computed=r, predicted=0.0,
-                     residual=r, tol=1e-5, passed=bool(r < 1e-5))
-            for k, per_k in zip(kernels, zip(*residuals)) for f, r in zip(fs, per_k)]
-    return VerificationReport(suite="commute", rows=rows, environment={
-        "kernels": [k.label for k in kernels], "p": p, "window_factor": 4})
+    return [list(per_k) for per_k in zip(*residuals)]

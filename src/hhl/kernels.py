@@ -261,7 +261,7 @@ def cumulative_moment(k: Kernel, s: float, xs: np.ndarray,
         else:
             bounded.append((i, a, b))
     if bounded:
-        firsts, _ = _panel_batch(g, [(a, b) for _, a, b in bounded])
+        firsts = _panel_batch(g, [(a, b) for _, a, b in bounded])
         budget = eval_budget()
         for (i, a, b), first in zip(bounded, firsts):
             pieces[i] = float(first[0] if first[1] <= tol else

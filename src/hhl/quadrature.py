@@ -329,7 +329,7 @@ def _bisect(g, seeds, tol: float, budget: int) -> QuadResult:
                         split.append((ca, cb))
                 halves = [h for ja, jb in split
                           for h in ((ja, 0.5 * (ja + jb)), (0.5 * (ja + jb), jb))]
-                estimates, _ = _panel_batch(g, halves)
+                estimates = _panel_batch(g, halves)
                 ahead.update(zip(split, zip(estimates[::2], estimates[1::2])))
             (v1, e1), (v2, e2) = ahead.pop((ia, ib))
         evals += 2 * _EVALS_PER_PANEL
@@ -568,7 +568,7 @@ def geometric_panels(scale: float, outer: float):
 
 def _panel_batch(g_batch, pending):
     """Embedded-rule (value, error) of every panel in ``pending`` from one
-    call of ``g_batch``; also returns the abscissa count."""
+    call of ``g_batch``."""
     mids = np.array([0.5 * (a + b) for a, b in pending])
     halfs = np.array([0.5 * (b - a) for a, b in pending])
     xs = (mids[:, None] + halfs[:, None] * _NODES[None, :]).ravel()
@@ -579,7 +579,7 @@ def _panel_batch(g_batch, pending):
     parts = vals.reshape(*shape, *vals.shape[1:])
     if w is not None:
         parts = zip(np.reshape(w, shape), parts)
-    return [_embedded(part, half) for part, half in zip(parts, halfs)], xs.size
+    return [_embedded(part, half) for part, half in zip(parts, halfs)]
 
 
 def integrate_batched(g_batch, panels, tol: float = 1e-9,
@@ -602,6 +602,6 @@ def integrate_batched(g_batch, panels, tol: float = 1e-9,
     if _EVALS_PER_PANEL * len(intervals) > budget:
         raise BudgetError(f"budget {budget} is below {len(intervals)} first panels",
                           QuadResult(0.0, math.inf, 0))
-    estimates, _ = _panel_batch(g_batch, intervals)
+    estimates = _panel_batch(g_batch, intervals)
     return _bisect(g_batch, [(a, b, v, e) for (a, b), (v, e)
                              in zip(intervals, estimates)], tol, budget)

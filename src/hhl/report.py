@@ -1,7 +1,8 @@
 """Structured verification reports and their CSV/JSON emission.
 
 A report is a list of check rows, each pairing a computed quantity with
-its predicted value, a residual, and a pass flag.  Emission is canonical:
+its predicted value, a residual and a tolerance; a row passes when its
+residual is at most its tolerance.  Emission is canonical:
 rows are sorted by (suite, check), floats serialized via repr, and the
 JSON output contains no timing so identical runs are byte-identical.
 """
@@ -40,13 +41,11 @@ class CheckRow:
     predicted: object
     residual: float
     tol: float
-    passed: bool
 
-    def __post_init__(self):
-        if bool(self.passed) != bool(self.residual <= self.tol):
-            raise ValueError(
-                f"row {self.suite}/{self.check}: pass flag must equal "
-                f"residual <= tol ({self.residual} vs {self.tol})")
+    @property
+    def passed(self) -> bool:
+        """The one gate: a residual at its tolerance passes, NaN fails."""
+        return bool(self.residual <= self.tol)
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Acceptance gate: the eight top-level criteria.
 
 Each test prints one PASS/FAIL line; tolerances are pinned here and match
-the library's frozen calibration constants.  Runtime targets: criterion 1
+the gates the harness (``hhl.cli``) applies to the library's measurements.  Runtime targets: criterion 1
 within two minutes, 3/4/6 within a minute each, the whole module well
 under ten.
 """
@@ -11,11 +11,11 @@ import time
 
 import numpy as np
 
-from hhl.cli import RunConfig, run_suites
+from hhl.cli import RATIO_CORRIDOR, RunConfig, run_suites
 from hhl.halfplane import CayleyPower, InverseSquare
 from hhl.hausdorff import (boundary_identity_check, lp_lower_bound_sweep,
                            norm_lower_bound_sweep)
-from hhl.hardy_bmo import bmo_bound_check, h1_lowerbound_check, h1_report, RATIO_CORRIDOR
+from hhl.hardy_bmo import bmo_bound_check, h1_lowerbound_check, h1_report
 from hhl.hilbert import commutation_check, hilbert
 from hhl.kernels import (adjoint_kernel, cesaro, gen_cesaro, hardy_type,
                          moment)
@@ -75,12 +75,11 @@ def test_criterion_3_boundary_identity():
     for name, k, f, p in (("cesaro/(z+i)^-2 p=1", cesaro(), InverseSquare(), 1.0),
                           ("hardy/(z+i)^-1 p=2", hardy_type(),
                            CayleyPower(1.0, 1.0), 2.0)):
-        rep = boundary_identity_check(k, f, p, Y_SEQ)
-        errs = rep.environment["errors"]
+        errs, f_norm = boundary_identity_check(k, f, p, Y_SEQ)
         strictly = all(a > b for a, b in zip(errs, errs[1:]))
-        final = [r for r in rep.rows if r.check == "final relative error"][0]
-        ok &= strictly and rep.passed
-        details.append(f"{name}: final rel={final.computed:.1e}")
+        final = errs[-1] / f_norm
+        ok &= strictly and final <= 1e-3
+        details.append(f"{name}: final rel={final:.1e}")
     elapsed = time.time() - t0
     ok &= elapsed <= 60.0
     _verdict("criterion 3: boundary identity", ok,
@@ -97,9 +96,9 @@ def test_criterion_4_commutation():
     ]
     fs = [SampledLine.from_function(fn, 64.0, 1 << 14, tail_power=tp, label=fname)
           for fname, fn, tp in corpus]
-    rep = commutation_check((cesaro(), hardy_type()), fs, 2.0)
-    worst = max(r.residual for r in rep.rows)
-    ok = len(rep.rows) == 6 and worst < 1e-5
+    residuals = commutation_check((cesaro(), hardy_type()), fs, 2.0)
+    worst = max(max(per_k) for per_k in residuals)
+    ok = [len(per_k) for per_k in residuals] == [3, 3] and worst <= 1e-5
     elapsed = time.time() - t0
     ok &= elapsed <= 90.0
     _verdict("criterion 4: Hilbert commutation", ok,
@@ -197,9 +196,10 @@ def test_criterion_7_property_suites():
     ok &= worst_eq < 1e-8
     details.append(f"companion-equiv={worst_eq:.1e}")
 
-    # BMO rows with 5% slack
-    bmo_ok = all(bmo_bound_check(k, N=1 << 10).passed
-                 for k in (cesaro(), hardy_type()))
+    # BMO bounds with 5% slack, or both norms vanish
+    bmo_ok = all(on / bound <= 1.05 if bound > 0 else on <= 1e-12
+                 for k in (cesaro(), hardy_type())
+                 for _, _, on, bound in bmo_bound_check(k, N=1 << 10)[2])
     ok &= bmo_ok
     details.append(f"bmo={'ok' if bmo_ok else 'FAIL'}")
 

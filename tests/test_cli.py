@@ -42,15 +42,38 @@ def test_config_rejects_unknown_fields(tmp_path):
         RunConfig.from_json(path)
 
 
-def test_checkrow_invariant():
-    with pytest.raises(ValueError):
-        CheckRow(suite="s", check="c", anchor="a", computed=1.0, predicted=1.0,
-                 residual=2.0, tol=1.0, passed=True)
+def test_checkrow_passes_at_and_below_tol():
+    def row(residual):
+        return CheckRow(suite="s", check="c", anchor="a", computed=1.0,
+                        predicted=1.0, residual=residual, tol=1.0)
+
+    assert row(0.5).passed and row(1.0).passed
+    assert not row(math.nextafter(1.0, 2.0)).passed
+    assert not row(2.0).passed and not row(math.nan).passed
+
+
+def test_rows_exactly_at_their_gate_pass(monkeypatch):
+    # the harness owns the gates: a commute residual of exactly 1e-5 and a
+    # final boundary error of exactly 1e-3 of |f*|_p both pass
+    monkeypatch.setattr(cli, "commutation_check",
+                        lambda kernels, fs, p: [[1e-5] * len(fs) for _ in kernels])
+    monkeypatch.setattr(cli, "boundary_identity_check",
+                        lambda k, f, p, ys, L: ([2.0 ** -i for i in range(len(ys) - 1)]
+                                                + [1e-3], 1.0))
+    for name in ("commute", "boundary"):
+        rep = run_suite(name, RunConfig())
+        gated = [r for r in rep.rows if r.tol in (1e-5, 1e-3)]
+        assert len(gated) == {"commute": 6, "boundary": 2}[name]
+        assert all(r.residual == r.tol for r in gated)
+        assert rep.passed
+    # commute rows come kernel-major, named after kernel and function
+    assert [r.check for r in run_suite("commute", RunConfig()).rows] == [
+        f"{k} on {f}" for k in ("cesaro", "hardy") for f in ("gauss", "xgauss", "P1diff")]
 
 
 def test_emit_csv_and_json_roundtrip(tmp_path):
     rows = [CheckRow(suite="demo", check=f"row{i}", anchor="x", computed=1.0,
-                     predicted=1.0, residual=0.0, tol=1.0, passed=True)
+                     predicted=1.0, residual=0.0, tol=1.0)
             for i in range(3)]
     rep = VerificationReport(suite="demo", rows=rows, environment={"n": 3},
                              wall_time_s=1.23)

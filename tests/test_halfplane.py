@@ -231,6 +231,13 @@ def test_hardy_norm_flags_divergence():
     assert not est.finite
 
 
+@pytest.mark.parametrize("y_grid", [(), (0.1, 0.5), (0.5, 0.5)])
+def test_hardy_norm_rejects_bad_grid(y_grid):
+    # an empty grid would leave the estimate, a max over no slices, undefined
+    with pytest.raises(ValueError, match="y_grid"):
+        hardy_norm(CayleyPower(1.0, 1.0), 2.0, y_grid=y_grid)
+
+
 def test_vertical_shift_sup_bound():
     # |f(. + i sigma)| on slices is controlled by the interior growth bound;
     # (z + i)^-1 shifted up by sigma is (z + i(1 + sigma))^-1

@@ -503,9 +503,17 @@ def test_panel_batch_carries_row_weights(cplx):
         return np.exp(-xs), vals + 1j * np.sin(np.outer(xs, cols)) if cplx else vals
 
     pending = [(0.0, 0.5), (0.5, 2.0), (2.0, 2.25)]
-    ref, n_ref = _panel_batch(_multiplied(pair), pending)
-    got, n = _panel_batch(pair, pending)
-    assert n == n_ref
+    seen = []
+
+    def counted(g):
+        def wrapped(xs):
+            seen.append(xs.size)
+            return g(xs)
+        return wrapped
+
+    ref = _panel_batch(counted(_multiplied(pair)), pending)
+    got = _panel_batch(counted(pair), pending)
+    assert seen == [len(pending) * _NODES.size] * 2
     for got_panel, ref_panel, (a, b) in zip(got, ref, pending):
         w, vals = pair(0.5 * (a + b) + 0.5 * (b - a) * _NODES)
         _close_to_product(got_panel, ref_panel, w, vals, 0.5 * (b - a))
