@@ -54,6 +54,7 @@ def _sa_values(a: Kernel, f_of, zs, tol: float) -> np.ndarray:
     zs = np.atleast_1d(zs)
     out = None
     order = np.lexsort((zs.imag, zs.real, np.abs(zs)))
+    rows = {}  # kernel row per panel, shared by the groups' schedules
     for start in range(0, zs.size, _GROUP):
         idx = order[start:start + _GROUP]
         group = zs[idx]
@@ -62,7 +63,9 @@ def _sa_values(a: Kernel, f_of, zs, tol: float) -> np.ndarray:
             with np.errstate(over="ignore"):
                 args = group[None, :] * ts[:, None]
             vals = np.asarray(f_of(args))
-            return eval_kernel(a, ts), vals if vals.dtype.kind == "c" else np.asarray(vals, float)
+            if (key := ts.tobytes()) not in rows:
+                rows[key] = eval_kernel(a, ts)
+            return rows[key], vals if vals.dtype.kind == "c" else np.asarray(vals, float)
 
         res = integrate_halfline(integrand, tol=tol, support=a.support)
         if res.diverges:

@@ -8,13 +8,13 @@ it keeps the argument in the upper half-plane (Im(z/t) = y/t > 0).  Its
 operator norm on the p-scale is exactly the kernel moment integral of
 t^(1/p-1) phi(t); the machinery here witnesses that constant from below
 with a Rayleigh sweep over the extremizer family (z + i*sigma)^(-1/p-eps),
-all epsilons of one p evaluated together as one ``CayleyFamily``, and on
-the line with the power families |x|^(-1/p+-eps), and measures how the
-slices approach the boundary-value identity (T f)* = T(f*).  The
-t-quadrature's integrand is the row-weighted pair (phi(t)/t, f(z/t)):
-the quadrature folds the weight into its rule instead of scaling the
-panel of dilated values, and integrates a family's trailing member axis
-component-wise.
+and on the line with the power families |x|^(-1/p+-eps), and measures how
+the slices approach the boundary-value identity (T f)* = T(f*).  On the
+axis the sweep's numerators are convolutions in log|x|: for 1 < p < inf
+one FFT convolution per member on a log grid weighted by |x|^c (one sign,
+doubled); otherwise, or when the grid refuses the kernel, the adaptive
+t-quadrature of the whole ``CayleyFamily`` at once, whose integrand is the
+row-weighted pair (phi(t)/t, f(z/t)).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,145 +114,177 @@ def _kernel_row(fn, support, key: bytes):
 
 # Log-grid (Mellin) convolution.  With x = +-e^s and t = e^u the transform
 # is T f(+-e^s) = integral of F(s - u) phi(e^u) du, F(w) = f(+-e^w): one
-# convolution per sign.  F is sampled at _LOG_M nodes on w in
-# [-_LOG_HALF, _LOG_HALF) (w = 0 a node) and read as piecewise linear, a
-# product rule whose error is c*delta^2 plus higher order.  The same rule on
-# the every-other-node half grid (spacing 2*delta, w = 0 still a node) has
+# convolution per sign.  F is sampled at the grid's m nodes on w in
+# [-half, half) (w = 0 a node) and read as piecewise linear, a product rule
+# whose error is c*delta^2 plus higher order.  The same rule on the
+# every-other-node half grid (spacing 2*delta, w = 0 still a node) has
 # error 4*c*delta^2, so Richardson's (4*T_M - T_(M/2))/3 cancels the
 # leading term: fourth order for smooth F when phi is smooth between nodes
 # (cesaro's jump at u = 0 is one), delta^2.5 at a (1 - t)^(-1/2) end.
-_LOG_M = 1 << 13
-_LOG_HALF = 40.0
-_LOG_DELTA = 2.0 * _LOG_HALF / _LOG_M
-# the kernel's reach, the u past which its mass is negligible, may not
-# exceed _LOG_REACH; an output point needs s >= reach - _LOG_HALF, so that
-# F(s - u) stays on the grid wherever the kernel has mass
-_LOG_REACH = 34.0
 _LOG_NEGLIGIBLE = 1e-12
 _GAUSS8 = np.polynomial.legendre.leggauss(8)
-# distances from a finite support end of the graded edges in its end cell,
-# so that the per-cell Gauss rule integrates an end singularity of phi
-_LOG_GRADE = _LOG_DELTA * 0.5 ** np.arange(1, 41)
 
 
-def _hat_edges(k: Kernel) -> np.ndarray:
+class _LogGrid(NamedTuple):
+    """m nodes on w in [-half, half), delta = 2*half/m (m even, half whole,
+    so node delta*j divides back to j), for kernels whose reach (the u past
+    which their mass is negligible) is at most ``reach``; the Mellin weight
+    c takes the kernel as phi(t) t^c, so as |x|^c T_phi f = T_(phi*t^c)[f
+    |x|^c] a caller passing f |x|^c reads |x|^c T_phi f, and f may decay as
+    slowly as |x|^-c' for c' > c.  ``_hat_weights`` samples the kernel
+    ``block`` cells at a time.  The default is ``commute``'s grid, where
+    every kernel is one block: its 4 MB of temporaries set glibc's mmap
+    threshold for the FFTs after them."""
+
+    m: int = 1 << 13
+    half: float = 40.0
+    reach: float = 34.0
+    weight: float = 0.0
+    block: int = 1 << 15
+
+    @property
+    def delta(self) -> float:
+        return 2.0 * self.half / self.m
+
+
+def _hat_edges(k: Kernel, grid: _LogGrid = _LogGrid()) -> np.ndarray:
     """Cell edges of ``_hat_weights``: [a, the grid nodes strictly inside
     (a, b), b] for the log-support [a, b] of k clipped to
-    [-2*_LOG_HALF, 2*_LOG_HALF], with the end cell at a finite support end
-    graded geometrically toward it (the points end -+ delta*2^-j, j = 1..40,
+    [-2*half, 2*half], with the end cell at a finite support end graded
+    geometrically toward it (the points end -+ delta*2^-j, j = 1..40,
     that fall inside it); sorted and distinct by construction, empty when
     [a, b] is."""
-    d = _LOG_DELTA
+    d, span = grid.delta, 2.0 * grid.half
     lo, hi = k.support
-    a = max(-2.0 * _LOG_HALF, math.log(lo)) if lo > 0 else -2.0 * _LOG_HALF
-    b = min(2.0 * _LOG_HALF, math.log(hi))
+    a = max(-span, math.log(lo)) if lo > 0 else -span
+    b = min(span, math.log(hi))
     if a >= b:
         return np.empty(0)
     nodes = d * np.arange(math.ceil(a / d), math.floor(b / d) + 1)
     nodes = nodes[(nodes > a) & (nodes < b)]
+    grade = d * 0.5 ** np.arange(1, 41)
     ends = []
     if lo > 0 and a == math.log(lo):
-        ends.append(a + _LOG_GRADE)
+        ends.append(a + grade)
     if b == math.log(hi):
-        ends.append(b - _LOG_GRADE)
-    # np.unique sorts and merges the two ends' points (rounding can make
-    # neighbours equal far from u = 0); the end cells are (a, first node)
-    # and (last node, b), the whole of (a, b) when no node is inside
-    graded = np.unique(np.concatenate([np.empty(0)] + ends))
+        ends.append(b - grade)
+    # the ends' points sorted, repeats dropped (rounding makes neighbours equal
+    # far from u = 0) without np.unique, which imports numpy.ma; the end cells
+    # are (a, first node) and (last node, b), all of (a, b) with no node inside
+    graded = np.sort(np.concatenate([np.empty(0)] + ends))
+    graded = graded[np.diff(graded, prepend=-math.inf) > 0]
     first, last = (nodes[0], nodes[-1]) if nodes.size else (b, b)
     graded = graded[(graded > a) & (graded < b) & ((graded < first) | (graded > last))]
     lower = graded < first
     return np.concatenate(([a], graded[lower], nodes, graded[~lower], [b]))
 
 
-def _hat_weights(k: Kernel) -> tuple:
-    """(W, W2): W_m = integral of phi(e^u) times the hat of half-width
-    delta centred at u = m*delta, for m = -M..M (u in
-    [-2*_LOG_HALF, 2*_LOG_HALF]); W2 the same on the half grid, hats of
-    half-width 2*delta centred at u = 2m*delta, for m = -M/2..M/2.
+def _hat_weights(k: Kernel, grid: _LogGrid = _LogGrid()) -> tuple:
+    """(W, W2): W_j = integral of phi(e^u) times the hat of half-width
+    delta centred at u = j*delta, for j = -m..m (u in [-2*half, 2*half]);
+    W2 the same on the half grid, hats of half-width 2*delta centred at
+    u = 2j*delta, for j = -m/2..m/2.
 
     Product integration: an 8-point Gauss rule per cell of ``_hat_edges``,
     whose cells split at the log of a support end and grade toward it, so
     any kernel kind works.  Every hat of either grid is linear on each
-    cell, so one set of kernel samples serves both.
+    cell, so one set of kernel samples serves both, taken ``grid.block``
+    cells at a time: each cell's node masses are row sums, binned at once.
     """
-    d, m = _LOG_DELTA, _LOG_M
-    edges = _hat_edges(k)
-    if not edges.size:
-        return np.zeros(2 * m + 1), np.zeros(m + 1)
+    d, m = grid.delta, grid.m
+    edges = _hat_edges(k, grid)
     left, width = edges[:-1], np.diff(edges)
     gx, gw = _GAUSS8
-    u = left[:, None] + 0.5 * width[:, None] * (gx + 1.0)
-    mass = eval_kernel(k, np.exp(u))
-    mass *= 0.5 * width[:, None] * gw
+    steps = (d, 2.0 * d)
+    sums = np.empty((2, 2, left.size))  # per grid, cell masses on its left and right node
+    for rows in (slice(i, i + grid.block) for i in range(0, left.size, grid.block)):
+        u = left[rows, None] + 0.5 * width[rows, None] * (gx + 1.0)
+        mass = eval_kernel(k, np.exp(u))
+        if grid.weight:
+            mass *= np.exp(grid.weight * u)
+        mass *= 0.5 * width[rows, None] * gw
+        for h, (to_left_sum, to_right_sum) in zip(steps, sums):
+            # the cell-by-node products run in place (each a commuted
+            # product of the same operands), so fewer temporaries are live
+            frac = u / h
+            frac -= np.floor(left[rows, None] / h)  # place inside the grid cell, 0..1
+            to_left = 1.0 - frac
+            to_left *= mass
+            frac *= mass  # now the mass on the right node
+            np.sum(to_left, axis=1, out=to_left_sum[rows])
+            np.sum(frac, axis=1, out=to_right_sum[rows])
     weights = []
-    for h, n in ((d, m), (2.0 * d, m // 2)):
-        # the cell-by-node products run in place (each a commuted product
-        # of the same operands), so fewer temporaries are live at once
-        cell = np.floor(left / h)
-        frac = u / h
-        frac -= cell[:, None]  # place inside the grid cell, 0..1
-        to_left = 1.0 - frac
-        to_left *= mass
-        frac *= mass  # now the mass on the right node
-        idx = cell.astype(int) + n
-        weights.append(np.bincount(idx, np.sum(to_left, axis=1), minlength=2 * n + 1)
-                       + np.bincount(idx + 1, np.sum(frac, axis=1), minlength=2 * n + 1))
+    for h, n, (to_left_sum, to_right_sum) in zip(steps, (m, m // 2), sums):
+        idx = np.floor(left / h).astype(int) + n
+        weights.append(np.bincount(idx, to_left_sum, minlength=2 * n + 1))
+        weights[-1] += np.bincount(idx + 1, to_right_sum, minlength=2 * n + 1)
     return tuple(weights)
 
 
-def _log_grid_kernel(k: Kernel):
+def _log_grid_kernel(k: Kernel, grid: _LogGrid = _LogGrid()):
     """(k, reach u past which its mass is negligible, spectra) for
-    ``_log_grid_transform``, ``spectra`` the real transforms of the hat
-    weights W[:2M] and W2[:M] of the two grids, computed once per kernel;
-    ValueError when the reach passes _LOG_REACH."""
-    d, m = _LOG_DELTA, _LOG_M
-    weights, half = _hat_weights(k)
+    ``_log_grid_transform`` on ``grid``, ``spectra`` the real transforms of
+    the hat weights W[:2m] and W2[:m] of its two grids, computed once per
+    kernel; ValueError when the reach passes the grid's, or when a weighted
+    kernel has not decayed at the grid's low end (phi ~ t^e, e + c <= 0)."""
+    d, m = grid.delta, grid.m
+    weights, half = _hat_weights(k, grid)
     beyond = np.cumsum(weights[::-1])[::-1]  # weight mass from index i on
+    if grid.weight and weights[0] > _LOG_NEGLIGIBLE * beyond[0]:
+        raise ValueError(f"weighted kernel mass at t = e^-{2 * grid.half:g} is "
+                         f"{weights[0] / beyond[0]:.2e} of the total, not negligible")
     live = np.flatnonzero(beyond > _LOG_NEGLIGIBLE * beyond[0])
     reach = (live[-1] - m) * d if live.size else 0.0
-    if reach > _LOG_REACH:
-        far = beyond[m + int(_LOG_REACH / d) + 1] / beyond[0]
-        raise ValueError(f"kernel mass past t = e^{_LOG_REACH:g} is "
+    if reach > grid.reach:
+        far = beyond[m + int(grid.reach / d) + 1] / beyond[0]
+        raise ValueError(f"kernel mass past t = e^{grid.reach:g} is "
                          f"{far:.2e} of the total; the log grid would "
                          f"truncate it")
     return k, reach, (np.fft.rfft(weights[:2 * m]), np.fft.rfft(half[:m]))
 
 
-def _log_grid_transform(kernels, f_of, xs) -> list:
+def _log_grid_transform(kernels, f_of, xs, grid: _LogGrid = _LogGrid()):
     """(T_phi f)(x) at real points x by FFT convolution, one array per
-    ``_log_grid_kernel`` entry in ``kernels``: F is sampled once per sign
-    at the M nodes, and F and its every-other-node half F[::2] are
-    transformed once per sign for all kernels, so the half grid costs no
-    extra call of ``f_of``.
+    ``_log_grid_kernel`` entry in ``kernels`` (all built on ``grid``): F is
+    sampled once per sign at the m nodes, and F and its every-other-node
+    half F[::2] are transformed once per sign for all kernels, so the half
+    grid costs no extra call of ``f_of``.  ``xs`` None reads x = e^w at the
+    half grid's nodes w >= max reach - half, and returns (w, the list).
 
     On each grid, product integration of phi against the piecewise-linear
     model of F(w) = f(+-e^w), read off at log|x| by a cubic spline on that
-    grid; the result is (4*T_M - T_(M/2))/3.  On a grid of n nodes the
-    kept window [n, 2n) of the convolution reads only W[1..2n-1], so a
-    circular one of length 2n against W[:2n] has no wrap-around there
-    (overlap-save).  Each spline is fitted on the cells the points read
-    plus a 40-node margin of its grid, past the 30-node reach of its
-    Green's cut and end modes, so those cells get the whole grid's fit's
-    coefficients.  On smooth decaying inputs, values agree with
-    ``transform_values`` to about 1.3e-9 of their maximum for cesaro,
-    hardy and gencesaro(2), and to about 2e-7 for gencesaro(0.5), whose
-    end singularity leaves a delta^2.5 term.  Raises ValueError instead of truncating: when F has not decayed
-    at the large-|x| end, and when an output point lies off the grid:
-    |x| >= e^_LOG_HALF, or |x| below e^(reach - _LOG_HALF), with a reach of
-    0 for kernels supported in (0, 1] and about 27.6 for hardy
-    (|x| >= 4.2e-6).
+    grid (or at its nodes); the result is (4*T_M - T_(M/2))/3.  On a grid
+    of n nodes the kept window [n, 2n) of the convolution reads only
+    W[1..2n-1], so a circular one of length 2n against W[:2n] has no
+    wrap-around there (overlap-save).  Each spline is fitted on the cells
+    the points read plus a 40-node margin of its grid, past the 30-node
+    reach of its Green's cut and end modes, so those cells get the whole
+    grid's fit's coefficients.  On smooth decaying inputs, values on the
+    default grid agree with ``transform_values`` to about 1.3e-9 of their
+    maximum for cesaro, hardy and gencesaro(2), and to about 2e-7 for
+    gencesaro(0.5), whose end singularity leaves a delta^2.5 term.  Raises
+    ValueError instead of truncating: when F has not decayed at the
+    large-|x| end, and when an output point lies off the grid: |x| >=
+    e^half, or |x| below e^(reach - half), with a reach of 0 for kernels
+    supported in (0, 1] and about 27.6 for hardy (|x| >= 4.2e-6 on the
+    default grid).
     """
-    d, m = _LOG_DELTA, _LOG_M
-    ws = -_LOG_HALF + d * np.arange(m)
-    xs = np.asarray(xs, dtype=float)
-    with np.errstate(divide="ignore"):
-        s = np.log(np.abs(xs))
-    for k, reach, _ in kernels:
-        if not np.all((s >= reach - _LOG_HALF) & (s <= _LOG_HALF - d)):
-            raise ValueError("output point off the log grid: |x| must lie in "
-                             f"[{math.exp(reach - _LOG_HALF):.3g}, "
-                             f"{math.exp(_LOG_HALF - d):.3g}] for {k.label}")
+    d, m = grid.delta, grid.m
+    ws = -grid.half + d * np.arange(m)
+    at_nodes = xs is None
+    if at_nodes:  # x > 0 only
+        first = int(np.searchsorted(ws[::2], max(r for _, r, _ in kernels) - grid.half))
+        s = ws[::2][first:]
+        xs = np.ones(s.shape)
+    else:
+        xs = np.asarray(xs, dtype=float)
+        with np.errstate(divide="ignore"):
+            s = np.log(np.abs(xs))
+        for k, reach, _ in kernels:
+            if not np.all((s >= reach - grid.half) & (s <= grid.half - d)):
+                raise ValueError("output point off the log grid: |x| must lie in "
+                                 f"[{math.exp(reach - grid.half):.3g}, "
+                                 f"{math.exp(grid.half - d):.3g}] for {k.label}")
     outs = [np.zeros(xs.shape, dtype=complex) for _ in kernels]
     for sign, side in ((1.0, xs > 0), (-1.0, xs < 0)):
         if not np.any(side):
@@ -264,22 +297,26 @@ def _log_grid_transform(kernels, f_of, xs) -> list:
                 f"(|f| = {abs(F[-1]):.2e} of peak {peak:.2e}); the log "
                 f"grid would truncate it")
         # a complex F is convolved as its real and imaginary parts
-        data = np.stack((F.real, F.imag)) if F.imag.any() else F.real
-        grids = []
-        for step in (1, 2):
-            n, h = m // step, d * step
-            cells = np.clip(np.floor((s[side] - ws[0]) / h), 0, n - 2)
-            lo, hi = max(int(cells.min()) - 40, 0), min(int(cells.max()) + 42, n)
-            grids.append((n, h, lo, hi, np.fft.rfft(data[..., ::step], 2 * n)))
-        for out, (_, _, spectra) in zip(outs, kernels):
-            ts = []
-            for (n, h, lo, hi, spec), spectrum in zip(grids, spectra):
-                conv = np.fft.irfft(spec * spectrum, 2 * n)[..., lo + n:hi + n]
-                if conv.ndim == 2:
-                    conv = conv[0] + 1j * conv[1]
-                ts.append(_spline(ws[0] + h * lo, h, conv)(s[side]))
-            out[side] = (4.0 * ts[0] - ts[1]) / 3.0
-    return outs
+        vals = [[None, None] for _ in kernels]  # per kernel, per grid
+        for part in (F.real, F.imag) if F.imag.any() else (F.real,):
+            for i, (n, h) in enumerate(((m, d), (m // 2, 2.0 * d))):
+                if at_nodes:
+                    lo, hi = first << (1 - i), n
+                else:
+                    cells = np.clip(np.floor((s[side] - ws[0]) / h), 0, n - 2)
+                    lo, hi = max(int(cells.min()) - 40, 0), min(int(cells.max()) + 42, n)
+                spec = np.fft.rfft(part[::i + 1], 2 * n)
+                for v, (_, _, spectra) in zip(vals, kernels):
+                    conv = np.fft.irfft(spec * spectra[i], 2 * n)[lo + n:hi + n]
+                    # at the nodes a copy, so that the transform's buffer goes
+                    read = conv[::2 - i].copy() if at_nodes else \
+                        _spline(ws[0] + h * lo, h, conv)(s[side])
+                    v[i] = read if v[i] is None else v[i] + 1j * read
+                    del conv
+                del spec  # before the next one is made
+        for out, (t, t2) in zip(outs, vals):
+            out[side] = (4.0 * t - t2) / 3.0
+    return (s, outs) if at_nodes else outs
 
 
 @dataclass(frozen=True)
@@ -379,15 +416,18 @@ def norm_lower_bound_sweep(k: Kernel, p: float, epsilons,
     """Rayleigh quotients of the transform over the extremizer family.
 
     For each epsilon the quotient is |T f_eps| / |f_eps| in the Hardy
-    norm on the window [-L, L] plus closed tails.  The extremizers and
-    their images extend continuously to the axis, and Poisson
-    convolution is an L^p contraction, so the slice norms rise as y -> 0
-    and the norm is the boundary slice's: by (T f)* = T(f*) it is a
-    transform on the real axis.  All epsilons are one ``CayleyFamily``
-    (distinct extremizers once each), so one ``slice_norm`` of its image
-    and one of the family give every quotient: a single quadrature
-    schedule serves the whole family, with a max-norm error.  Quotients
-    approach the moment from below as epsilon shrinks.
+    norm.  The extremizers and their images extend continuously to the
+    axis, and Poisson convolution is an L^p contraction, so the slice
+    norms rise as y -> 0 and the norm is the boundary slice's: by
+    (T f)* = T(f*) it is a transform on the real axis.  All epsilons are
+    one ``CayleyFamily`` (distinct extremizers once each); the
+    denominators are one ``slice_norm`` of it.  For 1 < p < inf the
+    numerators come from the weighted log grid (``_grid_numerators``).  At
+    p = 1, and where that grid refuses the kernel or p, they are one
+    ``slice_norm`` of the family's image on the window [-L, L] plus closed
+    tails, under one quadrature schedule with a max-norm error; ``L`` is
+    read only there.  Quotients approach the moment from below as
+    epsilon shrinks.
     """
     if math.isinf(p) or p < 1:
         raise ValueError("sweep requires p in [1, inf)")
@@ -399,13 +439,48 @@ def norm_lower_bound_sweep(k: Kernel, p: float, epsilons,
     picks = [_extremizer(k, p, eps) for eps in eps_list]
     members = tuple(dict.fromkeys(f for f, _ in picks))
     family = CayleyFamily(members)
-    num = slice_norm(KernelImage(kernel=k, base=family, tol=1e-10), 0.0, p, L,
-                     tol=1e-10)
+    num = _grid_numerators(k, p, members) if p > 1 else None
+    if num is None:
+        num = slice_norm(KernelImage(kernel=k, base=family, tol=1e-10), 0.0, p, L,
+                         tol=1e-10)
     den = slice_norm(family, 0.0, p, L, tol=1e-10)
     ratio = [float(n) / float(d) for n, d in zip(num, den)]
     quotients = tuple(ratio[members.index(f)] for f, _ in picks)
     return SweepResult(p=p, epsilons=eps_list, quotients=quotients,
                        moment=m.value, family=picks[-1][1])
+
+
+_SWEEP_M, _SWEEP_SPAN, _SWEEP_TOP = 1 << 14, 34.0, 40.0
+
+
+def _grid_numerators(k: Kernel, p: float, members):
+    """|T f|_p on the axis for each CayleyPower in ``members`` from the log
+    grid weighted by c = min beta / 2, as f(e^w) e^(cw) decays as e^(-c|w|)
+    or faster: half-width _SWEEP_SPAN / c within [100, 350] (a kernel may
+    reach 60; t = e^(+-2 half) stays in double range), or None when its
+    guards refuse the kernel or the members (p above about 7).  Per member,
+    the trapezoid rule over the half grid's nodes s <= _SWEEP_TOP of
+    g = |T(e^s)|^p e^s with its Euler-Maclaurin top-end term, plus the
+    remainder g(S)/(p*beta - 1) of the |x|^-beta tail past the top node S;
+    x > 0 only, doubled, by ``even_slice_modulus``."""
+    c = 0.5 * min(f.beta for f in members)
+    half = min(max(float(math.ceil(_SWEEP_SPAN / c)), 100.0), 350.0)
+    grid = _LogGrid(_SWEEP_M, half, half - _SWEEP_TOP, c, 1024)  # 64 KB sample blocks
+    h, norms = 2.0 * grid.delta, []
+    try:
+        entry = _log_grid_kernel(k, grid)
+        for f in members:
+            # the member's values in eighths, so the Cayley buffers stay small
+            s, (t,) = _log_grid_transform([entry], lambda x: np.concatenate(
+                [f.eval_batch(part + 0j) * part ** c for part in np.split(x, 8)]), None, grid)
+            g = np.abs(t[s <= _SWEEP_TOP]) ** p * np.exp((1.0 - p * c) * s[s <= _SWEEP_TOP])
+            del s, t  # before the next member's transform
+            r = p * float(KernelImage(kernel=k, base=f).tail_power) - 1.0
+            total = h * (np.sum(g) - 0.5 * (g[0] + g[-1])) + (h * h / 12.0 * r + 1.0 / r) * g[-1]
+            norms.append((2.0 * total) ** (1.0 / p))
+    except ValueError:  # a guard of the grid refused
+        return None
+    return norms
 
 
 def _check_window(p: float, eps: float):
@@ -447,11 +522,12 @@ def _power_quotient(k: Kernel, p: float, eps: float, side: str,
             w = cumulative_moment(k, s, xv, upper=False, tol=tol)
             return np.power(xv, -p * s) * np.power(w, p)
 
-        # the transform plateaus below the kernel's support floor (it sees
-        # only mass at t < x), so the integrand is bounded toward 0 and a
-        # 1e-6 floor loses O(1e-8) relative mass
+        # the transform sees only mass at t < x, so the integrand levels off
+        # toward x = 0 (to phi(0+)^p s^-p): (0, a0) closes with a0*num_p(a0),
+        # without which 1.4e-7 of the mass is lost (cesaro, p = 2, eps = 0.2)
         a0 = max(k.support[0], 1e-6)
         num_mass = float(integrate_batched(num_p, doubling_panels(a0, L), tol=tol).value)
+        num_mass += a0 * float(num_p(np.array([a0]))[0])
         num_mass += _tail_integral(num_p, 1.0, L, 1.0 + p * eps, +1, tol)
         return (num_mass / den_mass) ** (1.0 / p)
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,10 +8,11 @@ from hhl.halfplane import (CayleyFamily, CayleyPower, HoloFunction, InverseSquar
                            hardy_norm, slice_norm)
 from scipy.special import erf, exp1
 
-from hhl.hausdorff import (_LOG_DELTA, _LOG_HALF, _LOG_M, KernelImage, SweepResult,
-                           WindowTooSmallError, _extremizer, _hat_edges, _hat_weights,
-                           _log_grid_kernel, _log_grid_transform,
-                           boundary_identity_check,
+from hhl.hausdorff import (KernelImage, SweepResult,
+                           WindowTooSmallError, _extremizer, _grid_numerators,
+                           _hat_edges, _hat_weights, _log_grid_kernel,
+                           _log_grid_transform, _LogGrid,
+                           boundary_identity_check, lp_lower_bound_sweep,
                            norm_lower_bound_sweep, transform_values)
 from hhl.kernels import (Kernel, cesaro, eval_kernel, gen_cesaro, hardy_type,
                          moment, moment_exponent, table_kernel, truncate_below,
@@ -18,6 +20,9 @@ from hhl.kernels import (Kernel, cesaro, eval_kernel, gen_cesaro, hardy_type,
 from hhl.quadrature import DivergenceError, integrate_halfline
 from hhl.realline import (SampledLine, _spline, eval_at, lp_norm,
                           lp_norm_function)
+
+# the default grid's node count, half-width and spacing
+_LOG_M, _LOG_HALF, _LOG_DELTA = _LogGrid().m, _LogGrid().half, _LogGrid().delta
 
 
 def test_apply_real_log_profile():
@@ -198,8 +203,9 @@ def test_sweep_quick():
 ], ids=["cesaro", "gencesaro2", "hardy"])
 def test_sweep_boundary_slice_is_the_norm(kernel, p, eps):
     # the sweep reads only the boundary slice: adding the slices at 0.25
-    # sigma and 0.05 sigma leaves the quotient the same bit for bit, as
-    # both interior image slices read below the boundary one
+    # sigma and 0.05 sigma leaves the quotient the same, as both interior
+    # image slices read below the boundary one; the sweep's numerator comes
+    # from the log grid, so the adaptive Hardy norm agrees to its accuracy
     k = kernel()
     sw = norm_lower_bound_sweep(k, p, (eps,), L=1e4)
     f, _ = _extremizer(k, p, eps)
@@ -207,7 +213,7 @@ def test_sweep_boundary_slice_is_the_norm(kernel, p, eps):
     num = hardy_norm(KernelImage(kernel=k, base=f, tol=1e-10), p, y_grid=ys,
                      L=1e4, tol=1e-10)
     den = hardy_norm(f, p, y_grid=ys, L=1e4, tol=1e-10)
-    assert sw.quotients == (num.estimate / den.estimate,)
+    assert sw.quotients[0] == pytest.approx(num.estimate / den.estimate, rel=1e-9, abs=0)
     assert max(num.slice_norms[:2]) < num.slice_norms[2]
 
 
@@ -240,9 +246,12 @@ def test_one_member_family_is_the_scalar_path_bitwise(name):
         norm_1 = lp_norm_function(lambda xs: g_1.eval_batch(xs + 0.0j), p, 1e4,
                                   g_1.feature_scale, g_1.tail_power)
         assert norm_1.tolist() == [norm]
+    # the sweep's numerator comes from the log grid, so it agrees with the
+    # adaptive quotient to the grid's accuracy
     sw = norm_lower_bound_sweep(k, p, eps[:1], L=1e4)
     q = slice_norm(image, 0.0, p, 1e4) / slice_norm(f, 0.0, p, 1e4)
-    assert sw.quotients == (q,) and type(sw.quotients[0]) is float
+    assert sw.quotients == pytest.approx((q,), rel=1e-9, abs=0)
+    assert type(sw.quotients[0]) is float
 
 
 @pytest.mark.parametrize("name", sorted(FAMILY_SWEEPS))
@@ -289,6 +298,99 @@ def test_sweep_rejects_unbounded():
 def test_sweep_window_guard():
     with pytest.raises(WindowTooSmallError):
         norm_lower_bound_sweep(cesaro(), 2.0, (0.0005,), L=1e4)
+
+
+def _adaptive_quotients(k, p, eps):
+    """The adaptive sweep's quotients: one slice_norm of the family's image
+    over one of the family."""
+    family = CayleyFamily(tuple(_extremizer(k, p, e)[0] for e in eps))
+    image = KernelImage(kernel=k, base=family, tol=1e-10)
+    return slice_norm(image, 0.0, p, 1e4) / slice_norm(family, 0.0, p, 1e4)
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+@pytest.mark.parametrize("kernel, gate", [
+    (cesaro, 1e-9), (hardy_type, 1e-9), (lambda: gen_cesaro(2.0), 1e-9),
+    (lambda: gen_cesaro(0.5), 1e-7)], ids=["cesaro", "hardy", "gencesaro2", "gencesaro0.5"])
+def test_grid_sweep_matches_adaptive(monkeypatch, kernel, gate, p):
+    # the log-grid numerators against the adaptive ones over the default
+    # epsilons: the smooth kernels read up to 3.6e-10 (hardy, p = 4), and
+    # gencesaro(0.5)'s (1 - t)^(-1/2) end leaves a delta^2.5 term, 4.2e-8
+    # at p = 4 on 2^14 nodes (2.3e-7 on 2^13)
+    from hhl import hausdorff
+    k, eps = kernel(), (0.2, 0.1, 0.05, 0.02)
+    seen = []
+    real = hausdorff.slice_norm
+    monkeypatch.setattr(hausdorff, "slice_norm",
+                        lambda f, *a, **kw: seen.append(f) or real(f, *a, **kw))
+    sw = norm_lower_bound_sweep(k, p, eps)
+    assert [type(f).__name__ for f in seen] == ["CayleyFamily"]  # the grid path
+    ref = _adaptive_quotients(k, p, eps)
+    assert np.max(np.abs(np.array(sw.quotients) / ref - 1.0)) <= gate
+
+
+def test_sweep_takes_the_adaptive_path_when_the_grid_refuses():
+    # phi = t^-0.6 on (1, inf) at p = 2: weighted by t^c, c = 0.3, its mass
+    # reaches u = 92, past the reach of 74 that the grid's half-width of 114
+    # allows, so the numerators are the adaptive ones bit for bit; at p = 8
+    # the half-width would pass 350, so t = e^(+-2 half) would leave the
+    # double range
+    slow = Kernel(kind="slow", label="slow", fn=lambda t: np.asarray(t) ** -0.6,
+                  support=(1.0, math.inf), inf_exponent=-0.6)
+    eps = (0.2, 0.1)
+    assert _grid_numerators(slow, 2.0, [_extremizer(slow, 2.0, e)[0] for e in eps]) is None
+    assert _grid_numerators(cesaro(), 8.0, [_extremizer(cesaro(), 8.0, 0.02)[0]]) is None
+    sw = norm_lower_bound_sweep(slow, 2.0, eps)
+    assert sw.quotients == tuple(_adaptive_quotients(slow, 2.0, eps).tolist())
+    assert max(sw.quotients) <= sw.moment * (1 + 1e-6)
+    assert sw.best >= 0.7 * sw.moment
+
+
+def test_weighted_grid_refuses_a_kernel_that_grows_toward_zero():
+    # phi = t^-0.4 on (0, 1] weighted by t^0.26 still grows as t -> 0, so
+    # the grid would cut its mass off at t = e^-2half; cesaro's decays
+    grid = _LogGrid(1 << 12, 100.0, 60.0, 0.26)
+    steep = Kernel(kind="steep", label="steep", fn=lambda t: np.asarray(t) ** -0.4,
+                   support=(0.0, 1.0), zero_exponent=-0.4)
+    with pytest.raises(ValueError, match="weighted kernel mass"):
+        _log_grid_kernel(steep, grid)
+    assert _log_grid_kernel(cesaro(), grid)[1] == 0.0
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_weighted_grid_reads_the_mellin_eigenfunction(p):
+    # cesaro's T f(x) = integral of f(v) dv/v over (x, inf) takes x^-b to
+    # x^-b / b; the input is x^-b cut off below x = 1, as the grid needs
+    # it to decay there, which leaves x^-(b+3) / (b + 3) at s >= 10.  On the
+    # grid weighted by c = b/2 it goes in as f*x^c and comes out as x^c T f,
+    # so it may decay this slowly at the top
+    b = 1.0 / p + 0.02
+    c = 0.5 * b
+    grid = _LogGrid(1 << 14, 250.0, 210.0, c)
+    s, (t,) = _log_grid_transform([_log_grid_kernel(cesaro(), grid)],
+                                  lambda x: x ** c / (x ** b + x ** (b - 3.0)), None, grid)
+    inside = (s >= 10.0) & (s <= 40.0)
+    exact = np.exp((c - b) * s[inside]) / b
+    assert np.max(np.abs(t[inside] / exact - 1.0)) <= 1e-9
+
+
+def test_log_grid_default_arithmetic_pinned():
+    # the default grid, which the commutation check runs on, keeps its
+    # arithmetic bit for bit: sha256 of the output bytes
+    pos = np.geomspace(3e-3, 200.0, 20)
+    xs = np.concatenate([-pos[::-1], pos])
+    out = _log_grid_transform([_log_grid_kernel(cesaro())], _gauss, xs)[0]
+    assert hashlib.sha256(out.tobytes()).hexdigest() == \
+        "30ea4ba7c2b631fea00ed79dea9a82a34e5a1a1baf8d8e104b03a311db6b575b"
+
+
+def test_large_scale_power_quotient_matches_closed_form():
+    # cesaro's large-scale power quotient at p = 2 is 2 / sqrt(1 + 2 eps);
+    # closing (0, 1e-6) with the integrand's plateau brings it from 1.4e-7
+    # (eps = 0.2) and 1.9e-8 (eps = 0.02) to 2.3e-12
+    large, _ = lp_lower_bound_sweep(cesaro(), 2.0, (0.2, 0.02))
+    exact = 2.0 / np.sqrt(1.0 + 2.0 * np.array(large.epsilons))
+    assert np.max(np.abs(np.array(large.quotients) / exact - 1.0)) <= 1e-10
 
 
 def test_boundary_identity_rejects_divergent_moment():
