@@ -8,7 +8,6 @@ Hilbert-transform commutation, and H1/BMO bounds at desk scale.
 
 from .halfplane import (
     CayleyPower,
-    HardyNormEstimate,
     HoloFunction,
     InverseSquare,
     hardy_norm,
@@ -16,7 +15,6 @@ from .halfplane import (
 )
 from .hausdorff import (
     KernelImage,
-    SweepResult,
     boundary_identity_check,
     lp_lower_bound_sweep,
     norm_lower_bound_sweep,

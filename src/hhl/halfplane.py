@@ -26,7 +26,6 @@ __all__ = [
     "CayleyPower",
     "CayleyFamily",
     "InverseSquare",
-    "HardyNormEstimate",
     "hardy_norm",
     "slice_norm",
     "poisson_extend",
@@ -210,38 +209,6 @@ class InverseSquare(HoloFunction):
 # Hardy norms over horizontal slices
 
 
-@dataclass(frozen=True)
-class HardyNormEstimate:
-    """Slice norms over a decreasing y-grid and their supremum.
-
-    ``monotone`` tells whether the norms were nondecreasing as y
-    decreased (the classical behavior; it justifies reading the maximum
-    as the norm).  ``finite`` is False when some slice diverged.
-    """
-
-    p: float
-    slice_heights: tuple
-    slice_norms: tuple
-
-    def __post_init__(self):
-        hs = self.slice_heights
-        if any(hs[i] <= hs[i + 1] for i in range(len(hs) - 1)):
-            raise ValueError("slice heights must be strictly decreasing")
-
-    @property
-    def estimate(self) -> float:
-        return max(self.slice_norms)
-
-    @property
-    def finite(self) -> bool:
-        return all(math.isfinite(v) for v in self.slice_norms)
-
-    @property
-    def monotone(self) -> bool:
-        ns = self.slice_norms
-        return all(ns[i] <= ns[i + 1] * (1.0 + 1e-8) for i in range(len(ns) - 1))
-
-
 def slice_norm(f: HoloFunction, y: float, p: float, L: float,
                tol: float = 1e-10):
     """L^p norm of x -> f(x + iy) with graded panels and analytic tails: a
@@ -266,17 +233,17 @@ def slice_norm(f: HoloFunction, y: float, p: float, L: float,
 
 
 def hardy_norm(f: HoloFunction, p: float, y_grid=(1.0, 0.5, 0.1, 0.05, 0.01),
-               L: float = 1e4, tol: float = 1e-10) -> HardyNormEstimate:
-    """Hardy norm estimate: max of slice norms over a decreasing y-grid.
-
-    Boundary-continuous forms may put y = 0 at the end of the grid, in
-    which case the supremum is attained there exactly.
+               L: float = 1e4, tol: float = 1e-10) -> tuple:
+    """The slice norms over a decreasing y-grid, one ``slice_norm`` per
+    height in its order.  They rise as y decreases, which justifies
+    reading their maximum as the Hardy norm, and a diverged slice reads
+    inf; boundary-continuous forms may end the grid at y = 0, where the
+    supremum is attained exactly.
     """
     ys = tuple(float(y) for y in y_grid)
     if not ys or any(ys[i] <= ys[i + 1] for i in range(len(ys) - 1)):
         raise ValueError("y_grid must be non-empty and strictly decreasing")
-    norms = tuple(slice_norm(f, y, p, L, tol=tol) for y in ys)
-    return HardyNormEstimate(p=p, slice_heights=ys, slice_norms=norms)
+    return tuple(slice_norm(f, y, p, L, tol=tol) for y in ys)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from .adjoint import _sa_values
 from .halfplane import CayleyPower, _poisson_grid_values
-from .hausdorff import SweepResult, transform_values
+from .hausdorff import _sweep_epsilons, transform_values
 from .hilbert import hilbert_with_tails
 from .kernels import Kernel, moment, moment_exponent, truncate_below
 from .realline import SampledLine, _convolve_rows, lp_norm, lp_norm_function
@@ -33,7 +33,6 @@ __all__ = [
     "smooth_maximal",
     "poisson_maximal",
     "square_function",
-    "H1Report",
     "h1_report",
     "h1_proxy_norm",
     "bmo_norm",
@@ -310,55 +309,26 @@ def h1_proxy_norm(f: SampledLine) -> float:
     return lp_norm(f, 1.0) + lp_norm(hf, 1.0)
 
 
-@dataclass(frozen=True)
-class H1Report:
-    """The computable H1 characterizations of one input, with ratios."""
-
-    smooth_maximal: float
-    poisson_maximal: float
-    square: float
-    proxy: float  # |f|_1 + |Hf|_1
-    atomic_bound: float | None = None
-
-    def quantities(self) -> dict:
-        out = {"smooth_maximal": self.smooth_maximal,
-               "poisson_maximal": self.poisson_maximal,
-               "square": self.square,
-               "proxy": self.proxy}
-        if self.atomic_bound is not None:
-            out["atomic_bound"] = self.atomic_bound
-        return out
-
-    def ratios(self) -> dict:
-        qs = self.quantities()
-        names = sorted(qs)
-        out = {}
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                out[f"{a}/{b}"] = qs[a] / qs[b] if qs[b] > 0 else math.inf
-        return out
-
-    @property
-    def finite(self) -> bool:
-        return all(math.isfinite(v) and v > 0 for v in self.quantities().values())
-
-
-def h1_report(f, L: float = 64.0, N: int = 1 << 12, scales: int = 48) -> H1Report:
-    """All computable H1 quantities for a SampledLine or decomposition;
-    M_P and S come from one Poisson pass over the ``scales`` heights, and
-    that pass and the smooth maximal function read the one spectrum f
-    keeps (both transform at length 2N).
+def h1_report(f, L: float = 64.0, N: int = 1 << 12, scales: int = 48) -> dict:
+    """All computable H1 quantities for a SampledLine or decomposition: a
+    dict of the L1 norms "smooth_maximal", "poisson_maximal" and "square"
+    of M_smooth, M_P and S, the "proxy" |f|_1 + |Hf|_1 and, for a
+    decomposition, its "atomic_bound".  M_P and S come from one Poisson
+    pass over the ``scales`` heights, and that pass and the smooth maximal
+    function read the one spectrum f keeps (both transform at length 2N).
 
     ``f`` may also be a non-empty sequence of these, a corpus on one grid:
-    then the result is the list of their reports, each equal to its
-    input's own report bit for bit, and the two passes run for the whole
-    corpus at once, each stack of kernel rows built and transformed once."""
+    then the result is the list of their dicts, each equal to its input's
+    own dict bit for bit, and the two passes run for the whole corpus at
+    once, each stack of kernel rows built and transformed once."""
     fs, one = _corpus(f)
-    atomic = [g.atomic_bound if isinstance(g, AtomicDecomposition) else None for g in fs]
+    atomic = [{"atomic_bound": g.atomic_bound} if isinstance(g, AtomicDecomposition)
+              else {} for g in fs]
     fs = [g.synthesize(L, N) if isinstance(g, AtomicDecomposition) else g for g in fs]
     passes = _poisson_pass(fs, _scales(fs[0], None, scales))
     smooth = smooth_maximal(fs, scales=scales)
-    out = [H1Report(lp_norm(sm, 1.0), lp_norm(m_p, 1.0), lp_norm(s, 1.0), h1_proxy_norm(g), a)
+    out = [{"smooth_maximal": lp_norm(sm, 1.0), "poisson_maximal": lp_norm(m_p, 1.0),
+            "square": lp_norm(s, 1.0), "proxy": h1_proxy_norm(g), **a}
            for g, (m_p, s), sm, a in zip(fs, passes, smooth, atomic)]
     return out[0] if one else out
 
@@ -393,15 +363,16 @@ def bmo_norm(g: SampledLine, depth: int = 10) -> float:
 
 
 def h1_lowerbound_check(k: Kernel, epsilons, delta: float = 0.1,
-                        L: float = 1e4, tol: float = 1e-9) -> SweepResult:
+                        L: float = 1e4, tol: float = 1e-9) -> tuple:
     """Residual decay witnessing the kernel mass as an H1 lower bound.
 
     For the truncated kernel (mass below ``delta`` removed, as the proof
     mechanism requires) and boundary data (x+i)^(-1-eps), the relative L1
     residual |T f* - f* I|_1 / |f*|_1 with I the truncated mass decays as
-    eps shrinks; the sweep records it per epsilon.
+    eps shrinks.  Returns the residuals, one float per epsilon in the
+    strictly decreasing ``epsilons``, in their order.
     """
-    eps_list = tuple(float(e) for e in epsilons)
+    eps_list = _sweep_epsilons(epsilons)
     kd = truncate_below(k, delta) if k.support[0] < delta else k
     m = moment(kd, 1.0, tol=tol)
     if not m.finite:
@@ -422,8 +393,7 @@ def h1_lowerbound_check(k: Kernel, epsilons, delta: float = 0.1,
         den = lp_norm_function(f_star, 1.0, L, 1e-6, s, tol, even_modulus=True)
         # normalized by the kernel mass: invariant under kernel scaling
         residuals.append(num / (den * mass))
-    return SweepResult(p=1.0, epsilons=eps_list, quotients=tuple(residuals),
-                       moment=mass, family=f"h1-residual(delta={delta:g})")
+    return tuple(residuals)
 
 
 def bmo_bound_check(k: Kernel, corpus=None, L: float = 64.0, N: int = 1 << 12):

@@ -35,7 +35,6 @@ from .realline import _TAIL_UMAX, _spline, _tail_integral, lp_norm_function
 __all__ = [
     "transform_values",
     "KernelImage",
-    "SweepResult",
     "WindowTooSmallError",
     "norm_lower_bound_sweep",
     "lp_lower_bound_sweep",
@@ -48,6 +47,11 @@ _GROUP = 256
 
 class WindowTooSmallError(ValueError):
     """The tail closure cannot resolve the power tail for this epsilon."""
+
+
+def _decreasing(seq) -> bool:
+    """Non-empty and strictly decreasing."""
+    return len(seq) > 0 and all(a > b for a, b in zip(seq, seq[1:]))
 
 
 def transform_values(k: Kernel, f_of, zs, tol: float = 1e-10,
@@ -90,6 +94,9 @@ def transform_values(k: Kernel, f_of, zs, tol: float = 1e-10,
             worst = group[int(np.argmax(probe.max(axis=1)))]
             raise DivergenceError(
                 f"transform integral diverges near output point {worst}")
+        if not np.isfinite(res.value).all():
+            raise DivergenceError("transform integral is not finite for output "
+                                  f"points {group[0]} .. {group[-1]}")
         if out is None:
             out = np.empty(zs.shape + np.shape(res.value)[1:], dtype=complex)
         out[idx] = res.value
@@ -366,32 +373,7 @@ class KernelImage(HoloFunction):
 # Rayleigh sweep
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Rayleigh quotients against the sharp constant.
-
-    ``best`` is the largest quotient, the witnessed lower bound.  Whether
-    the quotients sit under the moment (the proven upper bound) is for the
-    report rows to judge, so an excess fails its row rather than the suite.
-    """
-
-    p: float
-    epsilons: tuple
-    quotients: tuple
-    moment: float
-    family: str = ""
-
-    def __post_init__(self):
-        eps = self.epsilons
-        if any(eps[i] <= eps[i + 1] for i in range(len(eps) - 1)):
-            raise ValueError("epsilons must be strictly decreasing")
-
-    @property
-    def best(self) -> float:
-        return max(self.quotients)
-
-
-def _extremizer(k: Kernel, p: float, eps: float):
+def _extremizer(k: Kernel, p: float, eps: float) -> CayleyPower:
     """The sweep test function for one epsilon.
 
     Kernels supported in (0, 1] use the unit-shift family; kernels with
@@ -400,44 +382,46 @@ def _extremizer(k: Kernel, p: float, eps: float):
     inverse square (z + i)^-2 stands in (non-sharp witness), as the
     Cayley power it is, so every extremizer is a ``CayleyFamily`` member.
     """
-    compact = k.support[1] <= 1.0
-    if compact:
-        return CayleyPower(1.0 / p + eps, 1.0), "unit-shift"
+    if k.support[1] <= 1.0:
+        return CayleyPower(1.0 / p + eps, 1.0)
     if p > 1:
         if not (0 < eps < 1.0 - 1.0 / p):
             raise ValueError(
                 f"eps={eps} outside (0, {1 - 1/p:g}) for the shrinking-shift family")
-        return CayleyPower(1.0 / p + eps, eps), "shrinking-shift"
-    return CayleyPower(2.0, 1.0), "fixed-witness"
+        return CayleyPower(1.0 / p + eps, eps)
+    return CayleyPower(2.0, 1.0)
 
 
 def norm_lower_bound_sweep(k: Kernel, p: float, epsilons,
-                           L: float = 1e4) -> SweepResult:
+                           L: float = 1e4) -> tuple:
     """Rayleigh quotients of the transform over the extremizer family.
 
-    For each epsilon the quotient is |T f_eps| / |f_eps| in the Hardy
-    norm.  The extremizers and their images extend continuously to the
-    axis, and Poisson convolution is an L^p contraction, so the slice
-    norms rise as y -> 0 and the norm is the boundary slice's: by
-    (T f)* = T(f*) it is a transform on the real axis.  All epsilons are
-    one ``CayleyFamily`` (distinct extremizers once each); the
-    denominators are one ``slice_norm`` of it.  For 1 < p < inf the
+    Returns the quotients, one float per epsilon in the strictly
+    decreasing ``epsilons``, in their order.  For each epsilon the
+    quotient is |T f_eps| / |f_eps| in the Hardy norm.  The extremizers
+    and their images extend continuously to the axis, and Poisson
+    convolution is an L^p contraction, so the slice norms rise as y -> 0
+    and the norm is the boundary slice's: by (T f)* = T(f*) it is a
+    transform on the real axis.  All epsilons are one ``CayleyFamily``
+    (distinct extremizers once each); the denominators are one
+    ``slice_norm`` of it.  For 1 < p < inf the
     numerators come from the weighted log grid (``_grid_numerators``).  At
     p = 1, and where that grid refuses the kernel or p, they are one
     ``slice_norm`` of the family's image on the window [-L, L] plus closed
     tails, under one quadrature schedule with a max-norm error; ``L`` is
     read only there.  Quotients approach the moment from below as
-    epsilon shrinks.
+    epsilon shrinks; the largest is the witnessed lower bound.  Whether
+    they sit under the moment (the proven upper bound) is for the report
+    rows to judge, so an excess fails its row rather than the suite.
     """
     if math.isinf(p) or p < 1:
         raise ValueError("sweep requires p in [1, inf)")
-    eps_list = tuple(float(e) for e in epsilons)
-    m = moment(k, p)
-    if not m.finite:
+    eps_list = _sweep_epsilons(epsilons)
+    if not moment(k, p).finite:
         raise ValueError("sweep requires a finite moment (bounded operator)")
     _check_window(p, min(eps_list))
     picks = [_extremizer(k, p, eps) for eps in eps_list]
-    members = tuple(dict.fromkeys(f for f, _ in picks))
+    members = tuple(dict.fromkeys(picks))
     family = CayleyFamily(members)
     num = _grid_numerators(k, p, members) if p > 1 else None
     if num is None:
@@ -445,9 +429,15 @@ def norm_lower_bound_sweep(k: Kernel, p: float, epsilons,
                          tol=1e-10)
     den = slice_norm(family, 0.0, p, L, tol=1e-10)
     ratio = [float(n) / float(d) for n, d in zip(num, den)]
-    quotients = tuple(ratio[members.index(f)] for f, _ in picks)
-    return SweepResult(p=p, epsilons=eps_list, quotients=quotients,
-                       moment=m.value, family=picks[-1][1])
+    return tuple(ratio[members.index(f)] for f in picks)
+
+
+def _sweep_epsilons(epsilons) -> tuple:
+    """``epsilons`` as floats; ValueError unless strictly decreasing."""
+    eps_list = tuple(float(e) for e in epsilons)
+    if not _decreasing(eps_list):
+        raise ValueError("epsilons must be non-empty and strictly decreasing")
+    return eps_list
 
 
 _SWEEP_M, _SWEEP_SPAN, _SWEEP_TOP = 1 << 14, 34.0, 40.0
@@ -559,27 +549,21 @@ def lp_lower_bound_sweep(k: Kernel, p: float, epsilons, L: float = 1e4,
                          tol: float = 1e-10):
     """Both power-family sweeps witnessing the sharp line constant.
 
-    Returns (large_scale, small_scale) SweepResults: the first family
-    witnesses the kernel mass at t > 1, the second the mass at t < 1;
-    together they exhaust the moment.  Every quotient sits under the
-    moment.
+    Returns (large_scale, small_scale), each a tuple of quotients, one
+    float per epsilon in the strictly decreasing ``epsilons``, in their
+    order: the first family witnesses the kernel mass at t > 1, the
+    second the mass at t < 1; together they exhaust the moment.  Every
+    quotient sits under the moment.
     """
     if not (1.0 < p < math.inf):
         raise ValueError("line sweep requires p in (1, inf)")
-    eps_list = tuple(float(e) for e in epsilons)
+    eps_list = _sweep_epsilons(epsilons)
     if any(not 0 < e < 1 for e in eps_list):
         raise ValueError("epsilons must lie in (0, 1)")
-    m = moment(k, p)
-    if not m.finite:
+    if not moment(k, p).finite:
         raise ValueError("sweep requires a finite moment")
-    large = tuple(_power_quotient(k, p, e, "large", L=L, tol=tol) for e in eps_list)
-    small = tuple(_power_quotient(k, p, e, "small", L=L, tol=tol) for e in eps_list)
-    return (
-        SweepResult(p=p, epsilons=eps_list, quotients=large, moment=m.value,
-                    family="large-scale-power"),
-        SweepResult(p=p, epsilons=eps_list, quotients=small, moment=m.value,
-                    family="small-scale-power"),
-    )
+    return tuple(tuple(_power_quotient(k, p, e, side, L=L, tol=tol) for e in eps_list)
+                 for side in ("large", "small"))
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +596,7 @@ def boundary_identity_check(k: Kernel, f: HoloFunction, p: float, y_seq,
         raise ValueError(
             f"boundary identity requires a finite moment; p={p:g} moment diverges")
     ys = tuple(float(y) for y in y_seq)
-    if any(ys[i] <= ys[i + 1] for i in range(len(ys) - 1)) or ys[-1] <= 0:
+    if not (_decreasing(ys) and ys[-1] > 0):
         raise ValueError("y_seq must be strictly decreasing and positive")
     if not f.boundary_ok:
         raise ValueError("boundary identity needs a boundary-continuous form")

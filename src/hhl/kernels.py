@@ -33,7 +33,6 @@ __all__ = [
     "truncate_below",
     "adjoint_kernel",
     "kernel_from_config",
-    "DEFAULT_MOMENT_TOL",
 ]
 
 # default moment tolerance leaves headroom under the 1e-8 gates

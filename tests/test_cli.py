@@ -71,6 +71,24 @@ def test_rows_exactly_at_their_gate_pass(monkeypatch):
         f"{k} on {f}" for k in ("cesaro", "hardy") for f in ("gauss", "xgauss", "P1diff")]
 
 
+def test_nan_measurement_fails_its_rows(monkeypatch):
+    # a NaN quotient that is not first, or a NaN line quotient, fails every
+    # row that reads it; the rows that do not read it still pass
+    nan = math.nan
+    monkeypatch.setattr(cli, "norm_lower_bound_sweep",
+                        lambda k, p, epsilons, L: (1.9, nan, 1.95, 1.97))
+    monkeypatch.setattr(cli, "lp_lower_bound_sweep",
+                        lambda k, p, epsilons, L: ((nan,), (1.9,)))
+    config = RunConfig(p_list=(2.0,))
+    norm = {r.check: r.passed for r in run_suite("norm", config).rows}
+    assert norm.pop("p=2 quotients under moment") is False
+    assert norm.pop("p=2 best quotient") is False
+    assert all(norm.values())
+    lp = {r.check: r.passed for r in run_suite("lp", config).rows}
+    assert lp == {"p=2 large-scale witness": False, "p=2 large-scale under moment": False,
+                  "p=2 small-scale witness": True, "p=2 small-scale under moment": True}
+
+
 def test_emit_csv_and_json_roundtrip(tmp_path):
     rows = [CheckRow(suite="demo", check=f"row{i}", anchor="x", computed=1.0,
                      predicted=1.0, residual=0.0, tol=1.0)

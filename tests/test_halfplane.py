@@ -201,21 +201,23 @@ def test_sigma_zero_requires_small_beta():
 
 
 def test_hardy_norm_inverse_square():
-    est = hardy_norm(InverseSquare(), 1.0, y_grid=(1.0, 0.1, 0.0), L=1e4)
-    assert est.estimate == pytest.approx(math.pi, rel=1e-3)
-    assert est.monotone and est.finite
+    norms = hardy_norm(InverseSquare(), 1.0, y_grid=(1.0, 0.1, 0.0), L=1e4)
+    assert max(norms) == pytest.approx(math.pi, rel=1e-3)
+    # nondecreasing as y decreases, and finite
+    assert all(a <= b * (1.0 + 1e-8) for a, b in zip(norms, norms[1:]))
+    assert all(math.isfinite(v) for v in norms)
 
 
 def test_hardy_norm_cayley_h2():
-    est = hardy_norm(CayleyPower(1.0, 1.0), 2.0, y_grid=(1.0, 0.1, 0.0), L=1e4)
-    assert est.estimate == pytest.approx(math.sqrt(math.pi), rel=1e-8)
+    norms = hardy_norm(CayleyPower(1.0, 1.0), 2.0, y_grid=(1.0, 0.1, 0.0), L=1e4)
+    assert max(norms) == pytest.approx(math.sqrt(math.pi), rel=1e-8)
 
 
 def test_hardy_norm_extremizer_value():
     # |f_eps|^p on the boundary integrates (x^2+1)^(-(1+p*eps)/2)
     p, eps = 2.0, 0.5
-    est = hardy_norm(CayleyPower(1.0 / p + eps, 1.0), p, y_grid=(0.5, 0.1, 0.0), L=1e4)
-    assert est.estimate == pytest.approx(math.sqrt(math.pi), rel=1e-8)
+    norms = hardy_norm(CayleyPower(1.0 / p + eps, 1.0), p, y_grid=(0.5, 0.1, 0.0), L=1e4)
+    assert max(norms) == pytest.approx(math.sqrt(math.pi), rel=1e-8)
 
 
 def test_slice_norm_monotone_in_y():
@@ -227,8 +229,8 @@ def test_slice_norm_monotone_in_y():
 
 
 def test_hardy_norm_flags_divergence():
-    est = hardy_norm(CayleyPower(0.4, 1.0), 2.0, y_grid=(1.0, 0.1), L=1e3)
-    assert not est.finite
+    norms = hardy_norm(CayleyPower(0.4, 1.0), 2.0, y_grid=(1.0, 0.1), L=1e3)
+    assert not all(math.isfinite(v) for v in norms)
 
 
 @pytest.mark.parametrize("y_grid", [(), (0.1, 0.5), (0.5, 0.5)])
@@ -243,7 +245,7 @@ def test_vertical_shift_sup_bound():
     # (z + i)^-1 shifted up by sigma is (z + i(1 + sigma))^-1
     f = CayleyPower(1.0, 1.0)
     p, sigma = 2.0, 0.5
-    norm = hardy_norm(f, p, y_grid=(0.5, 0.1, 0.0), L=1e4).estimate
+    norm = max(hardy_norm(f, p, y_grid=(0.5, 0.1, 0.0), L=1e4))
     shifted = CayleyPower(1.0, 1.0 + sigma)
     sup = slice_norm(shifted, 0.0, math.inf, 1e3)
     assert sup <= (2.0 / (math.pi * sigma)) ** (1.0 / p) * norm * (1 + 1e-9)
@@ -251,8 +253,8 @@ def test_vertical_shift_sup_bound():
 
 def test_vertical_shift_norm_increases_as_sigma_drops():
     f = CayleyPower(1.0, 1.0)
-    norms = [hardy_norm(CayleyPower(f.beta, f.sigma + s), 2.0,
-                        y_grid=(0.5, 0.1, 0.0), L=1e3).estimate
+    norms = [max(hardy_norm(CayleyPower(f.beta, f.sigma + s), 2.0,
+                            y_grid=(0.5, 0.1, 0.0), L=1e3))
              for s in (1.0, 0.5, 0.1)]
     assert norms[0] <= norms[1] <= norms[2]
 

@@ -6,9 +6,10 @@ import pytest
 
 from hhl.halfplane import (CayleyFamily, CayleyPower, HoloFunction, InverseSquare,
                            hardy_norm, slice_norm)
+from hhl.hardy_bmo import h1_lowerbound_check
 from scipy.special import erf, exp1
 
-from hhl.hausdorff import (KernelImage, SweepResult,
+from hhl.hausdorff import (KernelImage,
                            WindowTooSmallError, _extremizer, _grid_numerators,
                            _hat_edges, _hat_weights, _log_grid_kernel,
                            _log_grid_transform, _LogGrid,
@@ -163,11 +164,15 @@ def test_kernel_image_tail_power():
     assert abs(norm / math.sqrt(math.pi) - 1.0) < 5e-8
 
 
-def test_sweep_result_invariants():
-    with pytest.raises(ValueError):
-        SweepResult(p=2.0, epsilons=(0.1, 0.2), quotients=(1.0, 1.0), moment=2.0)
-    sw = SweepResult(p=2.0, epsilons=(0.2, 0.1), quotients=(1.5, 1.75), moment=2.0)
-    assert sw.best == 1.75
+@pytest.mark.parametrize("eps", [(0.1, 0.2), (0.2, 0.2), ()],
+                         ids=["rising", "repeated", "empty"])
+@pytest.mark.parametrize("sweep", [
+    lambda eps: norm_lower_bound_sweep(cesaro(), 2.0, eps),
+    lambda eps: lp_lower_bound_sweep(cesaro(), 2.0, eps),
+    lambda eps: h1_lowerbound_check(cesaro(), eps)], ids=["norm", "lp", "h1"])
+def test_sweeps_reject_epsilons_not_strictly_decreasing(sweep, eps):
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        sweep(eps)
 
 
 def test_quotient_above_moment_fails_its_row(monkeypatch):
@@ -176,10 +181,8 @@ def test_quotient_above_moment_fails_its_row(monkeypatch):
     from hhl import cli
 
     def sweep(k, p, epsilons, L):
-        m = moment(k, p).value
-        q = m * (1.01 if p == 2.0 else 0.99)
-        return SweepResult(p=p, epsilons=tuple(epsilons), quotients=(q,) * len(epsilons),
-                           moment=m)
+        q = moment(k, p).value * (1.01 if p == 2.0 else 0.99)
+        return (q,) * len(epsilons)
 
     monkeypatch.setattr(cli, "norm_lower_bound_sweep", sweep)
     rep = cli.run_suite("norm", cli.RunConfig(p_list=(2.0, 4.0)))
@@ -189,11 +192,12 @@ def test_quotient_above_moment_fails_its_row(monkeypatch):
 
 
 def test_sweep_quick():
-    sw = norm_lower_bound_sweep(cesaro(), 2.0, (0.2, 0.1), L=1e4)
-    assert sw.moment == pytest.approx(2.0, rel=1e-9)
-    assert sw.best <= 2.0 * (1 + 1e-6)
-    assert sw.best >= 1.88
-    assert sw.family == "unit-shift"
+    quotients = norm_lower_bound_sweep(cesaro(), 2.0, (0.2, 0.1), L=1e4)
+    assert moment(cesaro(), 2.0).value == pytest.approx(2.0, rel=1e-9)
+    assert max(quotients) <= 2.0 * (1 + 1e-6)
+    assert max(quotients) >= 1.88
+    # cesaro lives on (0, 1]: the unit-shift extremizers
+    assert _extremizer(cesaro(), 2.0, 0.1) == CayleyPower(0.6, 1.0)
 
 
 @pytest.mark.parametrize("kernel, p, eps", [
@@ -207,14 +211,14 @@ def test_sweep_boundary_slice_is_the_norm(kernel, p, eps):
     # image slices read below the boundary one; the sweep's numerator comes
     # from the log grid, so the adaptive Hardy norm agrees to its accuracy
     k = kernel()
-    sw = norm_lower_bound_sweep(k, p, (eps,), L=1e4)
-    f, _ = _extremizer(k, p, eps)
+    (q,) = norm_lower_bound_sweep(k, p, (eps,), L=1e4)
+    f = _extremizer(k, p, eps)
     ys = (0.25 * f.sigma, 0.05 * f.sigma, 0.0)
     num = hardy_norm(KernelImage(kernel=k, base=f, tol=1e-10), p, y_grid=ys,
                      L=1e4, tol=1e-10)
     den = hardy_norm(f, p, y_grid=ys, L=1e4, tol=1e-10)
-    assert sw.quotients[0] == pytest.approx(num.estimate / den.estimate, rel=1e-9, abs=0)
-    assert max(num.slice_norms[:2]) < num.slice_norms[2]
+    assert q == pytest.approx(max(num) / max(den), rel=1e-9, abs=0)
+    assert max(num[:2]) < num[2]
 
 
 # one family per sweep: unit shift, a steeper kernel at p = 4, and the
@@ -233,7 +237,7 @@ FAMILY_POINTS = np.concatenate([-np.geomspace(1e-6, 1e6, 150),
 def test_one_member_family_is_the_scalar_path_bitwise(name):
     kernel, p, eps = FAMILY_SWEEPS[name]
     k = kernel()
-    f, _ = _extremizer(k, p, eps[0])
+    f = _extremizer(k, p, eps[0])
     fam = CayleyFamily((f,))
     one = transform_values(k, fam.eval_batch, FAMILY_POINTS, tol=1e-10)
     assert one.shape == FAMILY_POINTS.shape + (1,)
@@ -248,10 +252,10 @@ def test_one_member_family_is_the_scalar_path_bitwise(name):
         assert norm_1.tolist() == [norm]
     # the sweep's numerator comes from the log grid, so it agrees with the
     # adaptive quotient to the grid's accuracy
-    sw = norm_lower_bound_sweep(k, p, eps[:1], L=1e4)
+    quotients = norm_lower_bound_sweep(k, p, eps[:1], L=1e4)
     q = slice_norm(image, 0.0, p, 1e4) / slice_norm(f, 0.0, p, 1e4)
-    assert sw.quotients == pytest.approx((q,), rel=1e-9, abs=0)
-    assert type(sw.quotients[0]) is float
+    assert quotients == pytest.approx((q,), rel=1e-9, abs=0)
+    assert type(quotients[0]) is float
 
 
 @pytest.mark.parametrize("name", sorted(FAMILY_SWEEPS))
@@ -260,7 +264,7 @@ def test_family_members_match_their_scalar_calls(name):
     # member lands within rounding of its own call
     kernel, p, eps = FAMILY_SWEEPS[name]
     k = kernel()
-    members = tuple(_extremizer(k, p, e)[0] for e in eps)
+    members = tuple(_extremizer(k, p, e) for e in eps)
     fam = CayleyFamily(members)
     together = transform_values(k, fam.eval_batch, FAMILY_POINTS, tol=1e-10)
     norms = slice_norm(fam, 0.0, p, 1e4)
@@ -284,10 +288,25 @@ def test_sweep_evaluates_each_distinct_extremizer_once(monkeypatch):
         return real(f, *args, **kwargs)
 
     monkeypatch.setattr(hausdorff, "slice_norm", spy)
-    sw = norm_lower_bound_sweep(k, 1.0, (0.2, 0.1), L=1e3)
-    assert sw.family == "fixed-witness" and len(set(sw.quotients)) == 1
+    quotients = norm_lower_bound_sweep(k, 1.0, (0.2, 0.1), L=1e3)
+    # the fixed witness (z + i)^-2 at p = 1 for a kernel with mass past t = 1
+    assert _extremizer(k, 1.0, 0.2) == _extremizer(k, 1.0, 0.1) == CayleyPower(2.0, 1.0)
+    assert len(set(quotients)) == 1
     assert [type(f).__name__ for f in seen] == ["KernelImage", "CayleyFamily"]
     assert seen[1].members == (CayleyPower(2.0, 1.0),)
+
+
+def test_non_finite_transform_raises():
+    # phi = t^-0.4 on (0, 1] has finite moments, but phi(t)/t overflows at
+    # the smallest abscissas of the half-line scan, so the integral comes
+    # out NaN; the transform and the sweep that falls back to it raise
+    steep = Kernel(kind="steep", label="steep", fn=lambda t: np.asarray(t) ** -0.4,
+                   support=(0.0, 1.0), zero_exponent=-0.4)
+    with np.errstate(all="ignore"):
+        with pytest.raises(DivergenceError, match="not finite"):
+            transform_values(steep, lambda z: (z + 1j) ** -0.7, [1.0])
+        with pytest.raises(DivergenceError, match="not finite"):
+            norm_lower_bound_sweep(steep, 2.0, (0.2, 0.1))
 
 
 def test_sweep_rejects_unbounded():
@@ -303,7 +322,7 @@ def test_sweep_window_guard():
 def _adaptive_quotients(k, p, eps):
     """The adaptive sweep's quotients: one slice_norm of the family's image
     over one of the family."""
-    family = CayleyFamily(tuple(_extremizer(k, p, e)[0] for e in eps))
+    family = CayleyFamily(tuple(_extremizer(k, p, e) for e in eps))
     image = KernelImage(kernel=k, base=family, tol=1e-10)
     return slice_norm(image, 0.0, p, 1e4) / slice_norm(family, 0.0, p, 1e4)
 
@@ -323,10 +342,10 @@ def test_grid_sweep_matches_adaptive(monkeypatch, kernel, gate, p):
     real = hausdorff.slice_norm
     monkeypatch.setattr(hausdorff, "slice_norm",
                         lambda f, *a, **kw: seen.append(f) or real(f, *a, **kw))
-    sw = norm_lower_bound_sweep(k, p, eps)
+    quotients = norm_lower_bound_sweep(k, p, eps)
     assert [type(f).__name__ for f in seen] == ["CayleyFamily"]  # the grid path
     ref = _adaptive_quotients(k, p, eps)
-    assert np.max(np.abs(np.array(sw.quotients) / ref - 1.0)) <= gate
+    assert np.max(np.abs(np.array(quotients) / ref - 1.0)) <= gate
 
 
 def test_sweep_takes_the_adaptive_path_when_the_grid_refuses():
@@ -338,12 +357,13 @@ def test_sweep_takes_the_adaptive_path_when_the_grid_refuses():
     slow = Kernel(kind="slow", label="slow", fn=lambda t: np.asarray(t) ** -0.6,
                   support=(1.0, math.inf), inf_exponent=-0.6)
     eps = (0.2, 0.1)
-    assert _grid_numerators(slow, 2.0, [_extremizer(slow, 2.0, e)[0] for e in eps]) is None
-    assert _grid_numerators(cesaro(), 8.0, [_extremizer(cesaro(), 8.0, 0.02)[0]]) is None
-    sw = norm_lower_bound_sweep(slow, 2.0, eps)
-    assert sw.quotients == tuple(_adaptive_quotients(slow, 2.0, eps).tolist())
-    assert max(sw.quotients) <= sw.moment * (1 + 1e-6)
-    assert sw.best >= 0.7 * sw.moment
+    assert _grid_numerators(slow, 2.0, [_extremizer(slow, 2.0, e) for e in eps]) is None
+    assert _grid_numerators(cesaro(), 8.0, [_extremizer(cesaro(), 8.0, 0.02)]) is None
+    quotients = norm_lower_bound_sweep(slow, 2.0, eps)
+    assert quotients == tuple(_adaptive_quotients(slow, 2.0, eps).tolist())
+    m = moment(slow, 2.0).value
+    assert max(quotients) <= m * (1 + 1e-6)
+    assert max(quotients) >= 0.7 * m
 
 
 def test_weighted_grid_refuses_a_kernel_that_grows_toward_zero():
@@ -388,9 +408,10 @@ def test_large_scale_power_quotient_matches_closed_form():
     # cesaro's large-scale power quotient at p = 2 is 2 / sqrt(1 + 2 eps);
     # closing (0, 1e-6) with the integrand's plateau brings it from 1.4e-7
     # (eps = 0.2) and 1.9e-8 (eps = 0.02) to 2.3e-12
-    large, _ = lp_lower_bound_sweep(cesaro(), 2.0, (0.2, 0.02))
-    exact = 2.0 / np.sqrt(1.0 + 2.0 * np.array(large.epsilons))
-    assert np.max(np.abs(np.array(large.quotients) / exact - 1.0)) <= 1e-10
+    eps = (0.2, 0.02)
+    large, _ = lp_lower_bound_sweep(cesaro(), 2.0, eps)
+    exact = 2.0 / np.sqrt(1.0 + 2.0 * np.array(eps))
+    assert np.max(np.abs(np.array(large) / exact - 1.0)) <= 1e-10
 
 
 def test_boundary_identity_rejects_divergent_moment():

@@ -91,7 +91,7 @@ def _exact_quotient(eps, dps=25, cut=200):
 
 def test_norm_sweep_quotients_match_exact():
     eps = tuple(EXACT_QUOTIENTS)
-    got = norm_lower_bound_sweep(cesaro(), 2.0, eps).quotients
+    got = norm_lower_bound_sweep(cesaro(), 2.0, eps)
     for e, q in zip(eps, got):
         assert abs(q / EXACT_QUOTIENTS[e] - 1.0) <= 1e-8
 
