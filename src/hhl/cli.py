@@ -240,7 +240,7 @@ def suite_lp(config: RunConfig) -> VerificationReport:
                              "inf", "inf", 0.0, 0.5))
             continue
         eps = min(config.epsilons)
-        large, small = lp_lower_bound_sweep(k, p, (eps,), L=config.sweep_L)
+        large, small = lp_lower_bound_sweep(k, p, (eps,))
         for (q,), side in ((large, "large-scale"), (small, "small-scale")):
             rows.append(_row("lp", f"p={p:g} {side} witness", "line-sharp-norm",
                              q, m.value, 1.0 - q / m.value, 0.10))

@@ -8,13 +8,14 @@ it keeps the argument in the upper half-plane (Im(z/t) = y/t > 0).  Its
 operator norm on the p-scale is exactly the kernel moment integral of
 t^(1/p-1) phi(t); the machinery here witnesses that constant from below
 with a Rayleigh sweep over the extremizer family (z + i*sigma)^(-1/p-eps),
-and on the line with the power families |x|^(-1/p+-eps), and measures how
-the slices approach the boundary-value identity (T f)* = T(f*).  On the
-axis the sweep's numerators are convolutions in log|x|: for 1 < p < inf
-one FFT convolution per member on a log grid weighted by |x|^c (one sign,
-doubled); otherwise, or when the grid refuses the kernel, the adaptive
-t-quadrature of the whole ``CayleyFamily`` at once, whose integrand is the
-row-weighted pair (phi(t)/t, f(z/t)).
+and on the line with the power families |x|^(-1/p+-eps), each of whose
+quotients is, by parts, one integral of (T f)^(p-1) phi over the kernel's
+support, and measures how the slices approach the boundary-value identity
+(T f)* = T(f*).  On the axis the sweep's numerators are convolutions in
+log|x|: for 1 < p < inf one FFT convolution per member on a log grid
+weighted by |x|^c (one sign, doubled); otherwise, or when the grid refuses
+the kernel, the adaptive t-quadrature of the whole ``CayleyFamily`` at
+once, whose integrand is the row-weighted pair (phi(t)/t, f(z/t)).
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ import numpy as np
 
 from .halfplane import CayleyFamily, CayleyPower, HoloFunction, slice_norm
 from .kernels import Kernel, cumulative_moment, eval_kernel, moment
-from .quadrature import (DivergenceError, doubling_panels, integrate_batched,
-                         integrate_halfline)
-from .realline import _TAIL_UMAX, _spline, _tail_integral, lp_norm_function
+from .quadrature import DivergenceError, integrate_halfline
+from .realline import _TAIL_UMAX, _spline, lp_norm_function
 
 __all__ = [
     "transform_values",
@@ -492,77 +492,62 @@ def _check_window(p: float, eps: float):
 # Power test functions on the line
 
 
-def _power_quotient(k: Kernel, p: float, eps: float, side: str,
-                    L: float = 1e4, tol: float = 1e-10) -> float:
-    """Rayleigh quotient of the transform on one power test function.
+def _power_quotient(k: Kernel, p: float, eps: float, side: str, m: float,
+                    tol: float = 1e-10) -> float:
+    """Rayleigh quotient q of the transform on one power test function.
 
-    side "large": |x|^(-1/p-eps) outside the unit interval, which the
-    kernel sees through its mass at t < |x|.  side "small": the
-    complementary |x|^(-1/p+eps) inside, seeing mass at t > |x|.  Both
-    transforms collapse to cumulative kernel moments, and the numerators'
-    heavy power tails are closed with measured remainders.  Both test
-    functions carry the p-mass of |x|^(-1-p*eps) on (1, inf), which is
-    1/(p*eps) in closed form.
+    side "large": f = |x|^-s outside the unit interval, s = 1/p + eps,
+    which the kernel sees through its mass at t < |x|, so T f(x) =
+    x^-s C(x) with C(x) the integral of t^(s-1) phi over (0, x).  side
+    "small": f = |x|^-s inside it, s = 1/p - eps, seeing mass at t > |x|,
+    so C runs over (x, inf).  Each test function has p-mass 1/(p*eps) on
+    a half-line, |x|^(-1-+p*eps) integrated outside or inside the unit
+    interval.  The numerator's p-mass is the integral of
+    x^(-+p*eps-1) C(x)^p over (0, inf); by parts against
+    x^(-+p*eps)/(-+p*eps), with C' = +-x^(s-1) phi, it is (1/eps) times
+    the integral of (T f)^(p-1) phi (Hardy, Littlewood and Polya,
+    Inequalities, ch. IX), so
+
+        q^p = p * integral over the support of (T f)(x)^(p-1) phi(x) dx.
+
+    The boundary terms x^(-+p*eps) C^p vanish at both ends whenever the
+    p-moment is finite (phi ~ t^e at 0 needs 1/p + e > 0, at infinity
+    1/p + e < 0), and the integral has no power tail: phi bounds its
+    reach.  The integrand is divided by m^(p-1), m the p-moment, so the
+    absolute ``tol`` reads against values of order 1 rather than q^p, and
+    q = m (p I / m)^(1/p) for the scaled integral I.
     """
-    den_mass = 1.0 / (p * eps)
-    if side == "large":
-        s = 1.0 / p + eps
+    s = 1.0 / p + eps if side == "large" else 1.0 / p - eps
 
-        def num_p(xv):
-            w = cumulative_moment(k, s, xv, upper=False, tol=tol)
-            return np.power(xv, -p * s) * np.power(w, p)
+    def integrand(xs):
+        c = cumulative_moment(k, s, xs, upper=side == "small", tol=tol)
+        return eval_kernel(k, xs), np.power(np.power(xs, -s) * c / m, p - 1.0)
 
-        # the transform sees only mass at t < x, so the integrand levels off
-        # toward x = 0 (to phi(0+)^p s^-p): (0, a0) closes with a0*num_p(a0),
-        # without which 1.4e-7 of the mass is lost (cesaro, p = 2, eps = 0.2)
-        a0 = max(k.support[0], 1e-6)
-        num_mass = float(integrate_batched(num_p, doubling_panels(a0, L), tol=tol).value)
-        num_mass += a0 * float(num_p(np.array([a0]))[0])
-        num_mass += _tail_integral(num_p, 1.0, L, 1.0 + p * eps, +1, tol)
-        return (num_mass / den_mass) ** (1.0 / p)
-
-    # side == "small": mass piles up at every scale below 1, so work in
-    # v = 1/x where it becomes an ordinary power tail
-    s = 1.0 / p - eps
-
-    def num_p_v(vv):
-        w = cumulative_moment(k, s, 1.0 / vv, upper=True, tol=tol)
-        return np.power(vv, p * s - 2.0) * np.power(w, p)
-
-    num_mass = float(integrate_batched(num_p_v, doubling_panels(1.0, L), tol=tol).value)
-    num_mass += _tail_integral(num_p_v, 1.0, L, 1.0 + p * eps, +1, tol)
-
-    if k.support[1] > 1.0:
-        # kernel mass beyond t = 1 makes the transform live on x > 1 too
-        def num_p_direct(xv):
-            w = cumulative_moment(k, s, xv, upper=True, tol=tol)
-            return np.power(xv, -p * s) * np.power(w, p)
-
-        num_mass += float(integrate_batched(num_p_direct, doubling_panels(1.0, L),
-                                            tol=tol).value)
-        ei = k.inf_exponent if k.inf_exponent is not None else -1.0
-        num_mass += _tail_integral(num_p_direct, 1.0, L, -p * ei, +1, tol)
-    return (num_mass / den_mass) ** (1.0 / p)
+    res = integrate_halfline(integrand, tol=tol, support=k.support)
+    return m * (p * float(res.value) / m) ** (1.0 / p)
 
 
-def lp_lower_bound_sweep(k: Kernel, p: float, epsilons, L: float = 1e4,
-                         tol: float = 1e-10):
+def lp_lower_bound_sweep(k: Kernel, p: float, epsilons, tol: float = 1e-10):
     """Both power-family sweeps witnessing the sharp line constant.
 
     Returns (large_scale, small_scale), each a tuple of quotients, one
     float per epsilon in the strictly decreasing ``epsilons``, in their
     order: the first family witnesses the kernel mass at t > 1, the
     second the mass at t < 1; together they exhaust the moment.  Every
-    quotient sits under the moment.
+    quotient sits under the moment.  Each is one half-line integral over
+    the kernel's support (``_power_quotient``), for any epsilon in (0, 1):
+    at eps >= 1/p the small family's exponent s = 1/p - eps is not
+    positive, and its cumulative moments over (x, inf) stay finite.
     """
     if not (1.0 < p < math.inf):
         raise ValueError("line sweep requires p in (1, inf)")
     eps_list = _sweep_epsilons(epsilons)
     if any(not 0 < e < 1 for e in eps_list):
         raise ValueError("epsilons must lie in (0, 1)")
-    if not moment(k, p).finite:
+    m = moment(k, p)
+    if not m.finite:
         raise ValueError("sweep requires a finite moment")
-    return tuple(tuple(_power_quotient(k, p, e, side, L=L, tol=tol) for e in eps_list)
+    return tuple(tuple(_power_quotient(k, p, e, side, m.value, tol=tol) for e in eps_list)
                  for side in ("large", "small"))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .quadrature import (QuadResult, _bisect, _panel_batch, eval_budget,
-                         integrate_halfline)
+                         integrate, integrate_halfline)
 from .realline import _pchip
 
 __all__ = [
@@ -227,10 +227,15 @@ def cumulative_moment(k: Kernel, s: float, xs: np.ndarray,
     """integral of t^(s-1) phi(t) over (0, x] (or [x, inf) when upper).
 
     ``xs`` may be unsorted; segments between consecutive sorted abscissas
-    are integrated once and accumulated, so a batch costs one sweep.  The
-    first panels of all bounded segments come from one integrand call; a
-    segment whose first panel meets ``tol`` takes it, and the others are
-    refined further, each as ``integrate`` would.
+    are integrated once and accumulated, so a batch costs one sweep: from
+    the left, or with ``upper`` from the right, the top segment [max x,
+    inf) first, so (0, min x), which cancels out of every upper value, is
+    never integrated.  A segment reaching 0 or inf takes the half-line
+    scan; a bounded one with b/a > 1e3 is integrated in log t, as
+    g(e^u) e^u over [log a, log b] by ``integrate``.  The first panels of
+    the other bounded segments come from one integrand call; a segment
+    whose first panel meets ``tol`` takes it, and the others are refined
+    further, each as ``integrate`` would.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -244,19 +249,26 @@ def cumulative_moment(k: Kernel, s: float, xs: np.ndarray,
     def g(ts):
         return k(ts) * np.power(ts, s - 1.0)
 
+    def g_log(us):
+        ts = np.exp(us)
+        return g(ts) * ts
+
     # segment i ends at sx[i]; with ``upper`` one more runs on to infinity
+    # and the first, which cancels, is skipped
     ends = [0.0, *sx] + ([math.inf] if upper else [])
     pieces = np.zeros(len(ends) - 1)
     bounded = []  # (index, a, b) of segments for the panel engine
-    for i in range(len(ends) - 1):
+    for i in range(int(upper), len(ends) - 1):
         a, b = max(ends[i], lo), min(ends[i + 1], hi)
         if not a < b:
             continue
-        if a <= 0 or (b / a > 1e3) or math.isinf(b):
+        if a <= 0 or math.isinf(b):
             res = integrate_halfline(g, tol=tol, support=(a, b))
             if res.diverges:
                 raise ValueError("cumulative moment diverges")
             pieces[i] = float(res.value)
+        elif b / a > 1e3:
+            pieces[i] = float(integrate(g_log, math.log(a), math.log(b), tol=tol).value)
         else:
             bounded.append((i, a, b))
     if bounded:
@@ -265,9 +277,7 @@ def cumulative_moment(k: Kernel, s: float, xs: np.ndarray,
         for (i, a, b), first in zip(bounded, firsts):
             pieces[i] = float(first[0] if first[1] <= tol else
                               _bisect(g, [(a, b, *first)], tol, budget).value)
-    cums = np.cumsum(pieces[:sx.size])
-    if upper:
-        cums = (cums[-1] - cums) + pieces[-1]
+    cums = np.cumsum(pieces[:0:-1])[::-1] if upper else np.cumsum(pieces)
     out = np.empty_like(cums)
     out[order] = cums
     return out

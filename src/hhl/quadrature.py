@@ -55,7 +55,6 @@ __all__ = [
     "integrate_pv",
     "integrate_batched",
     "geometric_panels",
-    "doubling_panels",
 ]
 
 DEFAULT_BUDGET = 1_000_000

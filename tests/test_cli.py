@@ -78,7 +78,7 @@ def test_nan_measurement_fails_its_rows(monkeypatch):
     monkeypatch.setattr(cli, "norm_lower_bound_sweep",
                         lambda k, p, epsilons, L: (1.9, nan, 1.95, 1.97))
     monkeypatch.setattr(cli, "lp_lower_bound_sweep",
-                        lambda k, p, epsilons, L: ((nan,), (1.9,)))
+                        lambda k, p, epsilons: ((nan,), (1.9,)))
     config = RunConfig(p_list=(2.0,))
     norm = {r.check: r.passed for r in run_suite("norm", config).rows}
     assert norm.pop("p=2 quotients under moment") is False
@@ -87,6 +87,16 @@ def test_nan_measurement_fails_its_rows(monkeypatch):
     lp = {r.check: r.passed for r in run_suite("lp", config).rows}
     assert lp == {"p=2 large-scale witness": False, "p=2 large-scale under moment": False,
                   "p=2 small-scale witness": True, "p=2 small-scale under moment": True}
+
+
+def test_lp_suite_runs_where_the_small_exponent_is_negative():
+    # at p = 8, eps = 0.2 the small family's s = 1/p - eps is -0.075; the
+    # suite returns its rows: the witnesses sit at 0.43 and 0.38 of the
+    # moment and fail their gate, and both under-moment rows pass
+    rep = run_suite("lp", RunConfig(p_list=(8.0,), epsilons=(0.2,)))
+    rows = {r.check: r.passed for r in rep.rows}
+    assert rows == {"p=8 large-scale witness": False, "p=8 large-scale under moment": True,
+                    "p=8 small-scale witness": False, "p=8 small-scale under moment": True}
 
 
 def test_emit_csv_and_json_roundtrip(tmp_path):

@@ -404,14 +404,30 @@ def test_log_grid_default_arithmetic_pinned():
         "30ea4ba7c2b631fea00ed79dea9a82a34e5a1a1baf8d8e104b03a311db6b575b"
 
 
-def test_large_scale_power_quotient_matches_closed_form():
-    # cesaro's large-scale power quotient at p = 2 is 2 / sqrt(1 + 2 eps);
-    # closing (0, 1e-6) with the integrand's plateau brings it from 1.4e-7
-    # (eps = 0.2) and 1.9e-8 (eps = 0.02) to 2.3e-12
-    eps = (0.2, 0.02)
-    large, _ = lp_lower_bound_sweep(cesaro(), 2.0, eps)
-    exact = 2.0 / np.sqrt(1.0 + 2.0 * np.array(eps))
-    assert np.max(np.abs(np.array(large) / exact - 1.0)) <= 1e-10
+def _cesaro_power_quotient(side, p, eps):
+    """cesaro's power quotient in closed form: (p / s^(p-1))^(1/p) for the
+    large family (s = 1/p + eps), and for the small one (s = 1/p - eps)
+    q^p = p eps B(p eps/s, p+1) / s^(p+1), or p eps B(-1/s, p+1) /
+    |s|^(p+1) when s < 0, from y = x^s in the numerator's p-mass."""
+    if side == "large":
+        s = 1.0 / p + eps
+        return (p / s ** (p - 1.0)) ** (1.0 / p)
+    s = 1.0 / p - eps
+    a = p * eps / s if s > 0 else -1.0 / s
+    log_beta = math.lgamma(a) + math.lgamma(p + 1.0) - math.lgamma(a + p + 1.0)
+    return (p * eps * math.exp(log_beta) / abs(s) ** (p + 1.0)) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.05, 0.02])
+@pytest.mark.parametrize("p", [1.5, 2.0, 4.0, 8.0])
+@pytest.mark.parametrize("side", ["large", "small"])
+def test_power_quotient_matches_closed_form(side, p, eps):
+    # each quotient is one integral of (T f)^(p-1) phi over (0, 1), with no
+    # power tail to close; (8, 0.2) puts the small family at s = -0.075,
+    # where the cumulative moment over (0, x) diverges and is never formed
+    large, small = lp_lower_bound_sweep(cesaro(), p, (eps,))
+    (q,) = large if side == "large" else small
+    assert abs(q / _cesaro_power_quotient(side, p, eps) - 1.0) <= 1e-11
 
 
 def test_boundary_identity_rejects_divergent_moment():

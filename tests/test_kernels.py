@@ -210,33 +210,43 @@ def test_cumulative_moment():
 
 
 def _cumulative_moment_by_segment(k, s, xs, upper=False, tol=1e-11):
-    """One ``integrate`` (or half-line) call per segment: the oracle of
-    cumulative_moment's batched first panels."""
+    """One ``integrate`` (or half-line) call per segment, a bounded segment
+    with b/a > 1e3 in log t, and upper values summed from the right: the
+    oracle of cumulative_moment's batched first panels."""
     xs = np.asarray(xs, dtype=float)
     order = np.argsort(xs)
     sx = xs[order]
     lo, hi = k.support
 
+    def g(ts):
+        return k(ts) * np.power(ts, s - 1.0)
+
     def seg(a, b):
         a2, b2 = max(a, lo), min(b, hi)
         if not a2 < b2:
             return 0.0
-        g = lambda ts: k(ts) * np.power(ts, s - 1.0)
-        if a2 <= 0 or (b2 / a2 > 1e3) or math.isinf(b2):
+        if a2 <= 0 or math.isinf(b2):
             res = integrate_halfline(g, tol=tol, support=(a2, b2))
             if res.diverges:
                 raise ValueError("cumulative moment diverges")
             return float(res.value)
+        if b2 / a2 > 1e3:
+            return float(integrate(lambda us: g(np.exp(us)) * np.exp(us),
+                                   math.log(a2), math.log(b2), tol=tol).value)
         return float(integrate(g, a2, b2, tol=tol).value)
 
-    pieces = np.empty(sx.size)
-    pieces[0] = seg(0.0, sx[0])
-    for i in range(1, sx.size):
-        pieces[i] = seg(sx[i - 1], sx[i])
-    cums = np.cumsum(pieces)
+    cums = np.empty(sx.size)
     if upper:
-        top = seg(sx[-1], math.inf)
-        cums = (cums[-1] - cums) + top
+        acc = seg(sx[-1], math.inf)
+        cums[-1] = acc
+        for i in range(sx.size - 2, -1, -1):
+            acc += seg(sx[i], sx[i + 1])
+            cums[i] = acc
+    else:
+        acc = 0.0
+        for i in range(sx.size):
+            acc += seg(sx[i - 1] if i else 0.0, sx[i])
+            cums[i] = acc
     out = np.empty_like(cums)
     out[order] = cums
     return out
@@ -256,6 +266,18 @@ def test_cumulative_moment_matches_per_segment_loop(name, s, upper):
         got = cumulative_moment(k, s, xs, upper=upper, tol=tol)
         ref = _cumulative_moment_by_segment(k, s, xs, upper=upper, tol=tol)
         assert got.tobytes() == ref.tobytes()
+
+
+def test_cumulative_moment_upper_at_negative_exponent():
+    # cesaro's upper moment is (1 - x^s)/s below x = 1 at any s; at s <= 0
+    # the moment over (0, min x) diverges, and as it cancels from every
+    # upper value it is never integrated.  (1e-6, 0.01) is a bounded
+    # segment with b/a > 1e3, integrated in log t
+    s = -0.075
+    xs = np.array([0.5, 1e-6, 2.0, 0.01, 0.999])
+    got = cumulative_moment(cesaro(), s, xs, upper=True)
+    expect = np.where(xs < 1.0, (1.0 - xs ** s) / s, 0.0)
+    assert np.allclose(got, expect, rtol=1e-10, atol=0.0)
 
 
 def test_cumulative_moment_empty_and_invalid():
